@@ -9,6 +9,7 @@ evaluation harness round out the toolkit.
 """
 
 from .bev import BoxCode, BoxGrid, GridSpec, decode_box, encode_box, pillar_centre, rasterize
+from .evaluation import average_precision, per_class_accuracy
 from .geometry import (
     AABB2,
     CAMERA,
@@ -18,8 +19,6 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     backproject,
-    compose,
-    invert,
     iou_2d,
     kitti_lidar_to_camera,
     project,
@@ -43,6 +42,7 @@ from .pipeline import (
     select_anchor,
     track_points,
 )
+from .proposals import heuristic_grid
 from .sampling import SamplerConfig, sample_pixels, smooth_confidence
 
 __all__ = [name for name in dir() if not name.startswith("_")]

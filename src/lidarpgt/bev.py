@@ -195,18 +195,23 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
     return image
 
 
+def pillar_centres(rows, cols, spec: GridSpec) -> np.ndarray:
+    """3D centres (lidar frame) of the stride x stride pillar blocks at grid
+    rows and columns; the index arrays broadcast and gain a last axis of 3."""
+    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    out = np.empty(rows.shape + (3,))
+    out[..., 0] = spec.x_range[0] + (rows + 0.5) * spec.cell_x
+    out[..., 1] = spec.y_range[0] + (cols + 0.5) * spec.cell_y
+    out[..., 2] = 0.5 * (spec.z_range[0] + spec.z_range[1])
+    return out
+
+
 def pillar_centre(pixel, spec: GridSpec) -> np.ndarray:
     """3D centre (lidar frame) of the stride x stride pillar block at a grid pixel."""
     r, c = pixel
     if not (0 <= r < spec.out_rows and 0 <= c < spec.out_cols):
         raise OutOfGrid(f"pixel {(r, c)} outside {spec.out_rows}x{spec.out_cols} grid")
-    return np.array(
-        [
-            spec.x_range[0] + (r + 0.5) * spec.cell_x,
-            spec.y_range[0] + (c + 0.5) * spec.cell_y,
-            0.5 * (spec.z_range[0] + spec.z_range[1]),
-        ]
-    )
+    return pillar_centres(r, c, spec)
 
 
 def decode_centre(pixel, code: BoxCode, spec: GridSpec) -> np.ndarray:

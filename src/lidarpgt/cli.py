@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .bev import BoxGrid
-from .dataset import LabelRecord, load_sequence, write_labels
-from .errors import BehindCamera, LidarPgtError
-from .evaluation import evaluate_sequence, project_box_2d
-from .geometry import CAMERA, LIDAR, Obb3, RigidTransform, transform_obb
+from .bev import decode_box
+from .dataset import load_sequence, write_labels
+from .errors import LidarPgtError
+from .evaluation import evaluate_sequence, label_record
+from .geometry import LIDAR, Obb3, transform_obb
 from .loss import frame_loss_terms
 from .pipeline import FrameWindow, PseudoLabel, generate_pseudo_labels
 from .proposals import grid_from_file, heuristic_grid
@@ -96,7 +96,10 @@ def build_parser() -> _Parser:
     p.add_argument("--dets", required=True, help="directory of detection label files")
     p.add_argument("--gt", required=True, help="directory of ground-truth label files")
     p.add_argument("--mode", choices=("bev", "2d"), default="bev")
-    p.add_argument("--iou", default="0.1:0.7:0.1", help="start:stop:step or comma list")
+    p.add_argument(
+        "--iou", type=_thresholds, default="0.1:0.7:0.1",
+        help="thresholds in (0, 1]: start:stop:step or comma list",
+    )
     p.add_argument("--calib", help="calib.txt used to project boxes in 2d mode")
     p.add_argument("--out", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
@@ -126,22 +129,6 @@ def _load_grid(kind: str, seq, t, spec, ground_margin):
     if kind.startswith("file:"):
         return grid_from_file(Path(kind[5:]) / f"{t:06d}.bin", spec)
     raise _UsageError(f"unknown proposals source {kind!r}")
-
-
-def _pseudo_label_records(seq, labels: list[PseudoLabel]):
-    lidar_to_cam = seq.calibration.lidar_to_cam
-    records = []
-    for label in labels:
-        cam_box = transform_obb(label.box, lidar_to_cam, CAMERA)
-        try:
-            bbox2d = project_box_2d(cam_box, RigidTransform.identity(), seq.calibration.intrinsics)
-        except BehindCamera:
-            bbox2d = None
-        record = LabelRecord(cls=_PGT_CLASS, box=cam_box, score=label.confidence)
-        if bbox2d is not None:
-            record.bbox2d = bbox2d
-        records.append(record)
-    return records
 
 
 def _diagnostics_payload(result):
@@ -187,12 +174,17 @@ def _generate_frame(seq_root: str, t: int, cfg: dict, proposals: str, out_dir: s
     # Per-frame seeds keep frames decorrelated but reproducible.
     sampler = dataclasses.replace(sampler, seed=sampler.seed + t)
     window = FrameWindow.from_sequence(seq, t, scorer.k_frames)
-    grid = _load_grid(proposals, seq, t, spec, cfg["heuristic"]["ground_margin"])
+    grid = _load_grid(proposals, seq, t, spec, cfgmod.ground_margin(cfg))
     result = generate_pseudo_labels(
         window, grid, spec, cfgmod.anchors(cfg), sampler, scorer
     )
     out = Path(out_dir)
-    write_labels(out / "label_pgt" / f"{t:06d}.txt", _pseudo_label_records(seq, result.u_plus))
+    calib = seq.calibration
+    records = [
+        label_record(_PGT_CLASS, label.box, calib.lidar_to_cam, calib.intrinsics, label.confidence)
+        for label in result.u_plus
+    ]
+    write_labels(out / "label_pgt" / f"{t:06d}.txt", records)
     (out / "diagnostics" / f"{t:06d}.json").write_text(
         json.dumps(_diagnostics_payload(result), indent=1) + "\n"
     )
@@ -202,8 +194,8 @@ def _generate_frame(seq_root: str, t: int, cfg: dict, proposals: str, out_dir: s
 
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    sim = cfgmod.sim_config(cfg)
-    seed = args.seed if args.seed is not None else cfg["simulate"].get("seed", 0)
+    sim, seed = cfgmod.sim_config(cfg)
+    seed = args.seed if args.seed is not None else seed
     frames = make_scene(sim, seed)
     write_scene(frames, sim, args.out, seed=seed)
     n_points = sum(len(f.cloud) for f in frames) // len(frames)
@@ -215,6 +207,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.jobs < 0:
+        raise _UsageError(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
     seq = load_sequence(args.sequence)
     scorer = cfgmod.scorer_config(cfg)
@@ -228,7 +222,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     (out / "label_pgt").mkdir(parents=True, exist_ok=True)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     frames = list(range(n_windows))
     if jobs > 1 and len(frames) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -254,16 +248,29 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_thresholds(text: str):
-    if "," in text or ":" not in text:
-        return [float(v) for v in text.split(",")]
-    start, stop, step = (float(v) for v in text.split(":"))
-    out = []
-    value = start
-    while value <= stop + 1e-9:
-        out.append(round(value, 6))
-        value += step
-    return out
+# Thresholds are rounded to 6 decimals, so a finer step only repeats them.
+_MIN_IOU_STEP = 1e-6
+
+
+def _thresholds(text: str) -> list[float]:
+    """IoU thresholds in (0, 1] from `start:stop:step` or a comma list."""
+    try:
+        if "," in text or ":" not in text:
+            values = [float(v) for v in text.split(",")]
+        else:
+            start, stop, step = (float(v) for v in text.split(":"))
+            values = []
+            while step >= _MIN_IOU_STEP and start <= stop + 1e-9:
+                values.append(round(start, 6))
+                start += step
+    except ValueError:
+        values = []
+    if not values or not all(0 < v <= 1 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected thresholds in (0, 1] as a comma list or start:stop:step with "
+            f"start <= stop and step >= {_MIN_IOU_STEP:g}, got {text!r}"
+        )
+    return values
 
 
 def cmd_evaluate(args) -> int:
@@ -273,7 +280,7 @@ def cmd_evaluate(args) -> int:
 
         intrinsics = read_calib(args.calib).intrinsics
     report = evaluate_sequence(
-        args.dets, args.gt, mode=args.mode, thresholds=_parse_thresholds(args.iou),
+        args.dets, args.gt, mode=args.mode, thresholds=args.iou,
         intrinsics=intrinsics,
     )
     print(report.format_table())
@@ -315,7 +322,7 @@ def cmd_evaluate_loss(args) -> int:
     totals = {"centre": 0.0, "dims": 0.0, "yaw": 0.0, "confidence_pos": 0.0, "confidence_neg": 0.0}
     for path in files:
         t = int(path.stem)
-        grid = _load_grid(args.proposals, seq, t, spec, cfg["heuristic"]["ground_margin"])
+        grid = _load_grid(args.proposals, seq, t, spec, cfgmod.ground_margin(cfg))
         u_plus, u_minus = _labels_from_diagnostics(path)
         terms = frame_loss_terms(grid, u_plus, u_minus, spec, loss_cfg)
         print(
@@ -354,17 +361,10 @@ def cmd_render(args) -> int:
         u_plus, _ = _labels_from_diagnostics(Path(args.pgt) / "diagnostics" / f"{t:06d}.json")
         overlays.append((PSEUDO_COLOR, [label.box for label in u_plus]))
     if "proposals" in wanted:
-        grid = heuristic_grid(cloud, spec, cfg["heuristic"]["ground_margin"])
-        from .bev import decode_box
-
-        boxes = []
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                code = grid.code_at((r, c))
-                if code.confidence > cfg["sampler"]["confidence_threshold"] and np.all(
-                    code.dims > 0
-                ):
-                    boxes.append(decode_box((r, c), code, spec))
+        grid = heuristic_grid(cloud, spec, cfgmod.ground_margin(cfg))
+        threshold = cfgmod.sampler_config(cfg).confidence_threshold
+        shown = (grid.confidence > threshold) & np.all(grid.data[:, :, 3:6] > 0, axis=2)
+        boxes = [decode_box(tuple(px), grid.code_at(px), spec) for px in np.argwhere(shown)]
         overlays.append((PROPOSAL_COLOR, boxes))
     image = render_overlays(cloud, spec, overlays)
     write_ppm(args.out, image)

@@ -1,46 +1,37 @@
 """One JSON configuration file mirroring every tunable constant.
 
-The defaults below are the pipeline's reference values; a user config file
-only needs the keys it overrides, and command-line flags override the file.
+The defaults are those of the objects the sections build, and
+DEFAULTS["simulate"] is the reference scene. A user config file only needs
+the keys it overrides, and command-line flags override the file.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+import types
+import typing
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .bev import GridSpec
 from .errors import ConfigInvalid
-from .geometry import CameraIntrinsics
 from .loss import LossConfig
-from .pipeline import Anchor, ScorerConfig
+from .pipeline import Anchor, ScorerConfig, default_anchors
 from .proposals import DEFAULT_GROUND_MARGIN
 from .sampling import SamplerConfig
-from .simulate import EgoMotion, SimConfig, SimObject
+from .simulate import SimConfig
+
 
 DEFAULTS = {
-    "grid": {
-        "x_range": [2.5, 40.0],
-        "y_range": [-18.0, 18.0],
-        "z_range": [-2.73, 1.27],
-        "height": 608,
-        "width": 608,
-        "stride": 4,
-    },
-    "sampler": {"confidence_threshold": 0.08, "sample_count": 60, "seed": 0},
-    "scorer": {
-        "score_threshold": 0.08,
-        "moving_weight": 0.4,
-        "inconsistency_weight": 0.15,
-        "k_frames": 3,
-    },
-    "loss": {"alpha": 0.5, "gamma": 1.5},
-    "anchors": [
-        {"name": "pedestrian", "dims": [0.45, 1.70, 0.27]},
-        {"name": "cyclist", "dims": [0.54, 1.90, 1.75]},
-        {"name": "vehicle", "dims": [1.88, 1.63, 4.58]},
-    ],
+    "grid": asdict(GridSpec()),
+    "sampler": asdict(SamplerConfig()),
+    "scorer": asdict(ScorerConfig()),
+    "loss": asdict(LossConfig()),
+    "anchors": [{"name": a.name, "dims": a.dims.tolist()} for a in default_anchors()],
     "heuristic": {"ground_margin": DEFAULT_GROUND_MARGIN},
     "simulate": {
         "n_frames": 10,
@@ -53,10 +44,8 @@ DEFAULTS = {
             "width": 1600,
             "height": 448,
         },
-        "ground_y": 2.55,
         "ground_extent": [-18.0, 18.0, 4.0, 40.0],
-        "ground_density": 40.0,
-        "ego": {"position": [0.0, 0.0], "heading": 0.0, "velocity": [0.0, 0.1], "yaw_rate": 0.0},
+        "ego": {"velocity": [0.0, 0.1]},
         "objects": [
             {"cls": "vehicle", "position": [3.17, 22.36], "yaw": 0.74, "velocity": [-0.02, 0.86]},
             {"cls": "vehicle", "position": [-5.31, 31.27], "yaw": -0.71, "velocity": [0.12, -0.87]},
@@ -70,6 +59,75 @@ DEFAULTS = {
     },
 }
 
+# SimConfig fields the config file does not set.
+_FIXED = ("lidar_to_cam", "intensity_range")
+
+_SCALARS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def _keys(cls) -> dict:
+    """The config keys of a dataclass, with their types."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in _FIXED}
+
+
+def _construct(cls, path: str, kwargs: dict):
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, ConfigInvalid) as exc:  # TypeError: a key is missing
+        raise ConfigInvalid(f"{path}: {exc}") from exc
+
+
+def _check(hint, path: str, value):
+    """`value` checked against `hint`, a type or a {key: type} config object.
+
+    Lists become tuples where the type is a tuple, and config objects become
+    the dataclass the type names. Errors name `path` and the offending key.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if isinstance(hint, dict) or is_dataclass(hint):
+        keys = hint if isinstance(hint, dict) else _keys(hint)
+        if not isinstance(value, dict):
+            raise ConfigInvalid(f"{path}: expected an object, got {value!r}")
+        for key in value:
+            if key not in keys:
+                raise ConfigInvalid(f"{path}: unknown key {key!r}")
+        checked = {key: _check(keys[key], f"{path}.{key}", v) for key, v in value.items()}
+        return checked if isinstance(hint, dict) else _construct(hint, path, checked)
+    if origin in (typing.Union, types.UnionType):  # `X | None`
+        return None if value is None else _check(args[0], path, value)
+    if hint is np.ndarray:  # anchor dims
+        hint, origin, args = list[float], list, (float,)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)) or origin is tuple and len(value) != len(args):
+            size = f" of {len(args)}" if origin is tuple else ""
+            raise ConfigInvalid(f"{path}: expected a list{size}, got {value!r}")
+        hints = args if origin is tuple else args * len(value)
+        items = [_check(h, f"{path}[{i}]", v) for i, (h, v) in enumerate(zip(hints, value))]
+        return tuple(items) if origin is tuple else items
+    if not _SCALARS[hint](value):
+        raise ConfigInvalid(f"{path}: expected {hint.__name__}, got {value!r}")
+    return value
+
+
+_SECTIONS = {
+    "grid": GridSpec,
+    "sampler": SamplerConfig,
+    "scorer": ScorerConfig,
+    "loss": LossConfig,
+    "anchors": list[Anchor],
+    "heuristic": {"ground_margin": float},
+    "simulate": {"seed": int, **_keys(SimConfig)},
+}
+
+
+def _section(cfg: dict, name: str):
+    return _check(_SECTIONS[name], name, cfg[name])
+
 
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
@@ -82,7 +140,11 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path=None) -> dict:
-    """The defaults, deep-merged with an optional JSON config file."""
+    """The defaults, deep-merged with an optional JSON config file.
+
+    Each section the file sets is checked when it is read, so a bad key fails
+    every command, not only the ones that use its section.
+    """
     if path is None:
         return copy.deepcopy(DEFAULTS)
     try:
@@ -91,79 +153,43 @@ def load_config(path=None) -> dict:
         raise ConfigInvalid(f"{path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigInvalid(f"{path}: config root must be an object")
-    return _merge(DEFAULTS, user)
+    cfg = _merge(DEFAULTS, user)
+    for name in user:
+        if name not in _SECTIONS:
+            raise ConfigInvalid(f"{path}: unknown config section {name!r}")
+        try:
+            _section(cfg, name)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from exc
+    return cfg
 
 
 def grid_spec(cfg: dict) -> GridSpec:
-    g = cfg["grid"]
-    return GridSpec(
-        x_range=tuple(g["x_range"]),
-        y_range=tuple(g["y_range"]),
-        z_range=tuple(g["z_range"]),
-        height=g["height"],
-        width=g["width"],
-        stride=g["stride"],
-    )
+    return _section(cfg, "grid")
 
 
 def sampler_config(cfg: dict) -> SamplerConfig:
-    s = cfg["sampler"]
-    return SamplerConfig(
-        confidence_threshold=s["confidence_threshold"],
-        sample_count=s["sample_count"],
-        seed=s["seed"],
-    )
+    return _section(cfg, "sampler")
 
 
 def scorer_config(cfg: dict) -> ScorerConfig:
-    s = cfg["scorer"]
-    return ScorerConfig(
-        score_threshold=s["score_threshold"],
-        moving_weight=s["moving_weight"],
-        inconsistency_weight=s["inconsistency_weight"],
-        k_frames=s["k_frames"],
-    )
+    return _section(cfg, "scorer")
 
 
 def loss_config(cfg: dict) -> LossConfig:
-    return LossConfig(alpha=cfg["loss"]["alpha"], gamma=cfg["loss"]["gamma"])
+    return _section(cfg, "loss")
 
 
 def anchors(cfg: dict) -> list[Anchor]:
-    return [Anchor(a["name"], a["dims"]) for a in cfg["anchors"]]
+    return _section(cfg, "anchors")
 
 
-def sim_config(cfg: dict) -> SimConfig:
-    s = cfg["simulate"]
-    intr = s["intrinsics"]
-    ego = s.get("ego", {})
-    try:
-        return SimConfig(
-            n_frames=s["n_frames"],
-            objects=[
-                SimObject(
-                    cls=o["cls"],
-                    position=tuple(o["position"]),
-                    dims=tuple(o["dims"]) if "dims" in o else None,
-                    yaw=o.get("yaw", 0.0),
-                    velocity=tuple(o.get("velocity", (0.0, 0.0))),
-                    yaw_rate=o.get("yaw_rate", 0.0),
-                    density=o.get("density"),
-                )
-                for o in s["objects"]
-            ],
-            intrinsics=CameraIntrinsics(
-                intr["fx"], intr["fy"], intr["cx"], intr["cy"], intr["width"], intr["height"]
-            ),
-            ego=EgoMotion(
-                position=tuple(ego.get("position", (0.0, 0.0))),
-                heading=ego.get("heading", 0.0),
-                velocity=tuple(ego.get("velocity", (0.0, 0.0))),
-                yaw_rate=ego.get("yaw_rate", 0.0),
-            ),
-            ground_y=s["ground_y"],
-            ground_extent=tuple(s["ground_extent"]),
-            ground_density=s["ground_density"],
-        )
-    except KeyError as exc:
-        raise ConfigInvalid(f"simulate config is missing {exc}") from exc
+def ground_margin(cfg: dict) -> float:
+    return _section(cfg, "heuristic")["ground_margin"]
+
+
+def sim_config(cfg: dict) -> tuple[SimConfig, int]:
+    """The simulate section: the scene and its seed."""
+    scene = _section(cfg, "simulate")
+    seed = scene.pop("seed")
+    return _construct(SimConfig, "simulate", scene), seed

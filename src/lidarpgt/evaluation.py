@@ -1,4 +1,5 @@
-"""Detection metrics: BEV / 2D IoU matching, class-agnostic AP, per-class accuracy."""
+"""Detection metrics (BEV / 2D IoU matching, class-agnostic AP, per-class
+accuracy) and the KITTI label rows they score."""
 
 from __future__ import annotations
 
@@ -7,16 +8,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_labels
+from .dataset import LabelRecord, read_labels
 from .errors import BehindCamera, ConfigInvalid
 from .geometry import (
     AABB2,
+    CAMERA,
     CameraIntrinsics,
     Obb3,
     RigidTransform,
     iou_2d,
     project,
     rotated_iou_bev,
+    transform_obb,
 )
 
 
@@ -47,31 +50,25 @@ def project_box_2d(box: Obb3, box_to_cam: RigidTransform, intrinsics: CameraIntr
     return AABB2(lo, hi)
 
 
-def _confidence_order(detections) -> list[int]:
-    # Stable sort keeps insertion order among equal confidences.
-    return sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
+def label_record(
+    cls: str, box: Obb3, lidar_to_cam: RigidTransform, intrinsics: CameraIntrinsics, score=None
+) -> LabelRecord:
+    """KITTI label row for a lidar-frame box; the 2D box stays empty when a
+    vertex lies behind the camera."""
+    cam_box = transform_obb(box, lidar_to_cam, CAMERA)
+    record = LabelRecord(cls=cls, box=cam_box, score=score)
+    try:
+        record.bbox2d = project_box_2d(cam_box, RigidTransform.identity(), intrinsics)
+    except BehindCamera:
+        pass
+    return record
 
 
-def _greedy_match(detections, gt_boxes, iou_fn, threshold):
-    """True-positive flags in confidence order: each detection takes the
-    unmatched ground-truth box it overlaps most, if that IoU meets the
-    threshold."""
-    matched = [False] * len(gt_boxes)
-    flags = []
-    for i in _confidence_order(detections):
-        best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(gt_boxes):
-            if matched[j]:
-                continue
-            iou = iou_fn(detections[i].box, gt)
-            if iou > best_iou:
-                best_j, best_iou = j, iou
-        if best_j >= 0 and best_iou >= threshold:
-            matched[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+def _iou_matrix(detections, gt_boxes, iou_fn) -> np.ndarray:
+    """(detections, ground truth) IoU matrix; each pair is computed once."""
+    return np.array(
+        [[iou_fn(det.box, gt) for gt in gt_boxes] for det in detections], dtype=float
+    ).reshape(len(detections), len(gt_boxes))
 
 
 def _ap_from_flags(flags, n_gt: int) -> float:
@@ -91,52 +88,72 @@ def _ap_from_flags(flags, n_gt: int) -> float:
     return float(ap)
 
 
+def _ranked(dets_by_frame: dict) -> list:
+    """(frame, index) of every detection by falling confidence; the stable sort
+    keeps (frame, index) order among equal confidences."""
+    entries = [
+        (det.confidence, frame, i)
+        for frame, dets in sorted(dets_by_frame.items())
+        for i, det in enumerate(dets)
+    ]
+    return [(frame, i) for _, frame, i in sorted(entries, key=lambda e: -e[0])]
+
+
+def _grouped_ap(ranked: list, ious: dict, n_gt: int, threshold: float) -> float:
+    """Greedy matching within each frame's IoU matrix, then AP over all frames.
+
+    In confidence order, each detection takes the unmatched ground-truth box
+    of its frame it overlaps most (ties to the earlier box, IoU above 0); it
+    is a true positive when that IoU meets the threshold.
+    """
+    if n_gt == 0:
+        return 0.0 if ranked else 1.0
+    matched = {frame: np.zeros(m.shape[1], dtype=bool) for frame, m in ious.items()}
+    flags = []
+    for frame, i in ranked:
+        row = np.where(matched[frame], 0.0, ious[frame][i])
+        j = int(np.argmax(row)) if len(row) else -1
+        hit = j >= 0 and row[j] > 0.0 and row[j] >= threshold
+        if hit:
+            matched[frame][j] = True
+        flags.append(hit)
+    return _ap_from_flags(flags, n_gt)
+
+
 def average_precision(detections, gt_boxes, iou_fn, threshold: float) -> float:
     """Class-agnostic AP at one IoU threshold over a single pooled collection.
 
     No ground truth and no detections scores 1.0 by convention; spurious
     detections against an empty ground truth score 0.0.
     """
-    if not gt_boxes:
-        return 1.0 if not detections else 0.0
-    if not detections:
-        return 0.0
-    flags = _greedy_match(detections, gt_boxes, iou_fn, threshold)
-    return _ap_from_flags(flags, len(gt_boxes))
+    return average_precision_grouped({0: detections}, {0: gt_boxes}, iou_fn, threshold)
 
 
 def average_precision_grouped(dets_by_frame: dict, gts_by_frame: dict, iou_fn, threshold: float) -> float:
     """AP pooled over frames; matching never crosses frame boundaries."""
+    frames = set(dets_by_frame) | set(gts_by_frame)
+    ious = {
+        f: _iou_matrix(dets_by_frame.get(f, []), gts_by_frame.get(f, []), iou_fn) for f in frames
+    }
     n_gt = sum(len(g) for g in gts_by_frame.values())
-    all_dets = [
-        (det.confidence, frame, i)
-        for frame, dets in sorted(dets_by_frame.items())
-        for i, det in enumerate(dets)
-    ]
-    if n_gt == 0:
-        return 1.0 if not all_dets else 0.0
-    if not all_dets:
-        return 0.0
-    order = sorted(range(len(all_dets)), key=lambda k: -all_dets[k][0])
-    matched = {frame: [False] * len(gts) for frame, gts in gts_by_frame.items()}
-    flags = []
-    for k in order:
-        _, frame, i = all_dets[k]
-        det = dets_by_frame[frame][i]
-        gts = gts_by_frame.get(frame, [])
-        best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(gts):
-            if matched[frame][j]:
-                continue
-            iou = iou_fn(det.box, gt)
-            if iou > best_iou:
-                best_j, best_iou = j, iou
-        if best_j >= 0 and best_iou >= threshold:
-            matched[frame][best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return _ap_from_flags(flags, n_gt)
+    return _grouped_ap(_ranked(dets_by_frame), ious, n_gt, threshold)
+
+
+def _class_accuracy(frames, threshold: float) -> dict[str, float]:
+    """per_class_accuracy pooled over (IoU matrix, ground-truth classes) frames;
+    a detection is associated only when its greatest IoU is above 0."""
+    totals: dict[str, int] = {}
+    hits: dict[str, int] = {}
+    for ious, classes in frames:
+        found = np.zeros(len(classes), dtype=bool)
+        if ious.size:
+            best = ious.argmax(axis=1)
+            best_iou = ious[np.arange(len(best)), best]
+            found[best[(best_iou > 0.0) & (best_iou >= threshold)]] = True
+        for cls, flag in zip(classes, found):
+            totals[cls] = totals.get(cls, 0) + 1
+            hits[cls] = hits.get(cls, 0) + int(flag)
+    return {cls: hits[cls] / totals[cls] for cls in totals}
 
 
 def per_class_accuracy(detections, labelled_gts, iou_fn, threshold: float) -> dict[str, float]:
@@ -147,21 +164,8 @@ def per_class_accuracy(detections, labelled_gts, iou_fn, threshold: float) -> di
     detection associates with it at an IoU at or above the threshold. Classes
     without ground truth are omitted.
     """
-    detected = [False] * len(labelled_gts)
-    for det in detections:
-        best_j, best_iou = -1, 0.0
-        for j, (gt_box, _) in enumerate(labelled_gts):
-            iou = iou_fn(det.box, gt_box)
-            if iou > best_iou:
-                best_j, best_iou = j, iou
-        if best_j >= 0 and best_iou >= threshold:
-            detected[best_j] = True
-    totals: dict[str, int] = {}
-    hits: dict[str, int] = {}
-    for (gt_box, cls), flag in zip(labelled_gts, detected):
-        totals[cls] = totals.get(cls, 0) + 1
-        hits[cls] = hits.get(cls, 0) + (1 if flag else 0)
-    return {cls: hits[cls] / totals[cls] for cls in totals}
+    ious = _iou_matrix(detections, [box for box, _ in labelled_gts], iou_fn)
+    return _class_accuracy([(ious, [cls for _, cls in labelled_gts])], threshold)
 
 
 @dataclass
@@ -239,46 +243,32 @@ def evaluate_sequence(
 
     if mode == "bev":
         iou_fn = rotated_iou_bev
-        det_box = gt_box = lambda record: record.box
+        to_box = lambda record: record.box
     else:
         iou_fn = iou_2d
-        det_box = gt_box = lambda record: _record_to_aabb2(record, intrinsics)
+        to_box = lambda record: _record_to_aabb2(record, intrinsics)
 
     dets_by_frame = {}
-    gts_by_frame = {}
-    labelled_by_frame = {}
+    ious = {}
+    classes = {}
+    n_gt = 0
     for frame in frames:
         gt_records = read_labels(gt_dir / f"{frame}.txt")
         det_path = det_dir / f"{frame}.txt"
         det_records = read_labels(det_path) if det_path.exists() else []
         dets_by_frame[frame] = [
-            Detection(det_box(r), r.score if r.score is not None else 1.0)
+            Detection(to_box(r), r.score if r.score is not None else 1.0)
             for r in det_records
         ]
-        gts_by_frame[frame] = [gt_box(r) for r in gt_records]
-        labelled_by_frame[frame] = [(gt_box(r), r.cls) for r in gt_records]
+        ious[frame] = _iou_matrix(dets_by_frame[frame], [to_box(r) for r in gt_records], iou_fn)
+        classes[frame] = [r.cls for r in gt_records]
+        n_gt += len(gt_records)
 
+    ranked = _ranked(dets_by_frame)
     report = EvalReport(mode=mode, thresholds=thresholds)
     for threshold in thresholds:
-        report.mean_ap[threshold] = average_precision_grouped(
-            dets_by_frame, gts_by_frame, iou_fn, threshold
+        report.mean_ap[threshold] = _grouped_ap(ranked, ious, n_gt, threshold)
+        report.class_accuracy[threshold] = _class_accuracy(
+            ((ious[f], classes[f]) for f in frames), threshold
         )
-        totals: dict[str, int] = {}
-        hits: dict[str, int] = {}
-        for frame in frames:
-            detected = [False] * len(labelled_by_frame[frame])
-            for det in dets_by_frame[frame]:
-                best_j, best_iou = -1, 0.0
-                for j, (gt_box_j, _) in enumerate(labelled_by_frame[frame]):
-                    iou = iou_fn(det.box, gt_box_j)
-                    if iou > best_iou:
-                        best_j, best_iou = j, iou
-                if best_j >= 0 and best_iou >= threshold:
-                    detected[best_j] = True
-            for (gt_box_j, cls), flag in zip(labelled_by_frame[frame], detected):
-                totals[cls] = totals.get(cls, 0) + 1
-                hits[cls] = hits.get(cls, 0) + (1 if flag else 0)
-        report.class_accuracy[threshold] = {
-            cls: hits[cls] / totals[cls] for cls in totals
-        }
     return report

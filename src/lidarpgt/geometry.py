@@ -124,14 +124,6 @@ class RigidTransform:
         return RigidTransform(rot_t, -(rot_t @ self.translation))
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    return a.compose(b)
-
-
-def invert(t: RigidTransform) -> RigidTransform:
-    return t.invert()
-
-
 def kitti_lidar_to_camera() -> RigidTransform:
     """Axis permutation from lidar (x fwd, y left, z up) to camera (x right, y down, z fwd)."""
     return RigidTransform(

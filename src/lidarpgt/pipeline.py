@@ -25,6 +25,7 @@ from .geometry import (
     Obb3,
     PointCloud,
     RigidTransform,
+    backproject,
     canonical_yaw,
     transform_obb,
     yaw_matrix,
@@ -138,10 +139,6 @@ class PgtResult:
     u_plus: list[PseudoLabel]
     u_minus: list[tuple[tuple[int, int], float]]
     diagnostics: list[PixelDiagnostics]
-
-    def __iter__(self):
-        yield self.u_plus
-        yield self.u_minus
 
 
 @dataclass
@@ -355,14 +352,7 @@ def track_points(
         pr, pc, d, depth_ok = _nearest_valid_depth(depths[k + 1], u2, v2, _DEPTH_SEARCH_RADIUS)
         live &= depth_ok
         safe_d = np.where(d > 0, d, 1.0)
-        nxt = np.stack(
-            [
-                (pc - intrinsics.cx) / intrinsics.fx * safe_d,
-                (pr - intrinsics.cy) / intrinsics.fy * safe_d,
-                safe_d,
-            ],
-            axis=1,
-        )
+        nxt = backproject(np.column_stack([pc, pr]), safe_d, intrinsics)
         current = np.where(live[:, None], nxt, current)
         to_frame_t = to_start.compose(poses[k + 1])
         positions[k + 1] = to_frame_t.apply(current)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, in_volume_mask
+from .bev import BoxGrid, GridSpec, in_volume_mask, pillar_centres
 from .dataset import read_box_grid
 from .geometry import LIDAR, PointCloud
 
@@ -64,21 +64,9 @@ def heuristic_grid(cloud: PointCloud, spec: GridSpec, ground_margin: float = DEF
         np.maximum.at(hi[:, axis], flat, xyz[:, axis])
 
     occupied = np.flatnonzero(count > 0)
-    max_count = count.max()
-    cell_z = 0.5 * (spec.z_range[0] + spec.z_range[1])
-    for cell in occupied:
-        r, c = divmod(int(cell), spec.out_cols)
-        centroid = sums[cell] / count[cell]
-        pillar = np.array(
-            [
-                spec.x_range[0] + (r + 0.5) * spec.cell_x,
-                spec.y_range[0] + (c + 0.5) * spec.cell_y,
-                cell_z,
-            ]
-        )
-        spread = np.maximum(hi[cell] - lo[cell], _MIN_EXTENT)
-        grid.data[r, c, 0:3] = centroid - pillar
-        grid.data[r, c, 3:6] = spread
-        grid.data[r, c, 6] = 0.0
-        grid.data[r, c, 7] = count[cell] / max_count
+    r, c = np.divmod(occupied, spec.out_cols)
+    centroid = sums[occupied] / count[occupied, None]
+    grid.data[r, c, 0:3] = centroid - pillar_centres(r, c, spec)
+    grid.data[r, c, 3:6] = np.maximum(hi[occupied] - lo[occupied], _MIN_EXTENT)
+    grid.data[r, c, 7] = count[occupied] / count.max()
     return grid

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, pillar_centre, require_grid_shape
+from .bev import BoxGrid, GridSpec, pillar_centres, require_grid_shape
 from .errors import OutOfGrid
 
 
@@ -56,12 +56,7 @@ def sample_pixels(grid: BoxGrid, spec: GridSpec, cfg: SamplerConfig) -> list[tup
 
 def grid_centres(grid: BoxGrid, spec: GridSpec) -> np.ndarray:
     """Decoded 3D centres of every grid box, (rows*cols, 3), row-major."""
-    rows = np.arange(spec.out_rows)
-    cols = np.arange(spec.out_cols)
-    base = np.zeros((spec.out_rows, spec.out_cols, 3))
-    base[:, :, 0] = (spec.x_range[0] + (rows[:, None] + 0.5) * spec.cell_x)
-    base[:, :, 1] = (spec.y_range[0] + (cols[None, :] + 0.5) * spec.cell_y)
-    base[:, :, 2] = 0.5 * (spec.z_range[0] + spec.z_range[1])
+    base = pillar_centres(np.arange(spec.out_rows)[:, None], np.arange(spec.out_cols), spec)
     return (base + grid.data[:, :, 0:3]).reshape(-1, 3)
 
 

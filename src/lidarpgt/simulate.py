@@ -20,7 +20,6 @@ import numpy as np
 
 from .dataset import (
     Calibration,
-    LabelRecord,
     write_calib,
     write_cloud,
     write_depth,
@@ -28,8 +27,8 @@ from .dataset import (
     write_labels,
     write_poses,
 )
-from .errors import BehindCamera, ConfigInvalid
-from .evaluation import project_box_2d
+from .errors import ConfigInvalid
+from .evaluation import label_record
 from .geometry import (
     CAMERA,
     LIDAR,
@@ -38,6 +37,7 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     kitti_lidar_to_camera,
+    project,
     transform_obb,
     yaw_matrix,
 )
@@ -109,11 +109,11 @@ class EgoMotion:
 class SimConfig:
     n_frames: int
     objects: list[SimObject]
-    intrinsics: CameraIntrinsics = CameraIntrinsics(700.0, 700.0, 621.0, 187.0, 1242, 416)
+    intrinsics: CameraIntrinsics
+    ground_extent: tuple[float, float, float, float]  # camera-frame (x0, x1, z0, z1)
     lidar_to_cam: RigidTransform = field(default_factory=kitti_lidar_to_camera)
     ego: EgoMotion = field(default_factory=EgoMotion)
     ground_y: float = 2.55  # camera-frame height of the ground plane (y is down)
-    ground_extent: tuple[float, float, float, float] = (-10.0, 10.0, 4.0, 40.0)
     ground_density: float = 40.0
     intensity_range: tuple[float, float] = (0.2, 0.9)
 
@@ -213,11 +213,9 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     if not front.any():
         return depth, owner
     idx = np.flatnonzero(front)
-    p = xyz_cam[idx]
-    u = intrinsics.fx * p[:, 0] / p[:, 2] + intrinsics.cx
-    v = intrinsics.fy * p[:, 1] / p[:, 2] + intrinsics.cy
-    cols = np.floor(u + 0.5).astype(int)
-    rows = np.floor(v + 0.5).astype(int)
+    uv = project(xyz_cam[idx], intrinsics)
+    cols = np.floor(uv[:, 0] + 0.5).astype(int)
+    rows = np.floor(uv[:, 1] + 0.5).astype(int)
     in_img = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
     idx, rows, cols = idx[in_img], rows[in_img], cols[in_img]
     z = xyz_cam[idx, 2]
@@ -298,13 +296,9 @@ def make_scene(config: SimConfig, seed: int) -> list[SceneFrame]:
             pts_next = cam_next[owned[pix]]
             visible = pts_next[:, 2] > 0
             pix, pts_now, pts_next = pix[visible], pts_now[visible], pts_next[visible]
-            intr = config.intrinsics
-            u_now = intr.fx * pts_now[:, 0] / pts_now[:, 2] + intr.cx
-            v_now = intr.fy * pts_now[:, 1] / pts_now[:, 2] + intr.cy
-            u_next = intr.fx * pts_next[:, 0] / pts_next[:, 2] + intr.cx
-            v_next = intr.fy * pts_next[:, 1] / pts_next[:, 2] + intr.cy
-            flow.reshape(-1, 2)[pix, 0] = u_next - u_now
-            flow.reshape(-1, 2)[pix, 1] = v_next - v_now
+            flow.reshape(-1, 2)[pix] = (
+                project(pts_next, config.intrinsics) - project(pts_now, config.intrinsics)
+            )
 
         gt_boxes = []
         for obj in config.objects:
@@ -332,22 +326,14 @@ def write_scene(frames: list[SceneFrame], config: SimConfig, out_dir, seed: int 
     calib = Calibration(config.lidar_to_cam, config.intrinsics)
     write_calib(out / "calib.txt", calib)
     write_poses(out / "poses.txt", [f.pose for f in frames])
-    lidar_to_cam = config.lidar_to_cam
     for t, frame in enumerate(frames):
         write_cloud(out / "velodyne" / f"{t:06d}.bin", frame.cloud)
         write_depth(out / "depth" / f"{t:06d}.bin", frame.depth)
         write_flow(out / "flow" / f"{t:06d}.bin", frame.flow)
-        records = []
-        for gt in frame.gt_boxes:
-            cam_box = transform_obb(gt.box, lidar_to_cam, CAMERA)
-            try:
-                bbox2d = project_box_2d(cam_box, RigidTransform.identity(), config.intrinsics)
-            except BehindCamera:
-                bbox2d = None
-            record = LabelRecord(cls=_LABEL_CLASS[gt.cls], box=cam_box)
-            if bbox2d is not None:
-                record.bbox2d = bbox2d
-            records.append(record)
+        records = [
+            label_record(_LABEL_CLASS[gt.cls], gt.box, config.lidar_to_cam, config.intrinsics)
+            for gt in frame.gt_boxes
+        ]
         write_labels(out / "label_2" / f"{t:06d}.txt", records)
     meta = {
         "seed": seed,

@@ -155,6 +155,7 @@ def test_criterion_3_tracking_oracle():
         n_frames=5,
         objects=objects,
         intrinsics=intrinsics,
+        ground_extent=(-10.0, 10.0, 4.0, 40.0),
         ego=EgoMotion(velocity=(0.0, 0.12)),
         ground_y=9.0,
         ground_density=0.0,
@@ -258,6 +259,7 @@ def test_criterion_5_end_to_end_synthetic_recall():
             SimObject("pedestrian", (-0.42, 16.00), yaw=0.15),
         ],
         intrinsics=CameraIntrinsics(500.0, 500.0, 800.0, 187.0, 1600, 448),
+        ground_extent=(-10.0, 10.0, 4.0, 40.0),
         ego=EgoMotion(velocity=(0.0, 0.1)),
     )
     frames = make_scene(cfg, seed=42)

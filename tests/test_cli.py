@@ -238,3 +238,50 @@ class TestCliErrors:
         seq = tmp_path / "short"
         assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(seq)]) == 0
         assert main(["generate", str(seq), "--out", str(tmp_path / "out")]) == 2
+
+    def test_negative_jobs(self, workspace, capsys):
+        code = main(["generate", str(workspace / "seq"), "--out", str(workspace / "x"), "--jobs", "-5"])
+        assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("generate", {"sampler": []}, ["sampler"]),
+            ("generate", {"anchors": [{"name": "x"}]}, ["anchors", "dims"]),
+            ("generate", {"grid": {"stride": "4"}}, ["grid", "stride"]),
+            ("generate", {"scorer": {"k_frames": 2.5}}, ["scorer", "k_frames"]),
+            ("generate", {"sampler": {"sample_cout": 10}}, ["sampler", "sample_cout"]),
+            ("generate", {"sampelr": {"sample_count": 10}}, ["sampelr"]),
+            ("simulate", {"simulate": {"ego": {"velocity": 3}}}, ["simulate", "velocity"]),
+        ],
+    )
+    def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = str(tmp_path / "out")
+        if command == "generate":
+            argv = ["generate", str(workspace / "seq"), "--out", out, "--config", str(cfg)]
+        else:
+            argv = ["simulate", "--out", out, "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+
+    @pytest.mark.parametrize(
+        "iou", ["0.1:0.7:0", "0.1:0.7:-0.1", "0.1:0.7:nan", "nan", "0.1,nan", "0", "-0.2", "1.5", "0.1:1.2:0.1"]
+    )
+    def test_bad_iou_thresholds(self, workspace, capsys, iou):
+        code = main(
+            [
+                "evaluate",
+                "--dets",
+                str(workspace / "pgt" / "label_pgt"),
+                "--gt",
+                str(workspace / "seq" / "label_2"),
+                "--iou",
+                iou,
+            ]
+        )
+        assert code == 1
+        assert "--iou" in capsys.readouterr().err

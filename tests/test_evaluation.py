@@ -200,3 +200,43 @@ class TestPerClassAccuracy:
                 expected[cls] = (tot + 1, hit + (1 if flag else 0))
             expected = {cls: hit / tot for cls, (tot, hit) in expected.items()}
             assert got == pytest.approx(expected)
+
+
+class TestEvaluateSequence:
+    def test_scores_each_pair_once_and_matches_grouped_ap(self, tmp_path, monkeypatch):
+        import lidarpgt.evaluation as evaluation
+        from lidarpgt.dataset import LabelRecord, read_labels, write_labels
+
+        rng = np.random.default_rng(5)
+        det_dir, gt_dir = tmp_path / "dets", tmp_path / "gt"
+        det_dir.mkdir()
+        gt_dir.mkdir()
+
+        def record(cls, score=None):
+            # A 6 m x 6 m patch keeps many pairs overlapping.
+            box = Obb3((rng.uniform(-3, 3), 1.0, rng.uniform(10, 16)), (1.8, 1.5, 4.0),
+                       rng.uniform(-1, 1), CAMERA)
+            return LabelRecord(cls=cls, box=box, score=score)
+
+        n_pairs = 0
+        for frame, (n_gt, n_det) in enumerate([(3, 4), (2, 0), (0, 2), (4, 3)]):
+            write_labels(gt_dir / f"{frame:06d}.txt", [record(("Car", "Cyclist")[j % 2]) for j in range(n_gt)])
+            write_labels(det_dir / f"{frame:06d}.txt", [record("Mobile", float(rng.random())) for _ in range(n_det)])
+            n_pairs += n_gt * n_det
+
+        calls = []
+
+        def counting_iou(a, b):
+            calls.append(1)
+            return rotated_iou_bev(a, b)
+
+        monkeypatch.setattr(evaluation, "rotated_iou_bev", counting_iou)
+        thresholds = [0.1, 0.3, 0.5, 0.7]
+        report = evaluation.evaluate_sequence(det_dir, gt_dir, thresholds=thresholds)
+        assert len(calls) == n_pairs
+
+        frames = sorted(p.stem for p in gt_dir.glob("*.txt"))
+        dets = {f: [Detection(r.box, r.score) for r in read_labels(det_dir / f"{f}.txt")] for f in frames}
+        gts = {f: [r.box for r in read_labels(gt_dir / f"{f}.txt")] for f in frames}
+        for t in thresholds:
+            assert report.mean_ap[t] == average_precision_grouped(dets, gts, rotated_iou_bev, t)

@@ -14,8 +14,6 @@ from lidarpgt.geometry import (
     RigidTransform,
     backproject,
     canonical_yaw,
-    compose,
-    invert,
     iou_2d,
     kitti_lidar_to_camera,
     polygon_area,
@@ -45,32 +43,32 @@ class TestRigidTransform:
     def test_compose_identity(self):
         rng = np.random.default_rng(0)
         t = random_transform(rng)
-        out = compose(t, RigidTransform.identity())
+        out = t.compose(RigidTransform.identity())
         assert np.allclose(out.as_matrix(), t.as_matrix(), atol=1e-12)
 
     def test_inverse_law(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             t = random_transform(rng)
-            eye = compose(invert(t), t).as_matrix()
+            eye = t.invert().compose(t).as_matrix()
             assert np.abs(eye - np.eye(4)).max() < 1e-9
 
     def test_rotation_group_same_axis(self):
         a = rot_y(math.radians(30))
         b = rot_y(math.radians(60))
-        assert np.allclose(compose(a, b).rotation, rot_y(math.radians(90)).rotation, atol=1e-12)
+        assert np.allclose(a.compose(b).rotation, rot_y(math.radians(90)).rotation, atol=1e-12)
 
     def test_compose_application_order(self):
         rng = np.random.default_rng(2)
         a, b = random_transform(rng), random_transform(rng)
         p = rng.normal(size=3)
-        assert np.allclose(compose(a, b).apply(p), a.apply(b.apply(p)), atol=1e-12)
+        assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
 
     def test_orthonormality_invariant(self):
         rng = np.random.default_rng(3)
         t = random_transform(rng)
         for _ in range(50):
-            t = compose(t, random_transform(rng))
+            t = t.compose(random_transform(rng))
         assert np.abs(t.rotation.T @ t.rotation - np.eye(3)).max() < 1e-9
         assert abs(np.linalg.det(t.rotation) - 1.0) < 1e-9
 

@@ -399,6 +399,8 @@ class TestGeneratePseudoLabels:
         cfg = SimConfig(
             n_frames=5,
             objects=[SimObject("vehicle", (2.0, 14.0), yaw=0.5, velocity=(0.3, 0.8))],
+            intrinsics=CameraIntrinsics(700.0, 700.0, 621.0, 187.0, 1242, 416),
+            ground_extent=(-10.0, 10.0, 4.0, 40.0),
             ego=EgoMotion(velocity=(0.0, 0.1)),
         )
         frames = make_scene(cfg, seed=12)

@@ -121,7 +121,7 @@ class TestMakeScene:
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigInvalid):
-            SimConfig(n_frames=0, objects=[], intrinsics=INTR)
+            SimConfig(n_frames=0, objects=[], intrinsics=INTR, ground_extent=(-8.0, 8.0, 4.0, 30.0))
 
 
 class TestRenderDepth:
