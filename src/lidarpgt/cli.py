@@ -123,9 +123,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_grid(kind: str, seq, t, spec, ground_margin):
+def _load_grid(kind: str, seq, t, spec, ground_margin, cloud=None):
     if kind == "heuristic":
-        return heuristic_grid(seq.read_cloud(t), spec, ground_margin)
+        return heuristic_grid(seq.read_cloud(t) if cloud is None else cloud, spec, ground_margin)
     if kind.startswith("file:"):
         return grid_from_file(Path(kind[5:]) / f"{t:06d}.bin", spec)
     raise _UsageError(f"unknown proposals source {kind!r}")
@@ -174,7 +174,7 @@ def _generate_frame(seq_root: str, t: int, cfg: dict, proposals: str, out_dir: s
     # Per-frame seeds keep frames decorrelated but reproducible.
     sampler = dataclasses.replace(sampler, seed=sampler.seed + t)
     window = FrameWindow.from_sequence(seq, t, scorer.k_frames)
-    grid = _load_grid(proposals, seq, t, spec, cfgmod.ground_margin(cfg))
+    grid = _load_grid(proposals, seq, t, spec, cfgmod.ground_margin(cfg), window.cloud)
     result = generate_pseudo_labels(
         window, grid, spec, cfgmod.anchors(cfg), sampler, scorer
     )
@@ -222,9 +222,9 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     (out / "label_pgt").mkdir(parents=True, exist_ok=True)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs or os.cpu_count() or 1
     frames = list(range(n_windows))
-    if jobs > 1 and len(frames) > 1:
+    jobs = min(args.jobs or os.cpu_count() or 1, len(frames))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(

@@ -54,6 +54,17 @@ def write_cloud(path, cloud: PointCloud):
 # poses
 
 
+def _finite_values(fields, where) -> np.ndarray:
+    """Parse text fields as finite floats; `where` names the file and line."""
+    try:
+        values = np.array([float(v) for v in fields])
+    except ValueError as exc:
+        raise MalformedLine(f"{where}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise MalformedLine(f"{where}: non-finite value")
+    return values
+
+
 def _reorthonormalize(rot: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(rot)
     fix = np.diag([1.0, 1.0, np.linalg.det(u @ vt)])
@@ -73,15 +84,12 @@ def read_poses(path) -> list[RigidTransform]:
         fields = line.split()
         if len(fields) != 12:
             raise MalformedLine(f"{path}:{lineno + 1}: expected 12 values, got {len(fields)}")
-        try:
-            values = np.array([float(v) for v in fields]).reshape(3, 4)
-        except ValueError as exc:
-            raise MalformedLine(f"{path}:{lineno + 1}: {exc}") from exc
+        values = _finite_values(fields, f"{path}:{lineno + 1}").reshape(3, 4)
         rot, tra = values[:, :3], values[:, 3]
         drift = max(
             np.abs(rot.T @ rot - np.eye(3)).max(), abs(np.linalg.det(rot) - 1.0)
         )
-        if drift > 1e-3:
+        if not drift <= 1e-3:
             raise MalformedLine(f"{path}:{lineno + 1}: rotation drift {drift:.3g} beyond 1e-3")
         if drift > 1e-6:
             warnings.warn(f"{path}:{lineno + 1}: re-orthonormalizing rotation (drift {drift:.3g})")
@@ -116,19 +124,19 @@ def read_calib(path) -> Calibration:
         if ":" not in line:
             raise MalformedLine(f"{path}:{lineno + 1}: expected 'key: values'")
         key, _, rest = line.partition(":")
-        try:
-            entries[key.strip()] = [float(v) for v in rest.split()]
-        except ValueError as exc:
-            raise MalformedLine(f"{path}:{lineno + 1}: {exc}") from exc
+        entries[key.strip()] = _finite_values(rest.split(), f"{path}:{lineno + 1}")
     try:
         fx, fy, cx, cy, width, height = entries["intrinsics"]
-        extr = np.array(entries["lidar_to_cam"]).reshape(3, 4)
+        extr = entries["lidar_to_cam"].reshape(3, 4)
     except (KeyError, ValueError) as exc:
         raise MalformedLine(f"{path}: missing or malformed calibration entries") from exc
-    return Calibration(
-        RigidTransform(extr[:, :3], extr[:, 3]),
-        CameraIntrinsics(fx, fy, cx, cy, int(width), int(height)),
-    )
+    try:
+        return Calibration(
+            RigidTransform(extr[:, :3], extr[:, 3]),
+            CameraIntrinsics(fx, fy, cx, cy, int(width), int(height)),
+        )
+    except ValueError as exc:
+        raise MalformedLine(f"{path}: {exc}") from exc
 
 
 def write_calib(path, calib: Calibration):
@@ -278,13 +286,24 @@ def read_raster(path):
     meta_path = _sidecar_path(path)
     if not meta_path.exists():
         raise MalformedFile(f"{path}: missing sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:  # JSON or text decoding
+        raise MalformedFile(f"{meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise MalformedFile(f"{meta_path}: sidecar must be a JSON object")
+    for key in ("rows", "cols", "channels"):
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise MalformedFile(f"{meta_path}: {key!r} must be an integer >= 1")
     rows, cols, channels = meta["rows"], meta["cols"], meta["channels"]
     raw = Path(path).read_bytes()
     expected = rows * cols * channels * 4
     if len(raw) != expected:
         raise MalformedFile(f"{path}: size {len(raw)}, sidecar implies {expected}")
     arr = np.frombuffer(raw, dtype="<f4").astype(float).reshape(rows, cols, channels)
+    if not np.isfinite(arr).all():
+        raise MalformedFile(f"{path}: non-finite value")
     if channels == 1:
         arr = arr[:, :, 0]
     return arr, meta.get("sentinel")

@@ -77,9 +77,11 @@ class RigidTransform:
     def __post_init__(self):
         rot = np.array(self.rotation, dtype=float).reshape(3, 3)
         tra = np.array(self.translation, dtype=float).reshape(3)
+        if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
+            raise ValueError("rigid transform has non-finite entries")
         drift = np.abs(rot.T @ rot - np.eye(3)).max()
         det = np.linalg.det(rot)
-        if drift > 1e-6 or abs(det - 1.0) > 1e-6:
+        if not (drift <= 1e-6 and abs(det - 1.0) <= 1e-6):
             raise ValueError(
                 f"rotation is not orthonormal with det +1 (drift {drift:.3g}, det {det:.9g})"
             )
@@ -143,8 +145,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

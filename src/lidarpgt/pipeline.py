@@ -1,11 +1,12 @@
 """Pseudo-ground-truth box generation.
 
 For each sampled grid pixel the pipeline crops a vertical cylinder of points
-around the predicted box centre (one crop per anchor), tracks the cropped
-points forward through optic flow + depth for a few frames, fits an oriented
-box to every tracked point set, and scores each anchor by how far the fitted
-boxes moved minus how much their dimensions drifted. Pixels with a surviving
-anchor become full box targets (U+); the rest only supervise confidence (U-).
+around the predicted box centre (one crop per anchor). A frame's crops are
+tracked together, each point once, through optic flow + depth for a few
+frames; each crop then fits an oriented box to its rows of every tracked set
+and scores the anchor by how far the fitted boxes moved minus how much their
+dimensions drifted. Pixels with a surviving anchor become full box targets
+(U+); the rest only supervise confidence (U-).
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class TrackedPointSets:
     positions: np.ndarray  # (K+1, n, 3)
     alive: np.ndarray  # (K+1, n) bool
 
-    def point_set(self, k: int) -> np.ndarray:
-        return self.positions[k][self.alive[k]]
+    def point_set(self, k: int, rows=slice(None)) -> np.ndarray:
+        """Live positions at step k, optionally of a subset of the original rows."""
+        return self.positions[k, rows][self.alive[k, rows]]
 
     @property
     def steps(self) -> int:
@@ -155,14 +157,6 @@ class FrameWindow:
     intrinsics: CameraIntrinsics
     lidar_to_cam: RigidTransform
 
-    def validate(self, k_frames: int):
-        if len(self.depths) < k_frames + 1 or len(self.poses) < k_frames + 1:
-            raise MissingFrameData(
-                f"need {k_frames + 1} depths/poses, have {len(self.depths)}/{len(self.poses)}"
-            )
-        if len(self.flows) < k_frames:
-            raise MissingFrameData(f"need {k_frames} flow images, have {len(self.flows)}")
-
     @staticmethod
     def from_sequence(seq: SequenceIndex, t: int, k_frames: int) -> "FrameWindow":
         if t < 0 or t + k_frames >= seq.n_frames:
@@ -183,11 +177,10 @@ class FrameWindow:
 # cropping
 
 
-def _crop_camera_points(pts_cam: np.ndarray, centre_cam: np.ndarray, anchor: Anchor) -> np.ndarray:
+def _cylinder_mask(pts_cam: np.ndarray, centre_cam: np.ndarray, anchor: Anchor) -> np.ndarray:
     dy = np.abs(pts_cam[:, 1] - centre_cam[1])
     dh = np.hypot(pts_cam[:, 0] - centre_cam[0], pts_cam[:, 2] - centre_cam[2])
-    keep = (dy < 0.5 * anchor.dims[1]) & (dh < anchor.crop_radius())
-    return pts_cam[keep]
+    return (dy < 0.5 * anchor.dims[1]) & (dh < anchor.crop_radius())
 
 
 def crop_cylinder(
@@ -206,7 +199,7 @@ def crop_cylinder(
         return np.zeros((0, 3))
     pts = lidar_to_cam.apply(cloud.xyz)
     centre = lidar_to_cam.apply(np.asarray(centre_lidar, dtype=float))
-    return _crop_camera_points(pts, centre, anchor)
+    return pts[_cylinder_mask(pts, centre, anchor)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +452,11 @@ def generate_pseudo_labels(
     sampler_cfg: SamplerConfig | None = None,
     scorer_cfg: ScorerConfig | None = None,
 ) -> PgtResult:
-    """Run the full crop/track/fit/score pipeline over sampled pixels.
+    """Run the crop, track, fit/score and select passes over sampled pixels.
 
-    Pixels with a surviving anchor yield a PseudoLabel whose box is the fit of
-    the crop itself (step 0) brought back into lidar space; their target
+    Each point of a crop with >= 3 points is tracked once per frame. Pixels
+    with a surviving anchor yield a PseudoLabel whose box is the fit of the
+    crop itself (step 0) brought back into lidar space; their target
     confidence is the anchor's score clamped to [0, 1]. The rest land in U-
     with the clamped best score across anchors (empty or degenerate crops
     score -inf and clamp to 0). Results are ordered by pixel.
@@ -471,40 +465,40 @@ def generate_pseudo_labels(
     sampler_cfg = sampler_cfg or SamplerConfig()
     scorer_cfg = scorer_cfg or ScorerConfig()
     require_grid_shape(grid, spec)
-    window.validate(scorer_cfg.k_frames)
 
     cam_to_lidar = window.lidar_to_cam.invert()
     centres = grid_centres(grid, spec)
     pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
     cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
 
+    # crop: cloud row indices per (pixel, anchor)
+    crops = []
+    for pixel in pixels:
+        centre_cam = window.lidar_to_cam.apply(decode_centre(pixel, grid.code_at(pixel), spec))
+        crops.append([np.flatnonzero(_cylinder_mask(cloud_cam, centre_cam, a)) for a in anchors])
+
+    # track: the sorted union of the usable crops, one call per frame
+    usable = [rows for per_pixel in crops for rows in per_pixel if len(rows) >= 3]
+    union = np.unique(np.concatenate([np.zeros(0, dtype=np.intp), *usable]))
+    tracked = track_points(
+        cloud_cam[union], window.flows, window.depths, window.poses, scorer_cfg.k_frames,
+        window.intrinsics,
+    )
+
+    # fit, score and select
     u_plus: list[PseudoLabel] = []
     u_minus: list[tuple[tuple[int, int], float]] = []
     diagnostics: list[PixelDiagnostics] = []
-    for pixel in pixels:
-        code = grid.code_at(pixel)
-        predicted_centre = decode_centre(pixel, code, spec)
-        centre_cam = window.lidar_to_cam.apply(predicted_centre)
-        diag = PixelDiagnostics(
-            pixel=pixel,
-            smoothed_confidence=smooth_confidence(grid, spec, pixel, centres),
-        )
+    for pixel, per_pixel in zip(pixels, crops):
+        diag = PixelDiagnostics(pixel, smooth_confidence(grid, spec, pixel, centres))
         scores = []
         first_fits = {}
-        for anchor in anchors:
-            crop = _crop_camera_points(cloud_cam, centre_cam, anchor)
+        for anchor, rows in zip(anchors, per_pixel):
             score = AnchorScore(0.0, 0.0, -math.inf)
-            if len(crop) >= 3:
+            if len(rows) >= 3:
+                at = np.searchsorted(union, rows)
                 try:
-                    tracked = track_points(
-                        crop,
-                        window.flows,
-                        window.depths,
-                        window.poses,
-                        scorer_cfg.k_frames,
-                        window.intrinsics,
-                    )
-                    boxes = [fit_obb(tracked.point_set(k)) for k in range(tracked.steps + 1)]
+                    boxes = [fit_obb(tracked.point_set(k, at)) for k in range(tracked.steps + 1)]
                 except DegenerateInput:
                     boxes = None
                 if boxes is not None:

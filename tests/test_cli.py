@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
+from lidarpgt.dataset import read_cloud
 
 CONFIG = {
     "simulate": {
@@ -149,6 +151,36 @@ class TestCliRoundTrip:
         for name in ("label_pgt/000000.txt", "label_pgt/000001.txt", "diagnostics/000000.json"):
             assert (workspace / "pgt" / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["5000", "0"])
+    def test_workers_capped_at_window_count(self, workspace, tmp_path, monkeypatch, jobs):
+        import lidarpgt.cli as cli
+
+        started = []
+
+        class SerialPool:
+            """Stand-in executor: records the worker count and maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        out = tmp_path / "pgt"
+        argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(workspace / "cfg.json")]
+        assert main(argv + ["--jobs", jobs]) == 0
+        assert started == [2]  # 5 frames, horizon 3: two windows
+        for name in ("label_pgt/000001.txt", "diagnostics/000001.json"):
+            assert (workspace / "pgt" / name).read_bytes() == (out / name).read_bytes()
+
     def test_file_backed_proposals_match_heuristic(self, workspace, tmp_path):
         import lidarpgt.config as cfgmod
         from lidarpgt.dataset import load_sequence, write_box_grid
@@ -285,3 +317,68 @@ class TestCliErrors:
         )
         assert code == 1
         assert "--iou" in capsys.readouterr().err
+
+
+
+def _poison_raster(value):
+    def corrupt(path):
+        from lidarpgt.dataset import read_raster, write_raster
+
+        arr, sentinel = read_raster(path)
+        arr.reshape(-1)[-1] = value  # for a box grid: the last pixel's confidence
+        write_raster(path, arr, sentinel)
+
+    return corrupt
+
+
+def _replace_line(index, text):
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        lines[index] = text
+        path.write_text("\n".join(lines) + "\n")
+
+    return corrupt
+
+
+# name: (corrupted file, relative to the sequence copy, and how)
+CORRUPTIONS = {
+    "calib-nan-rotation": ("calib.txt", _replace_line(1, "lidar_to_cam: nan -1 0 0 0 0 -1 0 1 0 0 0")),
+    "calib-nan-focal": ("calib.txt", _replace_line(0, "intrinsics: nan 500 400 150 800 320")),
+    "pose-nan": ("poses.txt", _replace_line(1, " ".join(["nan"] * 12))),
+    "flow-nan": ("flow/000000.bin", _poison_raster(np.nan)),
+    "depth-inf": ("depth/000001.bin", _poison_raster(np.inf)),
+    "grid-nan-confidence": ("grids/000000.bin", _poison_raster(np.nan)),
+    "sidecar-no-rows": ("depth/000000.bin.json", lambda p: p.write_text('{"cols": 800, "channels": 1}')),
+    "sidecar-list": ("flow/000000.bin.json", lambda p: p.write_text("[320, 800, 2]")),
+    "sidecar-string-rows": (
+        "depth/000000.bin.json", lambda p: p.write_text('{"rows": "320", "cols": 800, "channels": 1}')
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, name):
+    import shutil
+    import warnings
+
+    from lidarpgt.dataset import write_box_grid
+    from lidarpgt.proposals import heuristic_grid
+
+    seq = tmp_path / "seq"
+    shutil.copytree(workspace / "seq", seq)
+    relative, corrupt = CORRUPTIONS[name]
+    argv = ["generate", str(seq), "--out", str(tmp_path / "out"), "--config", str(workspace / "cfg.json"), "--jobs", "1"]
+    if relative.startswith("grids/"):
+        grids = seq / "grids"
+        grids.mkdir()
+        for t in range(2):
+            cloud = read_cloud(seq / "velodyne" / f"{t:06d}.bin")
+            write_box_grid(grids / f"{t:06d}.bin", heuristic_grid(cloud, GridSpec()))
+        argv += ["--proposals", f"file:{grids}"]
+    corrupt(seq / relative)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(seq / relative.removesuffix(".json")) in err, err
+    assert len(err.splitlines()) == 1 and len(err) < 400, err

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +120,22 @@ class TestPoseIo:
         with pytest.raises(MalformedLine):
             read_poses(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "nan 0 0 0 0 1 0 0 0 0 1 0",
+            "1 0 0 0 0 1 0 0 0 0 nan 0",
+            "1 0 0 inf 0 1 0 0 0 0 1 0",
+            "1 0 0 0 0 1 0 -inf 0 0 1 0",
+            "1 0 0 0 0 1 0 0 0 0 1 nope",
+        ],
+    )
+    def test_non_finite_or_invalid_value_rejected(self, tmp_path, line):
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" + line + "\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:2:")):
+            read_poses(path)
+
 
 class TestCalibIo:
     def test_round_trip(self, tmp_path):
@@ -135,6 +153,25 @@ class TestCalibIo:
         path = tmp_path / "calib.txt"
         path.write_text("intrinsics: 700 700 620 187 1242 375\n")
         with pytest.raises(MalformedLine):
+            read_calib(path)
+
+    @pytest.mark.parametrize(
+        "intrinsics, lidar_to_cam",
+        [
+            ("700 700 620 187 1242 375", "nan -1 0 0 0 0 -1 0 1 0 0 0"),
+            ("700 700 620 187 1242 375", "0 -1 0 inf 0 0 -1 0 1 0 0 0"),
+            ("700 700 620 187 1242 375", "0 -1 0 0 0 0 -1 0 1 0 0 nan"),
+            ("700 700 620 187 1242 375", "0 -2 0 0 0 0 -1 0 1 0 0 0"),
+            ("nan 700 620 187 1242 375", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
+            ("700 700 620 187 inf 375", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
+            ("-700 700 620 187 1242 375", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
+            ("700 700 620 187 1242 nope", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
+        ],
+    )
+    def test_non_finite_or_invalid_value_rejected(self, tmp_path, intrinsics, lidar_to_cam):
+        path = tmp_path / "calib.txt"
+        path.write_text(f"intrinsics: {intrinsics}\nlidar_to_cam: {lidar_to_cam}\n")
+        with pytest.raises(MalformedLine, match=re.escape(str(path))):
             read_calib(path)
 
 
@@ -263,6 +300,37 @@ class TestRasterIo:
         )
         with pytest.raises(ShapeMismatch):
             read_box_grid(path, GridSpec(height=64, width=64, stride=4))
+
+    @pytest.mark.parametrize(
+        "sidecar, field",
+        [
+            ({"cols": 4, "channels": 1}, "rows"),
+            ({"rows": "4", "cols": 4, "channels": 1}, "rows"),
+            ({"rows": 4, "cols": 4.0, "channels": 1}, "cols"),
+            ({"rows": 4, "cols": 4, "channels": 0}, "channels"),
+            ({"rows": 4, "cols": True, "channels": 1}, "cols"),
+            ({"rows": 4, "cols": 4, "channels": None}, "channels"),
+            ([4, 4, 1], "object"),
+            ("not json", "Expecting value"),
+        ],
+    )
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar, field):
+        path = tmp_path / "d.bin"
+        write_depth(path, np.zeros((4, 4)))
+        sidecar_path = tmp_path / "d.bin.json"
+        sidecar_path.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
+        with pytest.raises(MalformedFile, match=f"{re.escape(str(sidecar_path))}.*{field}"):
+            read_raster(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 2), (8, 8, 8)])
+    def test_non_finite_value_rejected(self, tmp_path, value, shape):
+        data = np.full(shape, 0.5)
+        data[1, 2] = value
+        path = tmp_path / "r.bin"
+        write_raster(path, data)
+        with pytest.raises(MalformedFile, match=re.escape(f"{path}: non-finite")):
+            read_raster(path)
 
     def test_generic_raster_sentinel(self, tmp_path):
         path = tmp_path / "r.bin"

@@ -80,10 +80,35 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), "translation"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, where, value):
+        rot, tra = np.eye(3), np.zeros(3)
+        if where == "translation":
+            tra[1] = value
+        else:
+            rot[where] = value
+        with pytest.raises(ValueError):
+            RigidTransform(rot, tra)
+
 
 class TestProjection:
     def setup_method(self):
         self.k = CameraIntrinsics(700.0, 700.0, 620.0, 187.0, 1242, 375)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (math.nan, 700.0, 620.0, 187.0),
+            (700.0, math.inf, 620.0, 187.0),
+            (700.0, 700.0, math.nan, 187.0),
+            (700.0, 700.0, 620.0, math.nan),
+            (0.0, 700.0, 620.0, 187.0),
+        ],
+    )
+    def test_intrinsics_reject_non_finite_or_non_positive(self, values):
+        with pytest.raises(ValueError):
+            CameraIntrinsics(*values, 1242, 375)
 
     def test_optical_axis(self):
         uv = project(np.array([0.0, 0.0, 5.0]), self.k)

@@ -388,12 +388,7 @@ class TestGeneratePseudoLabels:
         assert len(result.u_minus) == 40
         assert all(target == 0.0 for _, target in result.u_minus)
 
-    def test_single_moving_vehicle_gets_vehicle_label(self):
-        from lidarpgt.bev import GridSpec
-        from lidarpgt.geometry import rotated_iou_bev
-        from lidarpgt.pipeline import generate_pseudo_labels
-        from lidarpgt.proposals import heuristic_grid
-        from lidarpgt.sampling import SamplerConfig
+    def _vehicle_scene(self):
         from lidarpgt.simulate import EgoMotion, SimConfig, SimObject, make_scene
 
         cfg = SimConfig(
@@ -403,7 +398,16 @@ class TestGeneratePseudoLabels:
             ground_extent=(-10.0, 10.0, 4.0, 40.0),
             ego=EgoMotion(velocity=(0.0, 0.1)),
         )
-        frames = make_scene(cfg, seed=12)
+        return cfg, make_scene(cfg, seed=12)
+
+    def test_single_moving_vehicle_gets_vehicle_label(self):
+        from lidarpgt.bev import GridSpec
+        from lidarpgt.geometry import rotated_iou_bev
+        from lidarpgt.pipeline import generate_pseudo_labels
+        from lidarpgt.proposals import heuristic_grid
+        from lidarpgt.sampling import SamplerConfig
+
+        cfg, frames = self._vehicle_scene()
         spec = GridSpec()
         grid = heuristic_grid(frames[0].cloud, spec)
         result = generate_pseudo_labels(
@@ -418,3 +422,68 @@ class TestGeneratePseudoLabels:
         pixels = {l.pixel for l in result.u_plus} | {p for p, _ in result.u_minus}
         assert len(pixels) == 120
         assert all(0.0 <= l.confidence <= 1.0 for l in result.u_plus)
+
+    def test_union_tracking_equals_per_crop_tracking(self):
+        cfg, frames = self._vehicle_scene()
+        window = self._window(frames, cfg, 3)
+        cloud_cam = cfg.lidar_to_cam.apply(window.cloud.xyz)
+        vehicle = cfg.lidar_to_cam.apply(frames[0].gt_boxes[0].box.centre)
+        crops = []
+        for dx, dz, radius in [(0, 0, 2.5), (0.5, -0.5, 1.0), (6, 3, 2.0), (-1, 0, 4.0), (0, 8, 0.3)]:
+            dist = np.hypot(cloud_cam[:, 0] - vehicle[0] - dx, cloud_cam[:, 2] - vehicle[2] - dz)
+            crops.append(np.flatnonzero(dist < radius))
+        union = np.unique(np.concatenate(crops))
+        inputs = (window.flows, window.depths, window.poses, 3, window.intrinsics)
+        together = track_points(cloud_cam[union], *inputs)
+        # the union mixes surviving and dying tracks
+        assert together.alive[3].any() and not together.alive[3].all()
+        for rows in crops:
+            assert len(rows) >= 3
+            alone = track_points(cloud_cam[rows], *inputs)
+            at = np.searchsorted(union, rows)
+            assert np.array_equal(alone.positions, together.positions[:, at])
+            assert np.array_equal(alone.alive, together.alive[:, at])
+            for k in range(4):
+                assert np.array_equal(alone.point_set(k), together.point_set(k, at))
+
+    def test_tracks_once_per_frame(self, monkeypatch):
+        import lidarpgt.pipeline as pipeline
+        from lidarpgt.bev import GridSpec
+        from lidarpgt.proposals import heuristic_grid
+        from lidarpgt.sampling import SamplerConfig
+
+        cfg, frames = self._vehicle_scene()
+        spec = GridSpec()
+        calls = []
+
+        def counting(points, *args):
+            calls.append(len(points))
+            return track_points(points, *args)
+
+        monkeypatch.setattr(pipeline, "track_points", counting)
+        result = pipeline.generate_pseudo_labels(
+            self._window(frames, cfg, 3), heuristic_grid(frames[0].cloud, spec), spec,
+            sampler_cfg=SamplerConfig(sample_count=120, seed=1),
+        )
+        assert len(calls) == 1
+        assert calls[0] > 0 and result.u_plus
+
+    @pytest.mark.parametrize("short", ["depths", "flows", "poses"])
+    def test_short_window_rejected_without_usable_crops(self, short):
+        from dataclasses import replace
+
+        from lidarpgt.bev import GridSpec
+        from lidarpgt.pipeline import generate_pseudo_labels
+        from lidarpgt.proposals import heuristic_grid
+        from lidarpgt.sampling import SamplerConfig
+
+        cfg, frames = self._vehicle_scene()
+        window = self._window(frames, cfg, 3)
+        window = replace(window, cloud=PointCloud(np.zeros((0, 4)), LIDAR))
+        setattr(window, short, getattr(window, short)[:-1])
+        spec = GridSpec()
+        with pytest.raises(MissingFrameData):
+            generate_pseudo_labels(
+                window, heuristic_grid(window.cloud, spec), spec,
+                sampler_cfg=SamplerConfig(sample_count=10, seed=0),
+            )
