@@ -337,11 +337,18 @@ def write_box_grid(path, grid: BoxGrid):
 
 
 def read_box_grid(path, spec: GridSpec) -> BoxGrid:
+    """Read a box grid, checking its shape and that no centre offset exceeds
+    the grid's extent on its axis."""
     arr, _ = read_raster(path)
     if arr.ndim != 3 or arr.shape[2] != 8:
         raise ShapeMismatch(f"{path}: box grid must have 8 channels")
     grid = BoxGrid(arr)
     require_grid_shape(grid, spec)
+    span = [hi - lo for lo, hi in (spec.x_range, spec.y_range, spec.z_range)]
+    too_far = (np.abs(grid.data[:, :, 0:3]) > span).any(axis=2)
+    if too_far.any():
+        row, col = np.argwhere(too_far)[0]
+        raise MalformedFile(f"{path}: box offset at cell ({row}, {col}) exceeds the grid span")
     return grid
 
 

@@ -209,11 +209,16 @@ class EvalReport:
 
 
 def _record_to_aabb2(record, intrinsics):
+    """The stored 2D box, else the projected 3D box. A box with a vertex behind
+    the camera keeps its empty 2D box, which overlaps nothing."""
     if record.bbox2d.area() > 0:
         return record.bbox2d
     if intrinsics is None:
         raise ConfigInvalid("2D evaluation needs calibration to project 3D boxes")
-    return project_box_2d(record.box, RigidTransform.identity(), intrinsics)
+    try:
+        return project_box_2d(record.box, RigidTransform.identity(), intrinsics)
+    except BehindCamera:
+        return record.bbox2d
 
 
 def evaluate_sequence(

@@ -183,6 +183,27 @@ def _cylinder_mask(pts_cam: np.ndarray, centre_cam: np.ndarray, anchor: Anchor) 
     return (dy < 0.5 * anchor.dims[1]) & (dh < anchor.crop_radius())
 
 
+def _crop_rows(cloud_cam: np.ndarray, centres_cam, anchors) -> list[list[np.ndarray]]:
+    """Cloud row indices, in cloud order, of each (centre, anchor) crop.
+
+    The rows are the ones `_cylinder_mask` keeps over the whole cloud, but
+    each centre tests only the points of its x slab |x - cx| <= r_max, found
+    by bisecting the cloud sorted by x once. A point inside any crop lies in
+    that slab; a tiny relative pad absorbs the rounding of the slab bounds.
+    """
+    order = np.argsort(cloud_cam[:, 0], kind="stable")
+    xs = cloud_cam[order, 0]
+    r_max = max((a.crop_radius() for a in anchors), default=0.0)
+    crops = []
+    for centre in centres_cam:
+        reach = r_max + 1e-9 * (1.0 + abs(centre[0]) + r_max)
+        lo, hi = np.searchsorted(xs, (centre[0] - reach, centre[0] + reach))
+        rows = np.sort(order[lo:hi])
+        pts = cloud_cam[rows]
+        crops.append([rows[_cylinder_mask(pts, centre, a)] for a in anchors])
+    return crops
+
+
 def crop_cylinder(
     cloud: PointCloud, centre_lidar, anchor: Anchor, lidar_to_cam: RigidTransform
 ) -> np.ndarray:
@@ -472,10 +493,11 @@ def generate_pseudo_labels(
     cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
 
     # crop: cloud row indices per (pixel, anchor)
-    crops = []
-    for pixel in pixels:
-        centre_cam = window.lidar_to_cam.apply(decode_centre(pixel, grid.code_at(pixel), spec))
-        crops.append([np.flatnonzero(_cylinder_mask(cloud_cam, centre_cam, a)) for a in anchors])
+    crops = _crop_rows(
+        cloud_cam,
+        [window.lidar_to_cam.apply(decode_centre(p, grid.code_at(p), spec)) for p in pixels],
+        anchors,
+    )
 
     # track: the sorted union of the usable crops, one call per frame
     usable = [rows for per_pixel in crops for rows in per_pixel if len(rows) >= 3]

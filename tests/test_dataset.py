@@ -302,6 +302,44 @@ class TestRasterIo:
             read_box_grid(path, GridSpec(height=64, width=64, stride=4))
 
     @pytest.mark.parametrize(
+        "axis, offset",
+        [(0, 1e38), (0, 37.5 + 1e-3), (1, -36.0 - 1e-3), (2, 4.0 + 1e-3), (2, -1e38)],
+    )
+    def test_box_grid_offset_beyond_grid_span_rejected(self, tmp_path, axis, offset):
+        spec = GridSpec()  # spans 37.5 m (x), 36 m (y), 4 m (z)
+        data = np.zeros((spec.out_rows, spec.out_cols, 8))
+        data[3, 7, axis] = offset
+        data[5, 1, axis] = offset
+        path = tmp_path / "grid.bin"
+        write_box_grid(path, BoxGrid(data))
+        with pytest.raises(MalformedFile, match=re.escape(f"{path}: box offset at cell (3, 7)")):
+            read_box_grid(path, spec)
+
+    def test_box_grid_offset_up_to_grid_span_accepted(self, tmp_path):
+        spec = GridSpec(x_range=(0.0, 4.0), y_range=(-2.0, 2.0), z_range=(-1.0, 1.0), height=8, width=8, stride=4)
+        data = np.zeros((2, 2, 8))
+        data[0, 0, 0:3] = (4.0, -4.0, 2.0)
+        data[1, 1, 0:3] = (-4.0, 4.0, -2.0)
+        path = tmp_path / "grid.bin"
+        write_box_grid(path, BoxGrid(data))
+        assert np.array_equal(read_box_grid(path, spec).data, data)
+
+    def test_heuristic_box_grid_round_trip(self, tmp_path):
+        from lidarpgt.geometry import LIDAR
+        from lidarpgt.proposals import heuristic_grid
+
+        spec = GridSpec()
+        rng = np.random.default_rng(10)
+        lo = (spec.x_range[0], spec.y_range[0], spec.z_range[0])
+        hi = (spec.x_range[1], spec.y_range[1], spec.z_range[1])
+        xyz = rng.uniform(lo, hi, size=(20000, 3))
+        grid = heuristic_grid(PointCloud(np.column_stack([xyz, rng.random(len(xyz))]), LIDAR), spec)
+        path = tmp_path / "grid.bin"
+        write_box_grid(path, grid)
+        again = read_box_grid(path, spec)
+        assert np.array_equal(again.data, grid.data.astype(np.float32))
+
+    @pytest.mark.parametrize(
         "sidecar, field",
         [
             ({"cols": 4, "channels": 1}, "rows"),

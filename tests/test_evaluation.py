@@ -240,3 +240,22 @@ class TestEvaluateSequence:
         gts = {f: [r.box for r in read_labels(gt_dir / f"{f}.txt")] for f in frames}
         for t in thresholds:
             assert report.mean_ap[t] == average_precision_grouped(dets, gts, rotated_iou_bev, t)
+
+    def test_2d_box_behind_camera_is_an_unmatched_gt(self, tmp_path):
+        from lidarpgt.dataset import LabelRecord, write_labels
+        from lidarpgt.evaluation import evaluate_sequence
+
+        front = Obb3((1.0, 1.0, 15.0), (1.6, 1.5, 3.9), 0.2, CAMERA)
+        behind = Obb3((2.0, 1.8, 0.5), (1.6, 1.5, 3.9), 0.0, CAMERA)
+        with pytest.raises(BehindCamera):
+            project_box_2d(behind, RigidTransform.identity(), INTR)
+        det_dir, gt_dir = tmp_path / "dets", tmp_path / "gt"
+        det_dir.mkdir()
+        gt_dir.mkdir()
+        write_labels(det_dir / "000000.txt", [LabelRecord("Car", front, score=0.9)])
+        maps = []
+        for gts in ([front], [front, behind]):
+            write_labels(gt_dir / "000000.txt", [LabelRecord("Car", box) for box in gts])
+            report = evaluate_sequence(det_dir, gt_dir, mode="2d", thresholds=[0.5], intrinsics=INTR)
+            maps.append(report.mean_ap[0.5])
+        assert maps == [1.0, 0.5]

@@ -17,6 +17,8 @@ from lidarpgt.geometry import (
 )
 from lidarpgt.pipeline import (
     Anchor,
+    _crop_rows,
+    _cylinder_mask,
     ScorerConfig,
     combined_confidence,
     crop_cylinder,
@@ -105,6 +107,63 @@ class TestCropCylinder:
                 assert got.shape == expected.shape
                 if len(got):
                     assert np.allclose(np.sort(got, axis=0), np.sort(expected, axis=0), atol=1e-12)
+
+
+class TestCropRows:
+    """The x-slab crop index keeps exactly the rows a full-cloud scan keeps."""
+
+    def check(self, cloud_cam, centres, anchors=None):
+        anchors = anchors or default_anchors()
+        crops = _crop_rows(cloud_cam, centres, anchors)
+        assert len(crops) == len(centres)
+        for centre, per_anchor in zip(centres, crops):
+            assert len(per_anchor) == len(anchors)
+            for anchor, rows in zip(anchors, per_anchor):
+                full = np.flatnonzero(_cylinder_mask(cloud_cam, centre, anchor))
+                assert rows.dtype == full.dtype
+                assert np.array_equal(rows, full)
+        return crops
+
+    @pytest.mark.parametrize("sizes", [None, (0.5, 3.0), (2.0, 5.0)])
+    def test_points_on_and_one_ulp_around_the_radius(self, sizes):
+        # random anchor sizes vary the low bits of the slab half-width, which
+        # decide whether rounding cx +- r_max moves the slab edge inwards
+        rng = np.random.default_rng(7)
+        anchors = None if sizes is None else [Anchor(str(i), rng.uniform(*sizes, 3)) for i in range(3)]
+        centres, pts = [], []
+        for cx in [0.0, 0.3, -7.25, 123.456, -1e3 / 3, *rng.uniform(-3, 3, 20), *rng.uniform(-60, 60, 20)]:
+            centre = np.array([cx, 0.5, 10.0])
+            centres.append(centre)
+            for anchor in anchors or default_anchors():
+                for side in (-1.0, 1.0):
+                    edge = cx + side * anchor.crop_radius()
+                    for x in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+                        pts.append((x, 0.5, 10.0))
+                        pts.append((x, rng.uniform(-0.5, 1.5), 10.0 + rng.uniform(-1e-6, 1e-6)))
+        cloud_cam = np.array(pts)[rng.permutation(len(pts))]
+        crops = self.check(cloud_cam, centres, anchors)
+        # the boundary is exercised: some edge points are in, some are out
+        assert all(0 < len(per_anchor[-1]) < len(pts) for per_anchor in crops)
+
+    def test_duplicate_x_values_keep_cloud_order(self):
+        rng = np.random.default_rng(8)
+        cloud_cam = rng.uniform((-6, -1, 4), (6, 2, 20), size=(3000, 3))
+        cloud_cam[:, 0] = np.round(cloud_cam[:, 0], 1)
+        centres = [np.array([x, 0.5, z]) for x, z in rng.uniform((-6, 4), (6, 20), size=(40, 2))]
+        centres.append(np.array([0.2, 0.5, 12.0]))  # centre x equal to many points' x
+        crops = self.check(cloud_cam, centres)
+        assert any(len(rows) > 10 for per_anchor in crops for rows in per_anchor)
+
+    def test_centres_outside_the_cloud_x_span(self):
+        rng = np.random.default_rng(9)
+        cloud_cam = rng.uniform((-5, -1, 4), (5, 2, 20), size=(500, 3))
+        r_max = max(a.crop_radius() for a in default_anchors())
+        xs = [-50.0, 50.0, -5.0 - r_max, 5.0 + r_max, cloud_cam[:, 0].min() - 1.0, cloud_cam[:, 0].max() + 1.0]
+        self.check(cloud_cam, [np.array([x, 0.5, 10.0]) for x in xs])
+
+    def test_empty_cloud(self):
+        crops = self.check(np.zeros((0, 3)), [np.array([0.0, 0.5, 10.0]), np.array([3.0, 0.0, 5.0])])
+        assert all(len(rows) == 0 for per_anchor in crops for rows in per_anchor)
 
 
 def constant_depth_scene(points_cam, n_frames, intr=INTR):

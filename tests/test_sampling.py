@@ -118,3 +118,44 @@ class TestSmoothConfidence:
         grid.data[:, :, 7] = [[0.8, 0.4], [0.0, 0.2]]
         # only 3 other boxes exist
         assert smooth_confidence(grid, spec, (0, 0)) == pytest.approx((0.8 + 0.4 + 0.0 + 0.2) / 4)
+
+
+def lexsort_smooth(grid, spec, pixel):
+    """Reference smoothing: a full lexsort of every box by (distance, row, col)."""
+    centres = grid_centres(grid, spec)
+    r, c = pixel
+    conf = grid.confidence.reshape(-1)
+    own_flat = r * spec.out_cols + c
+    d2 = np.sum((centres - centres[own_flat]) ** 2, axis=1)
+    rows = np.arange(len(d2)) // spec.out_cols
+    cols = np.arange(len(d2)) % spec.out_cols
+    d2[own_flat] = np.inf
+    order = np.lexsort((cols, rows, d2))
+    n_other = min(8, len(d2) - 1)
+    return float((conf[own_flat] + conf[order[:n_other]].sum()) / (1 + n_other))
+
+
+# cell_x = 1.5 m, cell_y = 1.0 m: zero-offset neighbours tie in pairs
+OBLONG = GridSpec(x_range=(0.0, 30.0), y_range=(-10.0, 10.0), z_range=(-2.0, 2.0), height=80, width=80, stride=4)
+TINY = GridSpec(x_range=(0, 4), y_range=(-2, 2), z_range=(-1, 1), height=8, width=8, stride=4)
+
+
+def _tie_grid(spec, offset_scale):
+    rng = np.random.default_rng(6)
+    grid = BoxGrid.zeros(spec)
+    grid.data[:, :, 0:3] = rng.normal(scale=offset_scale, size=(spec.out_rows, spec.out_cols, 3))
+    grid.data[:, :, 7] = rng.random((spec.out_rows, spec.out_cols))
+    return grid
+
+
+@pytest.mark.parametrize(
+    "spec, offset_scale",
+    [(OBLONG, 0.0), (SMALL, 0.0), (SMALL, 0.4), (TINY, 0.0)],
+    ids=["paired-ties", "lattice-ties", "random-offsets", "fewer-than-8"],
+)
+def test_smoothing_equals_full_sort_on_every_pixel(spec, offset_scale):
+    grid = _tie_grid(spec, offset_scale)
+    centres = grid_centres(grid, spec)
+    for r in range(spec.out_rows):
+        for c in range(spec.out_cols):
+            assert smooth_confidence(grid, spec, (r, c), centres) == lexsort_smooth(grid, spec, (r, c))
