@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,17 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="JSON config file overriding the defaults")
-    parser.add_argument("--sample-threshold", type=float, help="confidence band split")
-    parser.add_argument("--samples", type=int, help="pixels sampled per frame")
-    parser.add_argument("--seed", type=int, help="sampler seed (per-frame seeds add the frame index)")
-    parser.add_argument("--score-threshold", type=float, help="anchor survival threshold")
-    parser.add_argument("--moving-weight", type=float)
-    parser.add_argument("--inconsistency-weight", type=float)
-    parser.add_argument("--track-frames", type=int, help="tracking horizon in frames")
-
-
 def _apply_overrides(cfg, args):
     over = {
         ("sampler", "confidence_threshold"): args.sample_threshold,
@@ -84,12 +75,18 @@ def build_parser() -> _Parser:
     p.add_argument("sequence", help="sequence directory")
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--proposals",
-        default="heuristic",
+        "--proposals", type=_proposals, default="heuristic",
         help="'heuristic' or 'file:<dir>' with per-frame box-grid files",
     )
     p.add_argument("--jobs", type=int, default=0, help="frame-level workers (0 = all cores)")
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON config file overriding the defaults")
+    p.add_argument("--sample-threshold", type=float, help="confidence band split")
+    p.add_argument("--samples", type=int, help="pixels sampled per frame")
+    p.add_argument("--seed", type=int, help="sampler seed (per-frame seeds add the frame index)")
+    p.add_argument("--score-threshold", type=float, help="anchor survival threshold")
+    p.add_argument("--moving-weight", type=float)
+    p.add_argument("--inconsistency-weight", type=float)
+    p.add_argument("--track-frames", type=int, help="tracking horizon in frames")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score detections against ground truth")
@@ -107,8 +104,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate-loss", help="training-loss breakdown for generated labels")
     p.add_argument("sequence")
     p.add_argument("--pgt", required=True, help="output directory of a generate run")
-    p.add_argument("--proposals", default="heuristic")
-    _add_config_flags(p)
+    p.add_argument("--proposals", type=_proposals, default="heuristic")
+    p.add_argument("--config", help="JSON config file overriding the defaults")
     p.set_defaults(func=cmd_evaluate_loss)
 
     p = sub.add_parser("render", help="render a BEV image with box overlays")
@@ -123,12 +120,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_grid(kind: str, seq, t, spec, ground_margin, cloud=None):
-    if kind == "heuristic":
+def _proposals(text: str) -> Path | None:
+    """None for the heuristic grid, else the directory of per-frame box-grid files."""
+    if text == "heuristic":
+        return None
+    if text.startswith("file:"):
+        return Path(text[5:])
+    raise argparse.ArgumentTypeError(f"expected 'heuristic' or 'file:<dir>', got {text!r}")
+
+
+def _load_grid(grids: Path | None, seq, t, spec, ground_margin, cloud=None):
+    if grids is None:
         return heuristic_grid(seq.read_cloud(t) if cloud is None else cloud, spec, ground_margin)
-    if kind.startswith("file:"):
-        return grid_from_file(Path(kind[5:]) / f"{t:06d}.bin", spec)
-    raise _UsageError(f"unknown proposals source {kind!r}")
+    return grid_from_file(grids / f"{t:06d}.bin", spec)
 
 
 def _diagnostics_payload(result):
@@ -165,20 +169,14 @@ def _diagnostics_payload(result):
     return {"pixels": pixels}
 
 
-def _generate_frame(seq_root: str, t: int, cfg: dict, proposals: str, out_dir: str):
-    """Worker for one frame; re-reads inputs so it is cheap to ship to a process."""
-    seq = load_sequence(seq_root)
-    spec = cfgmod.grid_spec(cfg)
-    scorer = cfgmod.scorer_config(cfg)
-    sampler = cfgmod.sampler_config(cfg)
+def _generate_frame(seq, spec, sampler, scorer, anchors, grids, ground_margin, out: Path, t: int):
+    """Label the window starting at frame t and write its files; the run's
+    inputs come first so that `functools.partial` binds them once."""
     # Per-frame seeds keep frames decorrelated but reproducible.
     sampler = dataclasses.replace(sampler, seed=sampler.seed + t)
     window = FrameWindow.from_sequence(seq, t, scorer.k_frames)
-    grid = _load_grid(proposals, seq, t, spec, cfgmod.ground_margin(cfg), window.cloud)
-    result = generate_pseudo_labels(
-        window, grid, spec, cfgmod.anchors(cfg), sampler, scorer
-    )
-    out = Path(out_dir)
+    grid = _load_grid(grids, seq, t, spec, ground_margin, window.cloud)
+    result = generate_pseudo_labels(window, grid, spec, anchors, sampler, scorer)
     calib = seq.calibration
     records = [
         label_record(_PGT_CLASS, label.box, calib.lidar_to_cam, calib.intrinsics, label.confidence)
@@ -220,26 +218,15 @@ def cmd_generate(args) -> int:
         )
         return 2
     out = Path(args.out)
+    work = functools.partial(
+        _generate_frame, seq, cfgmod.grid_spec(cfg), cfgmod.sampler_config(cfg), scorer,
+        cfgmod.anchors(cfg), args.proposals, cfgmod.ground_margin(cfg), out,
+    )
     (out / "label_pgt").mkdir(parents=True, exist_ok=True)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    frames = list(range(n_windows))
-    jobs = min(args.jobs or os.cpu_count() or 1, len(frames))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _generate_frame,
-                    [args.sequence] * len(frames),
-                    frames,
-                    [cfg] * len(frames),
-                    [args.proposals] * len(frames),
-                    [str(out)] * len(frames),
-                )
-            )
-    else:
-        results = [
-            _generate_frame(args.sequence, t, cfg, args.proposals, str(out)) for t in frames
-        ]
+    jobs = min(args.jobs or os.cpu_count() or 1, n_windows)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = list((pool.map if pool else map)(work, range(n_windows)))
     n_plus = sum(r[0] for r in results)
     n_minus = sum(r[1] for r in results)
     total = n_plus + n_minus
@@ -310,7 +297,7 @@ def _labels_from_diagnostics(path) -> tuple[list, list]:
 
 
 def cmd_evaluate_loss(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+    cfg = cfgmod.load_config(args.config)
     seq = load_sequence(args.sequence)
     spec = cfgmod.grid_spec(cfg)
     loss_cfg = cfgmod.loss_config(cfg)

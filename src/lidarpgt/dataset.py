@@ -337,18 +337,25 @@ def write_box_grid(path, grid: BoxGrid):
 
 
 def read_box_grid(path, spec: GridSpec) -> BoxGrid:
-    """Read a box grid, checking its shape and that no centre offset exceeds
-    the grid's extent on its axis."""
+    """Read a box grid, checking its shape and every cell's code: no centre
+    offset beyond the grid's extent on its axis, no negative size and a
+    confidence in [0, 1]."""
     arr, _ = read_raster(path)
     if arr.ndim != 3 or arr.shape[2] != 8:
         raise ShapeMismatch(f"{path}: box grid must have 8 channels")
     grid = BoxGrid(arr)
     require_grid_shape(grid, spec)
+    data = grid.data
     span = [hi - lo for lo, hi in (spec.x_range, spec.y_range, spec.z_range)]
-    too_far = (np.abs(grid.data[:, :, 0:3]) > span).any(axis=2)
-    if too_far.any():
-        row, col = np.argwhere(too_far)[0]
-        raise MalformedFile(f"{path}: box offset at cell ({row}, {col}) exceeds the grid span")
+    faults = (
+        ("box offset", "exceeds the grid span", (np.abs(data[:, :, 0:3]) > span).any(axis=2)),
+        ("box size", "is negative", (data[:, :, 3:6] < 0).any(axis=2)),
+        ("confidence", "lies outside [0, 1]", (data[:, :, 7] < 0) | (data[:, :, 7] > 1)),
+    )
+    for field_name, fault, bad in faults:
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise MalformedFile(f"{path}: {field_name} at cell ({row}, {col}) {fault}")
     return grid
 
 

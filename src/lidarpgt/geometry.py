@@ -94,13 +94,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(matrix) -> "RigidTransform":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape not in ((3, 4), (4, 4)):
-            raise ValueError("expected a 3x4 or 4x4 matrix")
-        return RigidTransform(m[:3, :3], m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation

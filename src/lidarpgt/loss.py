@@ -25,12 +25,17 @@ class LossConfig:
     gamma: float = 1.5
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
+        if not (self.alpha > 0 and self.gamma > 0):
             raise ValueError("alpha and gamma must be positive")
-        inner = (self.alpha / self.b) * (self.b + 1.0) * math.log(self.b + 1.0) - self.alpha
-        outer = self.gamma + self.c_const
-        if abs(inner - outer) > 1e-9:
-            raise ValueError("balanced-L1 branches do not meet at |x| = 1")
+        try:
+            finite = math.isfinite(self.c_const)
+        except (OverflowError, ZeroDivisionError):  # b = expm1(gamma / alpha) is inf or 0
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"gamma / alpha = {self.gamma / self.alpha:g} gives balanced-L1 constants "
+                "beyond the float range"
+            )
 
     @property
     def b(self) -> float:

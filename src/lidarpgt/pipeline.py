@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, decode_centre, require_grid_shape
+from .bev import BoxGrid, GridSpec, require_grid_shape
 from .dataset import SequenceIndex
 from .errors import DegenerateInput, MissingFrameData
 from .geometry import (
@@ -492,12 +492,9 @@ def generate_pseudo_labels(
     pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
     cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
 
-    # crop: cloud row indices per (pixel, anchor)
-    crops = _crop_rows(
-        cloud_cam,
-        [window.lidar_to_cam.apply(decode_centre(p, grid.code_at(p), spec)) for p in pixels],
-        anchors,
-    )
+    # crop: cloud row indices per (pixel, anchor), around each pixel's decoded centre
+    centres_cam = [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
+    crops = _crop_rows(cloud_cam, centres_cam, anchors)
 
     # track: the sorted union of the usable crops, one call per frame
     usable = [rows for per_pixel in crops for rows in per_pixel if len(rows) >= 3]

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import (
     Calibration,
@@ -187,14 +188,10 @@ def _splat_min(buffer: np.ndarray, radius: int) -> np.ndarray:
     """Separable sliding-window minimum over a (2*radius+1)^2 neighbourhood."""
     out = buffer
     for axis in (0, 1):
-        shifted = [np.roll(out, s, axis=axis) for s in range(-radius, radius + 1)]
-        for s in range(-radius, radius + 1):
-            sh = shifted[s + radius]
-            if s > 0:
-                sh[(slice(0, s),) if axis == 0 else (slice(None), slice(0, s))] = np.inf
-            elif s < 0:
-                sh[(slice(s, None),) if axis == 0 else (slice(None), slice(s, None))] = np.inf
-        out = np.min(shifted, axis=0)
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(out, pad, constant_values=np.inf)
+        out = sliding_window_view(padded, 2 * radius + 1, axis=axis).min(axis=-1)
     return out
 
 
@@ -227,11 +224,10 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     visible = z <= near[flat] + _OCCLUSION_MARGIN
     idx, flat, z = idx[visible], flat[visible], z[visible]
 
-    order = np.lexsort((np.arange(len(flat)), z, flat))
-    flat_sorted = flat[order]
-    first = np.ones(len(flat_sorted), dtype=bool)
-    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    winners = order[first]
+    # A pixel's nearest point is never culled, so its depth is zbuf's; ties go to
+    # the lowest point index.
+    nearest = np.flatnonzero(z == zbuf[flat])
+    winners = nearest[np.unique(flat[nearest], return_index=True)[1]]
     depth.reshape(-1)[flat[winners]] = z[winners]
     owner.reshape(-1)[flat[winners]] = idx[winners]
     return depth, owner

@@ -5,7 +5,7 @@ import pytest
 
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
-from lidarpgt.dataset import read_cloud
+from lidarpgt.dataset import load_sequence, read_cloud
 
 CONFIG = {
     "simulate": {
@@ -194,6 +194,28 @@ class TestCliRoundTrip:
         for name in ("label_pgt/000001.txt", "diagnostics/000001.json"):
             assert (workspace / "pgt" / name).read_bytes() == (out / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sequence_loaded_once_per_run(self, workspace, tmp_path, monkeypatch, jobs):
+        import concurrent.futures
+
+        import lidarpgt.cli as cli
+
+        loads = []
+
+        def counting_load(root):
+            loads.append(root)
+            return load_sequence(root)
+
+        monkeypatch.setattr(cli, "load_sequence", counting_load)
+        # threads share this process, so loads made inside the workers are counted too
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        out = tmp_path / "pgt"
+        argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(workspace / "cfg.json")]
+        assert main(argv + ["--jobs", jobs]) == 0
+        assert len(loads) == 1
+        for name in ("label_pgt/000001.txt", "diagnostics/000001.json"):
+            assert (workspace / "pgt" / name).read_bytes() == (out / name).read_bytes()
+
     def test_file_backed_proposals_match_heuristic(self, workspace, tmp_path):
         import lidarpgt.config as cfgmod
         from lidarpgt.dataset import load_sequence, write_box_grid
@@ -269,11 +291,17 @@ class TestCliErrors:
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
 
-    def test_bad_proposals_flag(self, workspace):
-        code = main(
-            ["generate", str(workspace / "seq"), "--out", str(workspace / "x"), "--proposals", "magic"]
-        )
+    def test_bad_proposals_flag(self, workspace, tmp_path):
+        out = tmp_path / "x"
+        code = main(["generate", str(workspace / "seq"), "--out", str(out), "--proposals", "magic"])
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed", "--score-threshold", "--track-frames"])
+    def test_evaluate_loss_has_no_sampler_or_scorer_flags(self, workspace, capsys, flag):
+        code = main(["evaluate-loss", str(workspace / "seq"), "--pgt", str(workspace / "pgt"), flag, "2"])
+        assert code == 1
+        assert flag in capsys.readouterr().err
 
     def test_sequence_too_short_for_tracking(self, tmp_path, workspace, capsys):
         cfg = tmp_path / "cfg.json"
@@ -299,6 +327,7 @@ class TestCliErrors:
             ("generate", {"sampler": {"sample_cout": 10}}, ["sampler", "sample_cout"]),
             ("generate", {"sampelr": {"sample_count": 10}}, ["sampelr"]),
             ("simulate", {"simulate": {"ego": {"velocity": 3}}}, ["simulate", "velocity"]),
+            ("generate", {"loss": {"alpha": 0.001, "gamma": 1.0}}, ["loss"]),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -355,6 +384,17 @@ def _offset_occupied_cells(value):
     return corrupt
 
 
+def _set_grid_channel(channel, value, cells=(slice(None), slice(None))):
+    def corrupt(path):
+        from lidarpgt.dataset import read_raster, write_raster
+
+        arr, sentinel = read_raster(path)
+        arr[(*cells, channel)] = value
+        write_raster(path, arr, sentinel)
+
+    return corrupt
+
+
 def _replace_line(index, text):
     def corrupt(path):
         lines = path.read_text().splitlines()
@@ -373,6 +413,8 @@ CORRUPTIONS = {
     "depth-inf": ("depth/000001.bin", _poison_raster(np.inf)),
     "grid-nan-confidence": ("grids/000000.bin", _poison_raster(np.nan)),
     "grid-huge-offset": ("grids/000000.bin", _offset_occupied_cells(1e38)),
+    "grid-confidence-above-one": ("grids/000000.bin", _set_grid_channel(7, 7.0, (0, 0))),
+    "grid-negative-size": ("grids/000000.bin", _set_grid_channel(3, -1.0)),
     "sidecar-no-rows": ("depth/000000.bin.json", lambda p: p.write_text('{"cols": 800, "channels": 1}')),
     "sidecar-list": ("flow/000000.bin.json", lambda p: p.write_text("[320, 800, 2]")),
     "sidecar-string-rows": (

@@ -324,6 +324,29 @@ class TestRasterIo:
         write_box_grid(path, BoxGrid(data))
         assert np.array_equal(read_box_grid(path, spec).data, data)
 
+    @pytest.mark.parametrize(
+        "channel, value, field",
+        [(7, 1.5, "confidence"), (7, -0.1, "confidence"), (3, -1.0, "box size"), (5, -1.0, "box size")],
+    )
+    def test_box_grid_bad_code_rejected(self, tmp_path, channel, value, field):
+        spec = GridSpec()
+        data = np.zeros((spec.out_rows, spec.out_cols, 8))
+        data[3, 7, channel] = value
+        data[5, 1, channel] = value
+        path = tmp_path / "grid.bin"
+        write_box_grid(path, BoxGrid(data))
+        with pytest.raises(MalformedFile, match=re.escape(f"{path}: {field} at cell (3, 7)")):
+            read_box_grid(path, spec)
+
+    @pytest.mark.parametrize("channel, value", [(7, 0.0), (7, 1.0), (3, 0.0), (5, 0.0)])
+    def test_box_grid_code_at_its_bounds_accepted(self, tmp_path, channel, value):
+        spec = GridSpec(height=32, width=32, stride=4)
+        data = np.random.default_rng(6).random((8, 8, 8)).astype(np.float32).astype(float)
+        data[2, 5, channel] = value
+        path = tmp_path / "grid.bin"
+        write_box_grid(path, BoxGrid(data))
+        assert np.array_equal(read_box_grid(path, spec).data, data)
+
     def test_heuristic_box_grid_round_trip(self, tmp_path):
         from lidarpgt.geometry import LIDAR
         from lidarpgt.proposals import heuristic_grid

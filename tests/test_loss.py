@@ -62,6 +62,14 @@ class TestBalancedL1:
         right = balanced_l1(1.0 + 1e-12, cfg)
         assert abs(left - right) < 1e-9
 
+    @pytest.mark.parametrize(
+        "alpha, gamma", [(0.001, 1.0), (1.0, 1e-310), (1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)]
+    )
+    def test_parameters_beyond_float_range_rejected(self, alpha, gamma):
+        # gamma / alpha = 1000 overflows b = expm1(gamma / alpha); 1e-310 makes C NaN
+        with pytest.raises(ValueError):
+            LossConfig(alpha=alpha, gamma=gamma)
+
 
 class TestWrapAngle:
     def test_small_difference_unchanged(self):

@@ -8,6 +8,8 @@ from lidarpgt.simulate import (
     EgoMotion,
     SimConfig,
     SimObject,
+    _render_depth_with_owner,
+    _splat_min,
     make_scene,
     object_rigid_motion,
     render_depth,
@@ -169,6 +171,28 @@ class TestRenderDepth:
         cloud = PointCloud(np.column_stack([lidar, np.full(len(lidar), 0.5)]), LIDAR)
         depth = render_depth(cloud, INTR, s)
         assert not (np.abs(depth - 28.0) < 0.5).any()
+
+    def test_exact_depth_tie_goes_to_lower_point_index(self):
+        # points 1 and 2 tie at the nearest depth of one pixel; point 0 lies behind them
+        pts_cam = np.array([[0.0, 0.0, 6.0], [0.001, 0.0, 5.0], [-0.001, 0.0, 5.0]])
+        for order in ([0, 1, 2], [0, 2, 1]):
+            depth, owner = _render_depth_with_owner(pts_cam[order], INTR)
+            assert depth[150, 400] == 5.0 and owner[150, 400] == 1
+            assert (owner >= 0).sum() == 1
+
+    @pytest.mark.parametrize("shape, radius", [((6, 9), 1), ((5, 7), 4), ((3, 3), 3), ((1, 20), 2), ((4, 2), 6)])
+    def test_splat_min_equals_brute_force_window_min(self, shape, radius):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1] + radius)
+        buf = rng.random(shape)
+        buf[rng.random(shape) < 0.6] = np.inf
+        h, w = shape
+        want = np.array(
+            [
+                [buf[max(0, r - radius) : r + radius + 1, max(0, c - radius) : c + radius + 1].min() for c in range(w)]
+                for r in range(h)
+            ]
+        )
+        assert np.array_equal(_splat_min(buf, radius), want)
 
 
 class TestObjectRigidMotion:
