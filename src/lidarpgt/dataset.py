@@ -41,6 +41,8 @@ def read_cloud(path) -> PointCloud:
             f"{path}: size {len(raw)} is not a multiple of {_POINT_RECORD_BYTES}"
         )
     pts = np.frombuffer(raw, dtype="<f4").astype(float).reshape(-1, 4)
+    if not np.isfinite(pts).all():
+        raise MalformedFile(f"{path}: non-finite value")
     if pts.size:
         pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
     return PointCloud(pts, frame="lidar")
@@ -188,31 +190,34 @@ def _label_from_fields(fields, where) -> LabelRecord:
     if len(fields) not in (15, 16):
         raise MalformedLine(f"{where}: expected 15 or 16 columns, got {len(fields)}")
     cls = fields[0]
-    try:
-        vals = [float(v) for v in fields[1:]]
-    except ValueError as exc:
-        raise MalformedLine(f"{where}: {exc}") from exc
+    vals = _finite_values(fields[1:], where).tolist()
     trunc, occ, alpha = vals[0], int(vals[1]), vals[2]
     left, top, right, bottom = vals[3:7]
     h, w, l = vals[7:10]
     x, y, z = vals[10:13]
     rot_y = vals[13]
     score = vals[14] if len(vals) == 15 else None
-    box = Obb3((x, y - h / 2.0, z), (w, h, l), rot_y, CAMERA)
-    return LabelRecord(
-        cls=cls,
-        box=box,
-        bbox2d=AABB2((left, top), (right, bottom)),
-        truncation=trunc,
-        occlusion=occ,
-        alpha=alpha,
-        rotation_y=rot_y,
-        score=score,
-    )
+    try:
+        return LabelRecord(
+            cls=cls,
+            box=Obb3((x, y - h / 2.0, z), (w, h, l), rot_y, CAMERA),
+            bbox2d=AABB2((left, top), (right, bottom)),
+            truncation=trunc,
+            occlusion=occ,
+            alpha=alpha,
+            rotation_y=rot_y,
+            score=score,
+        )
+    except ValueError as exc:
+        raise MalformedLine(f"{where}: {exc}") from exc
 
 
 def read_labels(path) -> list[LabelRecord]:
-    """Parse a KITTI label file, skipping DontCare rows."""
+    """Parse a KITTI label file, skipping DontCare rows.
+
+    A non-finite value or an invalid box or 2D box raises MalformedLine
+    naming the file and line.
+    """
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines()):
         if not line.strip():
@@ -388,10 +393,21 @@ class SequenceIndex:
         return read_cloud(self.cloud_path(t))
 
     def read_depth(self, t) -> np.ndarray:
-        return read_depth(self.depth_path(t))
+        return self._image_sized(read_depth, self.depth_path(t))
 
     def read_flow(self, t) -> np.ndarray:
-        return read_flow(self.flow_path(t))
+        return self._image_sized(read_flow, self.flow_path(t))
+
+    def _image_sized(self, reader, path) -> np.ndarray:
+        """A raster read by `reader`, checked to cover the calibrated image."""
+        arr = reader(path)
+        intr = self.calibration.intrinsics
+        if arr.shape[:2] != (intr.height, intr.width):
+            raise MalformedFile(
+                f"{path}: raster is {arr.shape[0]}x{arr.shape[1]}, "
+                f"the calibrated image is {intr.height}x{intr.width}"
+            )
+        return arr
 
     def read_labels(self, t) -> list[LabelRecord]:
         return read_labels(self.label_path(t))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,9 +99,9 @@ class TrackedPointSets:
     positions: np.ndarray  # (K+1, n, 3)
     alive: np.ndarray  # (K+1, n) bool
 
-    def point_set(self, k: int, rows=slice(None)) -> np.ndarray:
-        """Live positions at step k, optionally of a subset of the original rows."""
-        return self.positions[k, rows][self.alive[k, rows]]
+    def point_set(self, k: int) -> np.ndarray:
+        """Live positions at step k."""
+        return self.positions[k][self.alive[k]]
 
     @property
     def steps(self) -> int:
@@ -177,30 +178,59 @@ class FrameWindow:
 # cropping
 
 
-def _cylinder_mask(pts_cam: np.ndarray, centre_cam: np.ndarray, anchor: Anchor) -> np.ndarray:
+def _cylinder_distances(pts_cam: np.ndarray, centre_cam: np.ndarray):
+    """Vertical and horizontal distances of camera-frame points to a centre."""
     dy = np.abs(pts_cam[:, 1] - centre_cam[1])
     dh = np.hypot(pts_cam[:, 0] - centre_cam[0], pts_cam[:, 2] - centre_cam[2])
+    return dy, dh
+
+
+def _inside(dy: np.ndarray, dh: np.ndarray, anchor: Anchor) -> np.ndarray:
     return (dy < 0.5 * anchor.dims[1]) & (dh < anchor.crop_radius())
+
+
+def _cylinder_mask(pts_cam: np.ndarray, centre_cam: np.ndarray, anchor: Anchor) -> np.ndarray:
+    return _inside(*_cylinder_distances(pts_cam, centre_cam), anchor)
 
 
 def _crop_rows(cloud_cam: np.ndarray, centres_cam, anchors) -> list[list[np.ndarray]]:
     """Cloud row indices, in cloud order, of each (centre, anchor) crop.
 
     The rows are the ones `_cylinder_mask` keeps over the whole cloud, but
-    each centre tests only the points of its x slab |x - cx| <= r_max, found
-    by bisecting the cloud sorted by x once. A point inside any crop lies in
-    that slab; a tiny relative pad absorbs the rounding of the slab bounds.
+    each centre tests only the points of its 3x3 neighbourhood of square
+    (x, z) buckets of side w. The points are sorted by bucket key once, so
+    each bucket row of the neighbourhood is one bisected key range. A point
+    inside any crop lies within r_max of the centre on x and z; w exceeds
+    r_max by a tiny relative pad that absorbs the rounding of x / w, so such
+    a point's bucket is a neighbour of the centre's. The pad is at least 1e-9
+    of the cloud's extent, so bucket indices stay within +-1e9 and the int64
+    keys cannot overflow.
     """
-    order = np.argsort(cloud_cam[:, 0], kind="stable")
-    xs = cloud_cam[order, 0]
     r_max = max((a.crop_radius() for a in anchors), default=0.0)
+    extent = float(np.abs(cloud_cam[:, [0, 2]]).max(initial=0.0))
+    width = r_max + 1e-9 * (1.0 + extent + r_max)
+    bx = np.floor(cloud_cam[:, 0] / width).astype(np.int64)
+    bz = np.floor(cloud_cam[:, 2] / width).astype(np.int64)
+    x0, z0 = int(bx.min(initial=0)), int(bz.min(initial=0))
+    nx, nz = int(bx.max(initial=0)) - x0 + 1, int(bz.max(initial=0)) - z0 + 1
+    keys = (bx - x0) * nz + (bz - z0)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     crops = []
     for centre in centres_cam:
-        reach = r_max + 1e-9 * (1.0 + abs(centre[0]) + r_max)
-        lo, hi = np.searchsorted(xs, (centre[0] - reach, centre[0] + reach))
-        rows = np.sort(order[lo:hi])
-        pts = cloud_cam[rows]
-        crops.append([rows[_cylinder_mask(pts, centre, a)] for a in anchors])
+        cx = math.floor(centre[0] / width) - x0
+        # clamped so that a far-off centre's keys stay small; its columns
+        # are then all outside the grid and its key ranges empty
+        cz = min(max(math.floor(centre[2] / width) - z0, -2), nz + 1)
+        # key range of bucket row kx, columns cz-1..cz+1 clipped to the grid
+        spans = [
+            (kx * nz + max(cz - 1, 0), kx * nz + min(cz + 2, nz))
+            for kx in range(max(cx - 1, 0), min(cx + 2, nx))
+        ]
+        bounds = np.searchsorted(keys, np.array(spans, dtype=np.int64).reshape(-1)).reshape(-1, 2)
+        rows = np.sort(np.concatenate([order[0:0], *(order[lo:hi] for lo, hi in bounds)]))
+        dy, dh = _cylinder_distances(cloud_cam[rows], centre)
+        crops.append([rows[_inside(dy, dh, a)] for a in anchors])
     return crops
 
 
@@ -378,13 +408,47 @@ def track_points(
 # box fitting
 
 
+def _moments(pts: np.ndarray):
+    """Mean, centred points and covariance eigen-decomposition of (n, 3) points.
+
+    The mean is `np.mean`'s own reduction without its Python wrapper.
+    """
+    n = len(pts)
+    centre = np.add.reduce(pts, axis=0) / n
+    centred = pts - centre
+    vals, vecs = np.linalg.eigh(centred.T @ centred / n)
+    return centre, centred, vals, vecs
+
+
 def principal_direction(points) -> np.ndarray:
     """Unit eigenvector of the point covariance with the largest eigenvalue."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    centred = pts - pts.mean(axis=0)
-    cov = centred.T @ centred / len(pts)
-    _, vecs = np.linalg.eigh(cov)
+    vecs = _moments(np.asarray(points, dtype=float).reshape(-1, 3))[3]
     return vecs[:, 2]
+
+
+class _Fit(NamedTuple):
+    centre: np.ndarray
+    dims: np.ndarray
+    yaw: float
+
+
+def _fit(pts: np.ndarray) -> _Fit | None:
+    """`fit_obb` on (n, 3) float points without building an Obb3; None if degenerate."""
+    if len(pts) < 3:
+        return None
+    centre, centred, vals, vecs = _moments(pts)
+    if vals[0] <= _RANK_EPS * max(vals[2], _RANK_EPS):
+        return None
+    e = vecs[:, 2]
+    yaw = canonical_yaw(math.atan2(e[2], e[0]))
+    # rotate by -yaw about vertical; min/max are exact, so reducing the
+    # contiguous transpose along its rows gives the same extents, faster
+    local = np.ascontiguousarray((centred @ yaw_matrix(CAMERA, yaw)).T)
+    dims = local.max(axis=1) - local.min(axis=1)
+    if dims[0] > dims[2]:
+        dims = dims[[2, 1, 0]]
+        yaw = canonical_yaw(yaw + 0.5 * math.pi)
+    return _Fit(centre, dims, yaw)
 
 
 def fit_obb(points) -> Obb3:
@@ -398,22 +462,12 @@ def fit_obb(points) -> Obb3:
     frames. Raises DegenerateInput for < 3 points or rank-deficient spreads.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) < 3:
-        raise DegenerateInput(f"box fitting needs >= 3 points, got {len(pts)}")
-    centre = pts.mean(axis=0)
-    centred = pts - centre
-    cov = centred.T @ centred / len(pts)
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] <= _RANK_EPS * max(vals[2], _RANK_EPS):
-        raise DegenerateInput("point covariance is rank-deficient")
-    e = vecs[:, 2]
-    yaw = canonical_yaw(math.atan2(e[2], e[0]))
-    local = centred @ yaw_matrix(CAMERA, yaw)  # rotate by -yaw about vertical
-    dims = local.max(axis=0) - local.min(axis=0)
-    if dims[0] > dims[2]:
-        dims = dims[[2, 1, 0]]
-        yaw = canonical_yaw(yaw + 0.5 * math.pi)
-    return Obb3(centre, dims, yaw, CAMERA)
+    fit = _fit(pts)
+    if fit is None:
+        raise DegenerateInput(
+            f"box fitting needs >= 3 points with a full-rank covariance, got {len(pts)} points"
+        )
+    return Obb3(*fit, CAMERA)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +550,15 @@ def generate_pseudo_labels(
     centres_cam = [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
     crops = _crop_rows(cloud_cam, centres_cam, anchors)
 
-    # track: the sorted union of the usable crops, one call per frame
-    usable = [rows for per_pixel in crops for rows in per_pixel if len(rows) >= 3]
-    union = np.unique(np.concatenate([np.zeros(0, dtype=np.intp), *usable]))
+    # track: the sorted union of the usable crops, one call per frame; a crop's
+    # rows sit in the union at their rank among the marked cloud rows
+    mark = np.zeros(len(cloud_cam), dtype=bool)
+    for per_pixel in crops:
+        for rows in per_pixel:
+            if len(rows) >= 3:
+                mark[rows] = True
+    union = np.flatnonzero(mark)
+    rank = np.cumsum(mark) - 1
     tracked = track_points(
         cloud_cam[union], window.flows, window.depths, window.poses, scorer_cfg.k_frames,
         window.intrinsics,
@@ -515,24 +575,22 @@ def generate_pseudo_labels(
         for anchor, rows in zip(anchors, per_pixel):
             score = AnchorScore(0.0, 0.0, -math.inf)
             if len(rows) >= 3:
-                at = np.searchsorted(union, rows)
-                try:
-                    boxes = [fit_obb(tracked.point_set(k, at)) for k in range(tracked.steps + 1)]
-                except DegenerateInput:
-                    boxes = None
-                if boxes is not None:
-                    score.moving = moving_score(boxes)
-                    score.inconsistency = inconsistency_score(boxes)
+                at = rank[rows]
+                positions, alive = tracked.positions[:, at], tracked.alive[:, at]
+                fits = [_fit(positions[k][alive[k]]) for k in range(tracked.steps + 1)]
+                if None not in fits:
+                    score.moving = moving_score(fits)
+                    score.inconsistency = inconsistency_score(fits)
                     score.confidence = combined_confidence(
                         score.moving, score.inconsistency, scorer_cfg
                     )
-                    first_fits[anchor.name] = boxes[0]
+                    first_fits[anchor.name] = fits[0]
             diag.anchor_scores[anchor.name] = score
             scores.append(score.confidence)
         selected = select_anchor(scores, anchors, scorer_cfg.score_threshold)
         if selected is not None:
             anchor, score = selected
-            box_lidar = transform_obb(first_fits[anchor.name], cam_to_lidar, LIDAR)
+            box_lidar = transform_obb(Obb3(*first_fits[anchor.name], CAMERA), cam_to_lidar, LIDAR)
             u_plus.append(PseudoLabel(pixel, box_lidar, _clamp01(score), anchor.name))
             diag.chosen_anchor = anchor.name
         else:

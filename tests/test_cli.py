@@ -395,6 +395,15 @@ def _set_grid_channel(channel, value, cells=(slice(None), slice(None))):
     return corrupt
 
 
+def _set_sidecar_shape(rows, cols):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta.update(rows=rows, cols=cols)
+        path.write_text(json.dumps(meta))
+
+    return corrupt
+
+
 def _replace_line(index, text):
     def corrupt(path):
         lines = path.read_text().splitlines()
@@ -415,6 +424,9 @@ CORRUPTIONS = {
     "grid-huge-offset": ("grids/000000.bin", _offset_occupied_cells(1e38)),
     "grid-confidence-above-one": ("grids/000000.bin", _set_grid_channel(7, 7.0, (0, 0))),
     "grid-negative-size": ("grids/000000.bin", _set_grid_channel(3, -1.0)),
+    # same byte count as the 320x800 camera's rasters, wrong image shape
+    "depth-shape-160x1600": ("depth/000001.bin.json", _set_sidecar_shape(160, 1600)),
+    "flow-shape-160x1600": ("flow/000000.bin.json", _set_sidecar_shape(160, 1600)),
     "sidecar-no-rows": ("depth/000000.bin.json", lambda p: p.write_text('{"cols": 800, "channels": 1}')),
     "sidecar-list": ("flow/000000.bin.json", lambda p: p.write_text("[320, 800, 2]")),
     "sidecar-string-rows": (

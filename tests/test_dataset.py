@@ -71,6 +71,17 @@ class TestCloudIo:
         with pytest.raises(MalformedFile):
             read_cloud(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_non_finite_value_names_the_file(self, tmp_path, value, column):
+        pts = np.ones((4, 4), dtype="<f4")
+        pts[2, column] = value
+        path = tmp_path / "000003.bin"
+        path.write_bytes(pts.tobytes())
+        # checked before intensities are clipped to [0, 1]
+        with pytest.raises(MalformedFile, match=re.escape(f"{path}: non-finite")):
+            read_cloud(path)
+
 
 class TestPoseIo:
     def test_identity_line(self, tmp_path):
@@ -245,6 +256,23 @@ class TestLabelIo:
         path = tmp_path / "labels.txt"
         path.write_text("Car 1 2 3\n")
         with pytest.raises(MalformedLine):
+            read_labels(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "Car 0 0 -10 0 0 10 10 1.5 1.8 4.0 1.0 1.0 10.0 0.0 nan",  # detection score
+            "Car 0 0 -10 0 0 10 10 1.5 1.8 4.0 1.0 1.0 10.0 0.0 inf",
+            "Car 0 0 -10 0 0 10 10 nan 1.8 4.0 1.0 1.0 10.0 0.0",  # dims
+            "Car 0 0 -10 0 0 10 10 1.5 -1.8 4.0 1.0 1.0 10.0 0.0",
+            "Car 0 0 -10 0 0 10 10 1.5 1.8 4.0 1.0 nan 10.0 0.0",  # location
+            "Car 0 0 -10 10 0 0 10 1.5 1.8 4.0 1.0 1.0 10.0 0.0",  # 2D box left > right
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "000004.txt"
+        path.write_text("Car 0 0 -10 0 0 10 10 1.5 1.8 4.0 1.0 1.0 10.0 0.0 0.5\n" + line + "\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:2:")):
             read_labels(path)
 
     def test_large_rotation_y_preserved(self, tmp_path):
@@ -430,3 +458,21 @@ class TestSequenceIndex:
         write_poses(tmp_path / "seq" / "poses.txt", [RigidTransform.identity()])
         with pytest.raises(MalformedFile):
             load_sequence(tmp_path / "seq")
+
+    @pytest.mark.parametrize("shape", [(160, 1600), (800, 320), (320, 799), (321, 800)])
+    def test_rasters_must_cover_the_calibrated_image(self, tmp_path, shape):
+        root = tmp_path / "seq"
+        self._make_sequence(root)
+        (root / "depth").mkdir()
+        (root / "flow").mkdir()
+        for t in range(3):
+            rows, cols = (320, 800) if t == 0 else shape
+            write_depth(root / "depth" / f"{t:06d}.bin", np.ones((rows, cols)))
+            write_flow(root / "flow" / f"{t:06d}.bin", np.zeros((rows, cols, 2)))
+        seq = load_sequence(root)
+        assert seq.read_depth(0).shape == (320, 800)
+        assert seq.read_flow(0).shape == (320, 800, 2)
+        with pytest.raises(MalformedFile, match=re.escape(f"{seq.depth_path(1)}: raster is")):
+            seq.read_depth(1)
+        with pytest.raises(MalformedFile, match=re.escape(f"{seq.flow_path(2)}: raster is")):
+            seq.read_flow(2)

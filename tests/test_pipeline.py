@@ -11,6 +11,7 @@ from lidarpgt.geometry import (
     Obb3,
     PointCloud,
     RigidTransform,
+    canonical_yaw,
     kitti_lidar_to_camera,
     project,
     yaw_matrix,
@@ -19,6 +20,7 @@ from lidarpgt.pipeline import (
     Anchor,
     _crop_rows,
     _cylinder_mask,
+    _fit,
     ScorerConfig,
     combined_confidence,
     crop_cylinder,
@@ -110,7 +112,7 @@ class TestCropCylinder:
 
 
 class TestCropRows:
-    """The x-slab crop index keeps exactly the rows a full-cloud scan keeps."""
+    """The bucket crop index keeps exactly the rows a full-cloud scan keeps."""
 
     def check(self, cloud_cam, centres, anchors=None):
         anchors = anchors or default_anchors()
@@ -164,6 +166,55 @@ class TestCropRows:
     def test_empty_cloud(self):
         crops = self.check(np.zeros((0, 3)), [np.array([0.0, 0.5, 10.0]), np.array([3.0, 0.0, 5.0])])
         assert all(len(rows) == 0 for per_anchor in crops for rows in per_anchor)
+
+    def test_points_on_bucket_boundaries(self):
+        # the bucket side as _crop_rows derives it; two far points fix the extent
+        anchors = default_anchors()
+        r_max = max(a.crop_radius() for a in anchors)
+        extent = 40.0
+        width = r_max + 1e-9 * (1.0 + extent + r_max)
+        rng = np.random.default_rng(10)
+        pts = [(extent, 0.5, extent), (-extent, 0.5, -extent)]
+        edges = [i * width for i in range(-6, 7)]
+        for x in edges:
+            for z in edges:
+                for dx in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+                    for dz in (np.nextafter(z, -np.inf), z, np.nextafter(z, np.inf)):
+                        pts.append((dx, rng.uniform(-0.5, 1.5), dz))
+        cloud_cam = np.array(pts)[rng.permutation(len(pts))]
+        centres = [np.array([x, 0.5, z]) for x in edges[::2] for z in edges[1::3]]
+        # centres whose crop edge falls on a bucket edge, or one ulp beside it
+        for a in anchors:
+            for edge in edges[4:9]:
+                for cx in (edge + a.crop_radius(), edge - a.crop_radius()):
+                    for c in (np.nextafter(cx, -np.inf), cx, np.nextafter(cx, np.inf)):
+                        centres.append(np.array([c, 0.5, edge]))
+                        centres.append(np.array([edge, 0.5, c]))
+        crops = self.check(cloud_cam, centres, anchors)
+        assert all(len(per_anchor[-1]) > 0 for per_anchor in crops)
+
+    def test_negative_coordinates(self):
+        rng = np.random.default_rng(11)
+        cloud_cam = rng.uniform((-30, -1, -30), (-0.5, 2, -0.5), size=(3000, 3))
+        centres = [np.array([x, 0.5, z]) for x, z in rng.uniform((-31, -31), (0.5, 0.5), size=(60, 2))]
+        crops = self.check(cloud_cam, centres)
+        assert any(len(rows) > 10 for per_anchor in crops for rows in per_anchor)
+
+    def test_centres_outside_the_cloud_z_span(self):
+        rng = np.random.default_rng(12)
+        cloud_cam = rng.uniform((-5, -1, 4), (5, 2, 20), size=(500, 3))
+        r_max = max(a.crop_radius() for a in default_anchors())
+        zs = [-50.0, 80.0, 4.0 - r_max, 20.0 + r_max, cloud_cam[:, 2].min() - 1.0, cloud_cam[:, 2].max() + 1.0,
+              cloud_cam[:, 2].min() - 3 * r_max, cloud_cam[:, 2].max() + 3 * r_max, -1e200, 1e200]
+        self.check(cloud_cam, [np.array([x, 0.5, z]) for z in zs for x in (-1e200, -6.0, 0.0, 6.0, 60.0)])
+
+    def test_cloud_in_a_single_bucket(self):
+        rng = np.random.default_rng(13)
+        cloud_cam = rng.uniform((0.1, -1, 10.1), (0.3, 2, 10.3), size=(400, 3))
+        xs = [-5.0, -2.5, -1.0, 0.2, 1.0, 2.5, 5.0]
+        crops = self.check(cloud_cam, [np.array([x, 0.5, z]) for x in xs for z in (5.0, 8.0, 10.2, 12.0, 15.0)])
+        assert any(len(per_anchor[0]) > 0 for per_anchor in crops)
+        assert any(len(per_anchor[-1]) == 0 for per_anchor in crops)
 
 
 def constant_depth_scene(points_cam, n_frames, intr=INTR):
@@ -335,6 +386,27 @@ class TestFitObb:
         assert abs(residual) < 1e-9
 
 
+def reference_fit_obb(points) -> Obb3:
+    """The box fit written out with np.mean and axis-0 extents, as the oracle."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) < 3:
+        raise DegenerateInput(f"box fitting needs >= 3 points, got {len(pts)}")
+    centre = pts.mean(axis=0)
+    centred = pts - centre
+    cov = centred.T @ centred / len(pts)
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] <= 1e-10 * max(vals[2], 1e-10):
+        raise DegenerateInput("point covariance is rank-deficient")
+    e = vecs[:, 2]
+    yaw = canonical_yaw(math.atan2(e[2], e[0]))
+    local = centred @ yaw_matrix(CAMERA, yaw)
+    dims = local.max(axis=0) - local.min(axis=0)
+    if dims[0] > dims[2]:
+        dims = dims[[2, 1, 0]]
+        yaw = canonical_yaw(yaw + 0.5 * math.pi)
+    return Obb3(centre, dims, yaw, CAMERA)
+
+
 class TestScores:
     def boxes_from_centres(self, centres, dims=(1.0, 1.0, 2.0)):
         return [Obb3(c, dims, 0.0, CAMERA) for c in centres]
@@ -503,7 +575,62 @@ class TestGeneratePseudoLabels:
             assert np.array_equal(alone.positions, together.positions[:, at])
             assert np.array_equal(alone.alive, together.alive[:, at])
             for k in range(4):
-                assert np.array_equal(alone.point_set(k), together.point_set(k, at))
+                assert np.array_equal(alone.point_set(k), together.positions[k, at][together.alive[k, at]])
+
+    def test_fit_kernel_equals_fit_obb_on_every_fitted_set(self, monkeypatch):
+        import lidarpgt.pipeline as pipeline
+        from lidarpgt.bev import GridSpec
+        from lidarpgt.proposals import heuristic_grid
+        from lidarpgt.sampling import SamplerConfig
+
+        cfg, frames = self._vehicle_scene()
+        spec = GridSpec()
+        fitted = []
+
+        def recording(pts):
+            fitted.append(pts.copy())
+            return _fit(pts)
+
+        monkeypatch.setattr(pipeline, "_fit", recording)
+        pipeline.generate_pseudo_labels(
+            self._window(frames, cfg, 3), heuristic_grid(frames[0].cloud, spec), spec,
+            sampler_cfg=SamplerConfig(sample_count=120, seed=1),
+        )
+        monkeypatch.undo()
+        swapped = degenerate = 0
+        for pts in fitted:
+            fit = _fit(pts)
+            try:
+                expected = reference_fit_obb(pts)
+            except DegenerateInput:
+                assert fit is None
+                with pytest.raises(DegenerateInput):
+                    fit_obb(pts)
+                degenerate += 1
+                continue
+            for box in (fit, fit_obb(pts)):
+                assert np.array_equal(box.centre, expected.centre)
+                assert np.array_equal(box.dims, expected.dims)
+                assert box.yaw == expected.yaw
+            e = principal_direction(pts)
+            swapped += fit.yaw != canonical_yaw(math.atan2(e[2], e[0]))
+        assert len(fitted) - degenerate > 500 and degenerate > 0 and swapped > 0
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.zeros((0, 3)),
+            np.array([[1.0, 2.0, 3.0]]),
+            np.array([[1.0, 2.0, 3.0], [2.0, 2.5, 5.0]]),
+            np.array([[0.0, 0.0, 5.0], [1.0, 0.5, 6.0], [2.0, 1.0, 7.0], [3.0, 1.5, 8.0]]),  # collinear
+            np.tile([[0.3, 1.1, 9.0]], (6, 1)),  # coincident
+            np.column_stack([np.arange(5.0), np.full(5, 0.7), np.arange(5.0) ** 2]),  # planar
+        ],
+    )
+    def test_fit_kernel_degenerate_exactly_where_fit_obb_raises(self, pts):
+        assert _fit(pts) is None
+        with pytest.raises(DegenerateInput):
+            fit_obb(pts)
 
     def test_tracks_once_per_frame(self, monkeypatch):
         import lidarpgt.pipeline as pipeline
