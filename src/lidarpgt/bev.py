@@ -91,11 +91,6 @@ class BoxCode:
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.delta, self.dims, [self.yaw, self.confidence]])
 
-    @staticmethod
-    def from_array(values) -> "BoxCode":
-        v = np.asarray(values, dtype=float).reshape(8)
-        return BoxCode(v[0:3], v[3:6], float(v[6]), float(v[7]))
-
 
 class BoxGrid:
     """Dense (rows, cols, 8) image of box codes."""
@@ -121,10 +116,6 @@ class BoxGrid:
     @property
     def confidence(self) -> np.ndarray:
         return self.data[:, :, 7]
-
-    def code_at(self, pixel) -> BoxCode:
-        r, c = pixel
-        return BoxCode.from_array(self.data[r, c])
 
     def set_code(self, pixel, code: BoxCode):
         r, c = pixel
@@ -214,14 +205,9 @@ def pillar_centre(pixel, spec: GridSpec) -> np.ndarray:
     return pillar_centres(r, c, spec)
 
 
-def decode_centre(pixel, code: BoxCode, spec: GridSpec) -> np.ndarray:
-    """Box centre encoded at a pixel: pillar centre plus the stored offset."""
-    return pillar_centre(pixel, spec) + code.delta
-
-
 def decode_box(pixel, code: BoxCode, spec: GridSpec) -> Obb3:
-    """Decode a pixel's code into a lidar-frame box (requires positive dims)."""
-    return Obb3(decode_centre(pixel, code, spec), code.dims, code.yaw, LIDAR)
+    """Lidar-frame box of a pixel's code: pillar centre plus offset (requires positive dims)."""
+    return Obb3(pillar_centre(pixel, spec) + code.delta, code.dims, code.yaw, LIDAR)
 
 
 def encode_box(box: Obb3, spec: GridSpec, confidence: float = 1.0):

@@ -13,7 +13,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -22,13 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .bev import decode_box
-from .dataset import load_sequence, write_labels
+from .bev import pillar_centres, rasterize
+from .dataset import (
+    load_sequence, read_calib, read_diagnostics, write_diagnostics, write_labels, write_raster,
+)
 from .errors import LidarPgtError
 from .evaluation import evaluate_sequence, label_record
 from .geometry import LIDAR, Obb3, transform_obb
-from .loss import frame_loss_terms
-from .pipeline import FrameWindow, PseudoLabel, generate_pseudo_labels
+from .loss import LossBreakdown, frame_loss_terms
+from .pipeline import FrameWindow, generate_pseudo_labels
 from .proposals import grid_from_file, heuristic_grid
 from .render import GT_COLOR, PROPOSAL_COLOR, PSEUDO_COLOR, render_overlays, write_ppm
 from .simulate import make_scene, write_scene
@@ -135,40 +136,6 @@ def _load_grid(grids: Path | None, seq, t, spec, ground_margin, cloud=None):
     return grid_from_file(grids / f"{t:06d}.bin", spec)
 
 
-def _diagnostics_payload(result):
-    pixels = []
-    by_pixel = {label.pixel: label for label in result.u_plus}
-    targets = dict(result.u_minus)
-    for diag in result.diagnostics:
-        entry = {
-            "pixel": list(diag.pixel),
-            "smoothed_confidence": diag.smoothed_confidence,
-            "chosen_anchor": diag.chosen_anchor,
-            "anchors": {
-                name: {
-                    "moving": score.moving,
-                    "inconsistency": score.inconsistency,
-                    "confidence": None if score.confidence == -math.inf else score.confidence,
-                }
-                for name, score in diag.anchor_scores.items()
-            },
-        }
-        label = by_pixel.get(diag.pixel)
-        if label is not None:
-            entry["target_confidence"] = label.confidence
-            entry["box_lidar"] = {
-                "centre": label.box.centre.tolist(),
-                "dims": label.box.dims.tolist(),
-                "yaw": label.box.yaw,
-            }
-            entry["anchor"] = label.anchor
-        else:
-            entry["target_confidence"] = targets[diag.pixel]
-            entry["box_lidar"] = None
-        pixels.append(entry)
-    return {"pixels": pixels}
-
-
 def _generate_frame(seq, spec, sampler, scorer, anchors, grids, ground_margin, out: Path, t: int):
     """Label the window starting at frame t and write its files; the run's
     inputs come first so that `functools.partial` binds them once."""
@@ -183,9 +150,7 @@ def _generate_frame(seq, spec, sampler, scorer, anchors, grids, ground_margin, o
         for label in result.u_plus
     ]
     write_labels(out / "label_pgt" / f"{t:06d}.txt", records)
-    (out / "diagnostics" / f"{t:06d}.json").write_text(
-        json.dumps(_diagnostics_payload(result), indent=1) + "\n"
-    )
+    write_diagnostics(out / "diagnostics" / f"{t:06d}.json", result)
     mean_conf_sum = sum(l.confidence for l in result.u_plus) + sum(c for _, c in result.u_minus)
     return len(result.u_plus), len(result.u_minus), mean_conf_sum
 
@@ -227,10 +192,9 @@ def cmd_generate(args) -> int:
     jobs = min(args.jobs or os.cpu_count() or 1, n_windows)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         results = list((pool.map if pool else map)(work, range(n_windows)))
-    n_plus = sum(r[0] for r in results)
-    n_minus = sum(r[1] for r in results)
+    n_plus, n_minus, conf_sum = map(sum, zip(*results))
     total = n_plus + n_minus
-    mean_conf = (sum(r[2] for r in results) / total) if total else 0.0
+    mean_conf = conf_sum / total if total else 0.0
     print(f"U+: {n_plus}  U-: {n_minus}  mean confidence: {mean_conf:.4f}")
     return 0
 
@@ -261,39 +225,19 @@ def _thresholds(text: str) -> list[float]:
 
 
 def cmd_evaluate(args) -> int:
-    intrinsics = None
-    if args.calib:
-        from .dataset import read_calib
-
-        intrinsics = read_calib(args.calib).intrinsics
-    report = evaluate_sequence(
-        args.dets, args.gt, mode=args.mode, thresholds=args.iou,
-        intrinsics=intrinsics,
-    )
+    intrinsics = read_calib(args.calib).intrinsics if args.calib else None
+    report = evaluate_sequence(args.dets, args.gt, args.mode, args.iou, intrinsics)
     print(report.format_table())
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=1) + "\n")
     return 0
 
 
-def _labels_from_diagnostics(path) -> tuple[list, list]:
-    payload = json.loads(Path(path).read_text())
-    u_plus, u_minus = [], []
-    for entry in payload["pixels"]:
-        pixel = tuple(entry["pixel"])
-        if entry["box_lidar"] is None:
-            u_minus.append((pixel, entry["target_confidence"]))
-        else:
-            b = entry["box_lidar"]
-            u_plus.append(
-                PseudoLabel(
-                    pixel,
-                    Obb3(b["centre"], b["dims"], b["yaw"], LIDAR),
-                    entry["target_confidence"],
-                    entry["anchor"],
-                )
-            )
-    return u_plus, u_minus
+def _loss_terms_text(terms: LossBreakdown) -> str:
+    return (
+        f"centre={terms.centre:.6f} dims={terms.dims:.6f} yaw={terms.yaw:.6f} "
+        f"conf+={terms.confidence_pos:.6f} conf-={terms.confidence_neg:.6f}"
+    )
 
 
 def cmd_evaluate_loss(args) -> int:
@@ -306,25 +250,16 @@ def cmd_evaluate_loss(args) -> int:
     if not files:
         print(f"{diag_dir}: no diagnostics files", file=sys.stderr)
         return 2
-    totals = {"centre": 0.0, "dims": 0.0, "yaw": 0.0, "confidence_pos": 0.0, "confidence_neg": 0.0}
+    totals = LossBreakdown()
     for path in files:
         t = int(path.stem)
         grid = _load_grid(args.proposals, seq, t, spec, cfgmod.ground_margin(cfg))
-        u_plus, u_minus = _labels_from_diagnostics(path)
+        u_plus, u_minus = read_diagnostics(path, spec)
         terms = frame_loss_terms(grid, u_plus, u_minus, spec, loss_cfg)
-        print(
-            f"frame {t:04d}: total={terms.total:.6f} centre={terms.centre:.6f} "
-            f"dims={terms.dims:.6f} yaw={terms.yaw:.6f} "
-            f"conf+={terms.confidence_pos:.6f} conf-={terms.confidence_neg:.6f}"
-        )
-        for key in totals:
-            totals[key] += getattr(terms, key)
-    grand = sum(totals.values())
-    print(
-        f"total: {grand:.6f} centre={totals['centre']:.6f} dims={totals['dims']:.6f} "
-        f"yaw={totals['yaw']:.6f} conf+={totals['confidence_pos']:.6f} "
-        f"conf-={totals['confidence_neg']:.6f}"
-    )
+        print(f"frame {t:04d}: total={terms.total:.6f} {_loss_terms_text(terms)}")
+        for key, value in vars(terms).items():
+            setattr(totals, key, getattr(totals, key) + value)
+    print(f"total: {totals.total:.6f} {_loss_terms_text(totals)}")
     return 0
 
 
@@ -338,47 +273,40 @@ def cmd_render(args) -> int:
     overlays = []
     cam_to_lidar = seq.calibration.lidar_to_cam.invert()
     if "gt" in wanted and seq.label_path(t).exists():
-        boxes = [
-            transform_obb(r.box, cam_to_lidar, LIDAR) for r in seq.read_labels(t)
-        ]
+        boxes = [transform_obb(r.box, cam_to_lidar, LIDAR) for r in seq.read_labels(t)]
         overlays.append((GT_COLOR, boxes))
     if "pseudo" in wanted:
         if not args.pgt:
             raise _UsageError("--pgt is required for the pseudo overlay")
-        u_plus, _ = _labels_from_diagnostics(Path(args.pgt) / "diagnostics" / f"{t:06d}.json")
+        u_plus, _ = read_diagnostics(Path(args.pgt) / "diagnostics" / f"{t:06d}.json", spec)
         overlays.append((PSEUDO_COLOR, [label.box for label in u_plus]))
     if "proposals" in wanted:
         grid = heuristic_grid(cloud, spec, cfgmod.ground_margin(cfg))
         threshold = cfgmod.sampler_config(cfg).confidence_threshold
         shown = (grid.confidence > threshold) & np.all(grid.data[:, :, 3:6] > 0, axis=2)
-        boxes = [decode_box(tuple(px), grid.code_at(px), spec) for px in np.argwhere(shown)]
+        rows, cols = np.nonzero(shown)
+        codes = grid.data[rows, cols]
+        centres = pillar_centres(rows, cols, spec) + codes[:, 0:3]
+        boxes = [Obb3(c, code[3:6], float(code[6]), LIDAR) for c, code in zip(centres, codes)]
         overlays.append((PROPOSAL_COLOR, boxes))
     image = render_overlays(cloud, spec, overlays)
     write_ppm(args.out, image)
     if args.bev_raster:
-        from .bev import rasterize
-        from .dataset import write_raster
-
         write_raster(args.bev_raster, rasterize(cloud, spec), sentinel=None)
     print(f"wrote {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (LidarPgtError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LidarPgtError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal invariant violations

@@ -17,6 +17,8 @@ shape, dtype and the invalid-value sentinel.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +27,8 @@ import numpy as np
 
 from .bev import BoxGrid, GridSpec, require_grid_shape
 from .errors import MalformedFile, MalformedLine, ShapeMismatch
-from .geometry import AABB2, CAMERA, CameraIntrinsics, Obb3, PointCloud, RigidTransform
+from .geometry import AABB2, CAMERA, LIDAR, CameraIntrinsics, Obb3, PointCloud, RigidTransform
+from .pipeline import PgtResult, PseudoLabel
 
 _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
 
@@ -365,6 +368,89 @@ def read_box_grid(path, spec: GridSpec) -> BoxGrid:
 
 
 # ---------------------------------------------------------------------------
+# pseudo-label diagnostics: {"pixels": [one entry per sampled pixel]}
+
+
+def write_diagnostics(path, result: PgtResult):
+    """Write every sampled pixel's scores and target; a U+ entry also carries its box."""
+    labels = {label.pixel: label for label in result.u_plus}
+    targets = dict(result.u_minus)
+    pixels = []
+    for diag in result.diagnostics:
+        entry = {
+            "pixel": list(diag.pixel),
+            "smoothed_confidence": diag.smoothed_confidence,
+            "chosen_anchor": diag.chosen_anchor,
+            "anchors": {
+                name: {"moving": s.moving, "inconsistency": s.inconsistency,
+                       "confidence": None if s.confidence == -math.inf else s.confidence}
+                for name, s in diag.anchor_scores.items()
+            },
+            "target_confidence": targets.get(diag.pixel),
+            "box_lidar": None,
+        }
+        label = labels.get(diag.pixel)
+        if label is not None:
+            box = label.box
+            entry.update(target_confidence=label.confidence, anchor=label.anchor, box_lidar={
+                "centre": box.centre.tolist(), "dims": box.dims.tolist(), "yaw": box.yaw,
+            })
+        pixels.append(entry)
+    Path(path).write_text(json.dumps({"pixels": pixels}, indent=1) + "\n")
+
+
+def _json_floats(obj: dict, key, count=0) -> list[float]:
+    """obj[key] as finite floats: one number when count is 0, else a list of count."""
+    values = [obj.get(key)] if count == 0 else obj.get(key)
+    if not (isinstance(values, list) and len(values) == max(count, 1)
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)):
+        what = f"{count} finite numbers" if count else "a finite number"
+        raise ValueError(f"{key!r} must be {what}")
+    return [float(v) for v in values]
+
+
+def _diagnostics_entry(entry, spec: GridSpec):
+    """A PseudoLabel for a U+ entry, else a (pixel, target) pair."""
+    if not (isinstance(entry, dict) and "box_lidar" in entry):
+        raise ValueError("expected a JSON object with a 'box_lidar' key")
+    pixel = entry.get("pixel")
+    if not (isinstance(pixel, list) and len(pixel) == 2 and all(type(v) is int for v in pixel)
+            and 0 <= pixel[0] < spec.out_rows and 0 <= pixel[1] < spec.out_cols):
+        raise ValueError(f"'pixel' must be [row, col] in the {spec.out_rows}x{spec.out_cols} grid")
+    (target,) = _json_floats(entry, "target_confidence")
+    if not 0.0 <= target <= 1.0:
+        raise ValueError("'target_confidence' must lie in [0, 1]")
+    box, anchor = entry["box_lidar"], entry.get("anchor")
+    if box is None:
+        return tuple(pixel), target
+    if not (isinstance(box, dict) and isinstance(anchor, str)):
+        raise ValueError("a boxed entry needs a 'box_lidar' object and an 'anchor' string")
+    centre, dims = _json_floats(box, "centre", 3), _json_floats(box, "dims", 3)
+    obb = Obb3(centre, dims, _json_floats(box, "yaw")[0], LIDAR)
+    return PseudoLabel(tuple(pixel), obb, target, anchor)
+
+
+def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
+    """Read a diagnostics file back into its (u_plus, u_minus) targets on `spec`'s grid;
+    a missing, mistyped or invalid value raises MalformedFile naming the first bad entry."""
+    try:  # NaN and Infinity load as floats, which the entry checks reject
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSON or text decoding
+        raise MalformedFile(f"{path}: {exc}") from exc
+    entries = payload.get("pixels") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise MalformedFile(f"{path}: expected a JSON object with a 'pixels' list")
+    u_plus, u_minus = [], []
+    for i, entry in enumerate(entries):
+        try:
+            target = _diagnostics_entry(entry, spec)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}: pixels[{i}]: {exc}") from exc
+        (u_plus if isinstance(target, PseudoLabel) else u_minus).append(target)
+    return u_plus, u_minus
+
+
+# ---------------------------------------------------------------------------
 # sequences
 
 
@@ -430,10 +516,9 @@ def load_sequence(root) -> SequenceIndex:
             f"{root}: {len(poses)} poses for {len(indices)} frames"
         )
     index = SequenceIndex(root, calib, poses, len(indices))
-    for sub, suffix in (("depth", ".bin"), ("flow", ".bin")):
+    for sub, frame_path in (("depth", index.depth_path), ("flow", index.flow_path)):
         if (root / sub).is_dir():
-            for t in range(index.n_frames):
-                p = root / sub / f"{t:06d}{suffix}"
+            for p in map(frame_path, range(index.n_frames)):
                 if not p.exists():
                     raise MalformedFile(f"{root}: missing {p.relative_to(root)}")
     return index

@@ -89,11 +89,11 @@ class LossBreakdown:
         return self.centre + self.dims + self.yaw + self.confidence_pos + self.confidence_neg
 
 
-def _checked_code(grid: BoxGrid, pixel):
+def _checked_code(grid: BoxGrid, pixel) -> list[float]:
     r, c = pixel
     if not (0 <= r < grid.rows and 0 <= c < grid.cols):
         raise PixelOutOfRange(f"pixel {(r, c)} outside {grid.rows}x{grid.cols} grid")
-    return grid.code_at(pixel)
+    return grid.data[r, c].tolist()
 
 
 def frame_loss_terms(
@@ -108,14 +108,13 @@ def frame_loss_terms(
     out = LossBreakdown()
     for label in sorted(u_plus, key=lambda l: l.pixel):
         code = _checked_code(grid, label.pixel)
-        predicted_centre = pillar_centre(label.pixel, spec) + code.delta
+        predicted_centre = pillar_centre(label.pixel, spec) + code[0:3]
         out.centre += float(np.sum(balanced_l1(predicted_centre - label.box.centre, cfg)))
-        out.dims += float(np.sum(balanced_l1(code.dims - label.box.dims, cfg)))
-        out.yaw += float(balanced_l1(wrap_angle_residual(code.yaw - label.box.yaw), cfg))
-        out.confidence_pos += (code.confidence - label.confidence) ** 2
+        out.dims += float(np.sum(balanced_l1(code[3:6] - label.box.dims, cfg)))
+        out.yaw += float(balanced_l1(wrap_angle_residual(code[6] - label.box.yaw), cfg))
+        out.confidence_pos += (code[7] - label.confidence) ** 2
     for pixel, target in sorted(u_minus, key=lambda p: p[0]):
-        code = _checked_code(grid, pixel)
-        out.confidence_neg += (code.confidence - target) ** 2
+        out.confidence_neg += (_checked_code(grid, pixel)[7] - target) ** 2
     return out
 
 

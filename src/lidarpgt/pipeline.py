@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .bev import BoxGrid, GridSpec, require_grid_shape
-from .dataset import SequenceIndex
 from .errors import DegenerateInput, MissingFrameData
 from .geometry import (
     CAMERA,
@@ -33,6 +32,9 @@ from .geometry import (
     yaw_matrix,
 )
 from .sampling import SamplerConfig, grid_centres, sample_pixels, smooth_confidence
+
+if TYPE_CHECKING:  # dataset imports this module for the pseudo-label types
+    from .dataset import SequenceIndex
 
 # Pixel window half-width for the nearest-valid-depth search during tracking.
 _DEPTH_SEARCH_RADIUS = 7
@@ -590,8 +592,8 @@ def generate_pseudo_labels(
         selected = select_anchor(scores, anchors, scorer_cfg.score_threshold)
         if selected is not None:
             anchor, score = selected
-            box_lidar = transform_obb(Obb3(*first_fits[anchor.name], CAMERA), cam_to_lidar, LIDAR)
-            u_plus.append(PseudoLabel(pixel, box_lidar, _clamp01(score), anchor.name))
+            box = transform_obb(Obb3(*first_fits[anchor.name], CAMERA), cam_to_lidar, LIDAR)
+            u_plus.append(PseudoLabel(pixel, box, _clamp01(score), anchor.name))
             diag.chosen_anchor = anchor.name
         else:
             u_minus.append((pixel, _clamp01(max(scores, default=-math.inf))))

@@ -6,7 +6,6 @@ from lidarpgt.bev import (
     BoxGrid,
     GridSpec,
     decode_box,
-    decode_centre,
     encode_box,
     pillar_centre,
     rasterize,
@@ -145,8 +144,8 @@ class TestEncodeDecode:
 
     def test_delta_shifts_centre(self):
         spec = GridSpec()
-        base = decode_centre((3, 4), BoxCode(np.zeros(3), np.zeros(3), 0.0, 0.0), spec)
-        shifted = decode_centre((3, 4), BoxCode((1.0, 0.0, 0.0), np.zeros(3), 0.0, 0.0), spec)
+        base = decode_box((3, 4), BoxCode(np.zeros(3), np.ones(3), 0.0, 0.0), spec).centre
+        shifted = decode_box((3, 4), BoxCode((1.0, 0.0, 0.0), np.ones(3), 0.0, 0.0), spec).centre
         assert np.allclose(shifted - base, [1.0, 0.0, 0.0])
 
     def test_round_trip_random_boxes(self):
@@ -175,8 +174,7 @@ class TestBoxGrid:
         grid = BoxGrid.zeros(GridSpec())
         code = BoxCode((0.1, -0.2, 0.3), (1.0, 2.0, 3.0), 0.5, 0.9)
         grid.set_code((5, 7), code)
-        out = grid.code_at((5, 7))
-        assert np.allclose(out.as_array(), code.as_array())
+        assert np.allclose(grid.data[5, 7], code.as_array())
 
     def test_confidence_validation(self):
         with pytest.raises(ValueError):

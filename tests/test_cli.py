@@ -1,11 +1,18 @@
+import functools
 import json
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
-from lidarpgt.dataset import load_sequence, read_cloud
+from lidarpgt.dataset import load_sequence, read_cloud, read_diagnostics
+from lidarpgt.errors import LidarPgtError
+from lidarpgt.pipeline import generate_pseudo_labels
 
 CONFIG = {
     "simulate": {
@@ -53,6 +60,32 @@ class TestCliRoundTrip:
         assert payload["pixels"]
         entry = payload["pixels"][0]
         assert {"pixel", "smoothed_confidence", "anchors", "target_confidence"} <= set(entry)
+
+    def test_diagnostics_read_back_equal_the_run(self, workspace, tmp_path, monkeypatch):
+        import lidarpgt.cli as cli
+
+        results = []
+
+        def recording(*args):
+            results.append(generate_pseudo_labels(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "generate_pseudo_labels", recording)
+        out = tmp_path / "pgt"
+        argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(workspace / "cfg.json")]
+        assert main(argv + ["--jobs", "1"]) == 0
+        assert len(results) == 2  # windows 0 and 1, in order
+
+        def fields(label):
+            box = label.box
+            return label.pixel, box.centre.tolist(), box.dims.tolist(), box.yaw, label.confidence, label.anchor
+
+        for t, result in enumerate(results):
+            u_plus, u_minus = read_diagnostics(out / "diagnostics" / f"{t:06d}.json", GridSpec())
+            assert result.u_minus
+            assert [fields(l) for l in u_plus] == [fields(l) for l in result.u_plus]
+            assert u_minus == result.u_minus
+        assert any(result.u_plus for result in results)
 
     def test_evaluate_runs(self, workspace, capsys):
         code = main(
@@ -413,51 +446,158 @@ def _replace_line(index, text):
     return corrupt
 
 
-# name: (corrupted file, relative to the sequence copy, and how)
+def _write_text(text):
+    def corrupt(path):
+        path.write_text(text)
+
+    return corrupt
+
+
+def _edit_entry(edit, boxed=False):
+    """Apply `edit` to the first diagnostics entry (with a box, if `boxed`);
+    returns the entry's name, which the error must give."""
+
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        i = next(i for i, e in enumerate(payload["pixels"]) if not boxed or e["box_lidar"])
+        edit(payload["pixels"][i])
+        path.write_text(json.dumps(payload))
+        return f"pixels[{i}]"
+
+    return corrupt
+
+
+# name: (corrupted file, relative to a copy of the workspace, and how); every
+# command that reads the file is run on it
 CORRUPTIONS = {
-    "calib-nan-rotation": ("calib.txt", _replace_line(1, "lidar_to_cam: nan -1 0 0 0 0 -1 0 1 0 0 0")),
-    "calib-nan-focal": ("calib.txt", _replace_line(0, "intrinsics: nan 500 400 150 800 320")),
-    "pose-nan": ("poses.txt", _replace_line(1, " ".join(["nan"] * 12))),
-    "flow-nan": ("flow/000000.bin", _poison_raster(np.nan)),
-    "depth-inf": ("depth/000001.bin", _poison_raster(np.inf)),
-    "grid-nan-confidence": ("grids/000000.bin", _poison_raster(np.nan)),
-    "grid-huge-offset": ("grids/000000.bin", _offset_occupied_cells(1e38)),
-    "grid-confidence-above-one": ("grids/000000.bin", _set_grid_channel(7, 7.0, (0, 0))),
-    "grid-negative-size": ("grids/000000.bin", _set_grid_channel(3, -1.0)),
+    "calib-nan-rotation": ("seq/calib.txt", _replace_line(1, "lidar_to_cam: nan -1 0 0 0 0 -1 0 1 0 0 0")),
+    "calib-nan-focal": ("seq/calib.txt", _replace_line(0, "intrinsics: nan 500 400 150 800 320")),
+    "pose-nan": ("seq/poses.txt", _replace_line(1, " ".join(["nan"] * 12))),
+    "flow-nan": ("seq/flow/000000.bin", _poison_raster(np.nan)),
+    "depth-inf": ("seq/depth/000001.bin", _poison_raster(np.inf)),
+    "grid-nan-confidence": ("seq/grids/000000.bin", _poison_raster(np.nan)),
+    "grid-huge-offset": ("seq/grids/000000.bin", _offset_occupied_cells(1e38)),
+    "grid-confidence-above-one": ("seq/grids/000000.bin", _set_grid_channel(7, 7.0, (0, 0))),
+    "grid-negative-size": ("seq/grids/000000.bin", _set_grid_channel(3, -1.0)),
     # same byte count as the 320x800 camera's rasters, wrong image shape
-    "depth-shape-160x1600": ("depth/000001.bin.json", _set_sidecar_shape(160, 1600)),
-    "flow-shape-160x1600": ("flow/000000.bin.json", _set_sidecar_shape(160, 1600)),
-    "sidecar-no-rows": ("depth/000000.bin.json", lambda p: p.write_text('{"cols": 800, "channels": 1}')),
-    "sidecar-list": ("flow/000000.bin.json", lambda p: p.write_text("[320, 800, 2]")),
-    "sidecar-string-rows": (
-        "depth/000000.bin.json", lambda p: p.write_text('{"rows": "320", "cols": 800, "channels": 1}')
+    "depth-shape-160x1600": ("seq/depth/000001.bin.json", _set_sidecar_shape(160, 1600)),
+    "flow-shape-160x1600": ("seq/flow/000000.bin.json", _set_sidecar_shape(160, 1600)),
+    "sidecar-no-rows": ("seq/depth/000000.bin.json", _write_text('{"cols": 800, "channels": 1}')),
+    "sidecar-list": ("seq/flow/000000.bin.json", _write_text("[320, 800, 2]")),
+    "sidecar-string-rows": ("seq/depth/000000.bin.json", _write_text('{"rows": "320", "cols": 800, "channels": 1}')),
+    "diagnostics-pixel-too-short": ("pgt/diagnostics/000000.json", _write_text('{"pixels": [{"pixel": [0]}]}')),
+    "diagnostics-list-root": ("pgt/diagnostics/000000.json", _write_text("[]")),
+    "diagnostics-pixels-not-a-list": ("pgt/diagnostics/000000.json", _write_text('{"pixels": 3}')),
+    "diagnostics-truncated": ("pgt/diagnostics/000000.json", _write_text("{")),
+    "diagnostics-nan-target": (
+        "pgt/diagnostics/000000.json", _edit_entry(lambda e: e.update(target_confidence=float("nan")))
     ),
+    "diagnostics-string-target": (
+        "pgt/diagnostics/000000.json", _edit_entry(lambda e: e.update(target_confidence="x"))
+    ),
+    "diagnostics-target-above-one": (
+        "pgt/diagnostics/000000.json", _edit_entry(lambda e: e.update(target_confidence=1.5))
+    ),
+    "diagnostics-pixel-outside-grid": (
+        "pgt/diagnostics/000000.json", _edit_entry(lambda e: e.update(pixel=[999, 0]))
+    ),
+    # window 0 of the workspace has no U+ entry, window 1 has one
+    "diagnostics-negative-dims": (
+        "pgt/diagnostics/000001.json", _edit_entry(lambda e: e["box_lidar"].update(dims=[-1.0, 1.0, 1.0]), True)
+    ),
+    "diagnostics-no-anchor": ("pgt/diagnostics/000001.json", _edit_entry(lambda e: e.pop("anchor"), True)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, name):
+READERS = {"seq/": ("generate",), "pgt/diagnostics/": ("evaluate-loss", "render")}
+CORRUPTION_CASES = [
+    pytest.param(name, command, id=name if command == "generate" else f"{name}-{command}")
+    for name, (relative, _) in sorted(CORRUPTIONS.items())
+    for prefix, commands in READERS.items() if relative.startswith(prefix)
+    for command in commands
+]
+
+
+@pytest.mark.parametrize("name, command", CORRUPTION_CASES)
+def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, name, command):
     import shutil
     import warnings
 
     from lidarpgt.dataset import write_box_grid
     from lidarpgt.proposals import heuristic_grid
 
-    seq = tmp_path / "seq"
+    seq, pgt, cfg = tmp_path / "seq", tmp_path / "pgt", str(workspace / "cfg.json")
     shutil.copytree(workspace / "seq", seq)
+    shutil.copytree(workspace / "pgt" / "diagnostics", pgt / "diagnostics")
     relative, corrupt = CORRUPTIONS[name]
-    argv = ["generate", str(seq), "--out", str(tmp_path / "out"), "--config", str(workspace / "cfg.json"), "--jobs", "1"]
-    if relative.startswith("grids/"):
+    argv = {
+        "generate": ["generate", str(seq), "--out", str(tmp_path / "out"), "--config", cfg, "--jobs", "1"],
+        "evaluate-loss": ["evaluate-loss", str(seq), "--pgt", str(pgt), "--config", cfg],
+        "render": ["render", str(seq), "--frame", Path(relative).stem, "--out", str(tmp_path / "f.ppm"),
+                   "--overlays", "gt,pseudo", "--pgt", str(pgt), "--config", cfg],
+    }[command]
+    if relative.startswith("seq/grids/"):
         grids = seq / "grids"
         grids.mkdir()
         for t in range(2):
             cloud = read_cloud(seq / "velodyne" / f"{t:06d}.bin")
             write_box_grid(grids / f"{t:06d}.bin", heuristic_grid(cloud, GridSpec()))
         argv += ["--proposals", f"file:{grids}"]
-    corrupt(seq / relative)
+    entry = corrupt(tmp_path / relative)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
     err = capsys.readouterr().err
-    assert str(seq / relative.removesuffix(".json")) in err, err
+    # a raster's sidecar errors may name the raster
+    assert str(tmp_path / relative.replace(".bin.json", ".bin")) in err, err
+    assert entry is None or entry in err, err
     assert len(err.splitlines()) == 1 and len(err) < 400, err
+
+
+def _json_paths(node, path=()):
+    """The key path of every value below `node` in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def small_diagnostics(workspace):
+    """A diagnostics file of `generate`'s entries, cut to the first U- and the first U+ one."""
+    pixels = [
+        entry for path in sorted((workspace / "pgt" / "diagnostics").glob("*.json"))
+        for entry in json.loads(path.read_text())["pixels"]
+    ]
+    kept = [next(e for e in pixels if e["box_lidar"] is None), next(e for e in pixels if e["box_lidar"])]
+    return json.dumps({"pixels": kept})
+
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -1.0, 1.5, 999, -1, 10**400, True, None, "x", [], {}]),
+    st.floats(),
+    st.integers(),
+    st.lists(st.floats(), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_diagnostics_raises_only_package_errors(small_diagnostics, tmp_path_factory, data):
+    payload = json.loads(small_diagnostics)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        paths = list(_json_paths(payload))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths), label="path")
+        parent = functools.reduce(operator.getitem, parents, payload)
+        if isinstance(parent, dict) and data.draw(st.booleans(), label="drop"):
+            del parent[key]
+        else:
+            parent[key] = data.draw(ODD_VALUES, label="value")
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(payload))
+    try:
+        read_diagnostics(path, GridSpec())
+    except LidarPgtError:
+        pass

@@ -52,9 +52,9 @@ class TestHeuristicGrid:
         c = int((0.2 - SPEC.y_range[0]) / SPEC.cell_y)
         from lidarpgt.bev import pillar_centre
 
-        code = grid.code_at((r, c))
-        assert np.allclose(pillar_centre((r, c), SPEC) + code.delta, pt[0], atol=1e-12)
-        assert np.allclose(code.dims, [0.1, 0.1, 0.1])  # clamped floor
+        code = grid.data[r, c]
+        assert np.allclose(pillar_centre((r, c), SPEC) + code[0:3], pt[0], atol=1e-12)
+        assert np.allclose(code[3:6], [0.1, 0.1, 0.1])  # clamped floor
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
