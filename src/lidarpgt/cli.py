@@ -23,7 +23,8 @@ import numpy as np
 from . import config as cfgmod
 from .bev import pillar_centres, rasterize
 from .dataset import (
-    load_sequence, read_calib, read_diagnostics, write_diagnostics, write_labels, write_raster,
+    frame_index, load_sequence, read_calib, read_diagnostics, write_diagnostics, write_labels,
+    write_raster,
 )
 from .errors import LidarPgtError
 from .evaluation import evaluate_sequence, label_record
@@ -246,13 +247,12 @@ def cmd_evaluate_loss(args) -> int:
     spec = cfgmod.grid_spec(cfg)
     loss_cfg = cfgmod.loss_config(cfg)
     diag_dir = Path(args.pgt) / "diagnostics"
-    files = sorted(diag_dir.glob("*.json"))
-    if not files:
+    frames = sorted((frame_index(path), path) for path in diag_dir.glob("*.json"))
+    if not frames:
         print(f"{diag_dir}: no diagnostics files", file=sys.stderr)
         return 2
     totals = LossBreakdown()
-    for path in files:
-        t = int(path.stem)
+    for t, path in frames:
         grid = _load_grid(args.proposals, seq, t, spec, cfgmod.ground_margin(cfg))
         u_plus, u_minus = read_diagnostics(path, spec)
         terms = frame_loss_terms(grid, u_plus, u_minus, spec, loss_cfg)

@@ -149,7 +149,7 @@ def load_config(path=None) -> dict:
         return copy.deepcopy(DEFAULTS)
     try:
         user = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON or text decoding
         raise ConfigInvalid(f"{path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigInvalid(f"{path}: config root must be an object")

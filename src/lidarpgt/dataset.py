@@ -59,6 +59,17 @@ def write_cloud(path, cloud: PointCloud):
 # poses
 
 
+def _lines(path):
+    """(`path:line`, text) of each non-blank line of a UTF-8 text file."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            yield f"{path}:{lineno}", line
+
+
 def _finite_values(fields, where) -> np.ndarray:
     """Parse text fields as finite floats; `where` names the file and line."""
     try:
@@ -83,21 +94,19 @@ def read_poses(path) -> list[RigidTransform]:
     a warning; drift beyond 1e-3 is rejected.
     """
     poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
-        if not line.strip():
-            continue
+    for where, line in _lines(path):
         fields = line.split()
         if len(fields) != 12:
-            raise MalformedLine(f"{path}:{lineno + 1}: expected 12 values, got {len(fields)}")
-        values = _finite_values(fields, f"{path}:{lineno + 1}").reshape(3, 4)
+            raise MalformedLine(f"{where}: expected 12 values, got {len(fields)}")
+        values = _finite_values(fields, where).reshape(3, 4)
         rot, tra = values[:, :3], values[:, 3]
         drift = max(
             np.abs(rot.T @ rot - np.eye(3)).max(), abs(np.linalg.det(rot) - 1.0)
         )
         if not drift <= 1e-3:
-            raise MalformedLine(f"{path}:{lineno + 1}: rotation drift {drift:.3g} beyond 1e-3")
+            raise MalformedLine(f"{where}: rotation drift {drift:.3g} beyond 1e-3")
         if drift > 1e-6:
-            warnings.warn(f"{path}:{lineno + 1}: re-orthonormalizing rotation (drift {drift:.3g})")
+            warnings.warn(f"{where}: re-orthonormalizing rotation (drift {drift:.3g})")
             rot = _reorthonormalize(rot)
         poses.append(RigidTransform(rot, tra))
     return poses
@@ -123,13 +132,11 @@ class Calibration:
 
 def read_calib(path) -> Calibration:
     entries = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
-        if not line.strip():
-            continue
+    for where, line in _lines(path):
         if ":" not in line:
-            raise MalformedLine(f"{path}:{lineno + 1}: expected 'key: values'")
+            raise MalformedLine(f"{where}: expected 'key: values'")
         key, _, rest = line.partition(":")
-        entries[key.strip()] = _finite_values(rest.split(), f"{path}:{lineno + 1}")
+        entries[key.strip()] = _finite_values(rest.split(), where)
     try:
         fx, fy, cx, cy, width, height = entries["intrinsics"]
         extr = entries["lidar_to_cam"].reshape(3, 4)
@@ -222,13 +229,10 @@ def read_labels(path) -> list[LabelRecord]:
     naming the file and line.
     """
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
-        if not line.strip():
-            continue
+    for where, line in _lines(path):
         fields = line.split()
-        if fields[0] in _SKIPPED_CLASSES:
-            continue
-        records.append(_label_from_fields(fields, f"{path}:{lineno + 1}"))
+        if fields[0] not in _SKIPPED_CLASSES:
+            records.append(_label_from_fields(fields, where))
     return records
 
 
@@ -499,14 +503,21 @@ class SequenceIndex:
         return read_labels(self.label_path(t))
 
 
+def frame_index(path) -> int:
+    """The frame a frame file's name gives, e.g. 7 for `000007.bin`."""
+    stem = Path(path).stem
+    if not (stem.isascii() and stem.isdigit()):
+        raise MalformedFile(f"{path}: file name is not a frame number")
+    return int(stem)
+
+
 def load_sequence(root) -> SequenceIndex:
     """Index a sequence directory, checking the frame files are contiguous from 0."""
     root = Path(root)
     velo = root / "velodyne"
     if not velo.is_dir():
         raise MalformedFile(f"{root}: missing velodyne/ directory")
-    frames = sorted(velo.glob("*.bin"))
-    indices = sorted(int(p.stem) for p in frames)
+    indices = sorted(map(frame_index, velo.glob("*.bin")))
     if indices != list(range(len(indices))):
         raise MalformedFile(f"{root}: frame indices are not contiguous from 0")
     calib = read_calib(root / "calib.txt")

@@ -259,6 +259,32 @@ def crop_cylinder(
 # tracking
 
 
+def _nearest_valid(valid: np.ndarray, u, v, rows, cols, span: np.ndarray):
+    """Usable pixel nearest each continuous (u, v) in its window.
+
+    Point i's window is rows[i] + span by cols[i] + span; a pixel is usable
+    when it lies in the image and `valid` marks it. Returns its row and column
+    (clipped to the image), the squared distance (inf when no pixel is usable)
+    and the (n, len(span)**2) usable mask. The window is scanned row-major, so
+    argmin's first minimum breaks exact ties by (row, col) order. Per-axis
+    terms are (n, len(span)) and broadcast only to gather and sum.
+    """
+    h, w = valid.shape
+    n, s = len(u), len(span)
+    win_r = rows[:, None] + span
+    win_c = cols[:, None] + span
+    rr = np.clip(win_r, 0, h - 1)
+    cc = np.clip(win_c, 0, w - 1)
+    in_r = (win_r >= 0) & (win_r < h)
+    in_c = (win_c >= 0) & (win_c < w)
+    usable = in_r[:, :, None] & in_c[:, None, :] & valid[rr[:, :, None], cc[:, None, :]]
+    dr2, dc2 = (win_r - v[:, None]) ** 2, (win_c - u[:, None]) ** 2
+    d2 = np.where(usable, dr2[:, :, None] + dc2[:, None, :], np.inf).reshape(n, s * s)
+    pick = np.argmin(d2, axis=1)
+    ar = np.arange(n)
+    return rr[ar, pick // s], cc[ar, pick % s], d2[ar, pick], usable.reshape(n, s * s)
+
+
 def _sample_flow(flow: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Flow values at continuous (u, v) positions.
 
@@ -266,72 +292,25 @@ def _sample_flow(flow: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarr
     value at the nearest valid one of the 4 (ties by (row, col) order); no
     valid neighbour kills the track.
     """
-    h, w = valid.shape
     c0 = np.floor(u).astype(int)
     r0 = np.floor(v).astype(int)
-    fu = u - c0
-    fv = v - r0
-
-    # Candidate pixels in (row, col) lexicographic order.
-    cand_r = np.stack([r0, r0, r0 + 1, r0 + 1], axis=1)
-    cand_c = np.stack([c0, c0 + 1, c0, c0 + 1], axis=1)
-    in_img = (cand_r >= 0) & (cand_r < h) & (cand_c >= 0) & (cand_c < w)
-    rr = np.clip(cand_r, 0, h - 1)
-    cc = np.clip(cand_c, 0, w - 1)
-    usable = in_img & valid[rr, cc]
-
-    out = np.zeros((len(u), 2))
-    ok = usable.any(axis=1)
-
-    all_four = usable.all(axis=1)
-    if all_four.any():
-        idx = np.flatnonzero(all_four)
-        w00 = (1 - fu[idx]) * (1 - fv[idx])
-        w01 = fu[idx] * (1 - fv[idx])
-        w10 = (1 - fu[idx]) * fv[idx]
-        w11 = fu[idx] * fv[idx]
-        out[idx] = (
-            flow[rr[idx, 0], cc[idx, 0]] * w00[:, None]
-            + flow[rr[idx, 1], cc[idx, 1]] * w01[:, None]
-            + flow[rr[idx, 2], cc[idx, 2]] * w10[:, None]
-            + flow[rr[idx, 3], cc[idx, 3]] * w11[:, None]
-        )
-
-    partial = ok & ~all_four
-    if partial.any():
-        idx = np.flatnonzero(partial)
-        d2 = (cand_r[idx] - v[idx, None]) ** 2 + (cand_c[idx] - u[idx, None]) ** 2
-        d2[~usable[idx]] = np.inf
-        pick = np.argmin(d2, axis=1)  # first minimum = (row, col) tie-break
-        out[idx] = flow[rr[idx, pick], cc[idx, pick]]
-    return out, ok
+    rows, cols, _, usable = _nearest_valid(valid, u, v, r0, c0, np.arange(2))
+    out = flow[rows, cols]
+    idx = np.flatnonzero(usable.all(axis=1))
+    r, c = r0[idx], c0[idx]
+    fu = u[idx] - c
+    fv = v[idx] - r
+    out[idx] = (
+        flow[r, c] * ((1 - fu) * (1 - fv))[:, None]
+        + flow[r, c + 1] * (fu * (1 - fv))[:, None]
+        + flow[r + 1, c] * ((1 - fu) * fv)[:, None]
+        + flow[r + 1, c + 1] * (fu * fv)[:, None]
+    )
+    return out, usable.any(axis=1)
 
 
-def _scan_depth_window(depth, u, v, rows, cols, radius):
-    """Best valid pixel per point within a (2*radius+1)^2 window; inf if none.
-
-    Row-major window order coincides with (row, col) order, so the first
-    minimum argmin returns is also the lexicographic tie-break winner.
-    """
-    h, w = depth.shape
-    n = len(u)
-    span = np.arange(-radius, radius + 1)
-    size = len(span)
-    win_r = np.broadcast_to(rows[:, None, None] + span[None, :, None], (n, size, size))
-    win_c = np.broadcast_to(cols[:, None, None] + span[None, None, :], (n, size, size))
-    in_img = (win_r >= 0) & (win_r < h) & (win_c >= 0) & (win_c < w)
-    rr = np.clip(win_r, 0, h - 1)
-    ww = np.clip(win_c, 0, w - 1)
-    usable = in_img & (depth[rr, ww] > 0)
-    d2 = (win_r - v[:, None, None]) ** 2 + (win_c - u[:, None, None]) ** 2
-    d2 = np.where(usable, d2, np.inf).reshape(n, -1)
-    pick = np.argmin(d2, axis=1)
-    ar = np.arange(n)
-    return rr.reshape(n, -1)[ar, pick], ww.reshape(n, -1)[ar, pick], d2[ar, pick]
-
-
-def _nearest_valid_depth(depth: np.ndarray, u: np.ndarray, v: np.ndarray, radius: int):
-    """Nearest pixel with valid depth within a square window around (u, v).
+def _nearest_valid_depth(depth: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Nearest valid pixel in the square window of half-width `_DEPTH_SEARCH_RADIUS`.
 
     Distance is Euclidean to the continuous position; exact ties resolve to
     the lexicographically first (row, col). Returns (rows, cols, depths, ok).
@@ -342,15 +321,13 @@ def _nearest_valid_depth(depth: np.ndarray, u: np.ndarray, v: np.ndarray, radius
     """
     rows = np.floor(v + 0.5).astype(int)
     cols = np.floor(u + 0.5).astype(int)
-    best_r, best_c, best_d2 = _scan_depth_window(depth, u, v, rows, cols, 1)
-    if radius > 1:
-        unresolved = ~(best_d2 < 2.25)
-        if unresolved.any():
-            idx = np.flatnonzero(unresolved)
-            fr, fc, fd2 = _scan_depth_window(depth, u[idx], v[idx], rows[idx], cols[idx], radius)
-            best_r[idx], best_c[idx], best_d2[idx] = fr, fc, fd2
-    ok = np.isfinite(best_d2)
-    return best_r, best_c, depth[best_r, best_c], ok
+    best_r, best_c, best_d2, _ = _nearest_valid(valid, u, v, rows, cols, np.arange(-1, 2))
+    idx = np.flatnonzero(~(best_d2 < 2.25))
+    span = np.arange(-_DEPTH_SEARCH_RADIUS, _DEPTH_SEARCH_RADIUS + 1)
+    best_r[idx], best_c[idx], best_d2[idx], _ = _nearest_valid(
+        valid, u[idx], v[idx], rows[idx], cols[idx], span
+    )
+    return best_r, best_c, depth[best_r, best_c], np.isfinite(best_d2)
 
 
 def track_points(
@@ -385,17 +362,18 @@ def track_points(
     current = pts.copy()  # camera coords at frame t+k
     live = np.ones(n, dtype=bool)
     to_start = poses[0].invert()
+    valid = [depth > 0 for depth in depths[: k_frames + 1]]
     for k in range(k_frames):
         z = current[:, 2]
         live &= z > 0
         safe_z = np.where(z > 0, z, 1.0)
         u = intrinsics.fx * current[:, 0] / safe_z + intrinsics.cx
         v = intrinsics.fy * current[:, 1] / safe_z + intrinsics.cy
-        flow_uv, flow_ok = _sample_flow(flows[k], depths[k] > 0, u, v)
+        flow_uv, flow_ok = _sample_flow(flows[k], valid[k], u, v)
         live &= flow_ok
         u2 = u + flow_uv[:, 0]
         v2 = v + flow_uv[:, 1]
-        pr, pc, d, depth_ok = _nearest_valid_depth(depths[k + 1], u2, v2, _DEPTH_SEARCH_RADIUS)
+        pr, pc, d, depth_ok = _nearest_valid_depth(depths[k + 1], valid[k + 1], u2, v2)
         live &= depth_ok
         safe_d = np.where(d > 0, d, 1.0)
         nxt = backproject(np.column_stack([pc, pr]), safe_d, intrinsics)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
-from lidarpgt.dataset import load_sequence, read_cloud, read_diagnostics
+from lidarpgt.dataset import (
+    load_sequence, read_calib, read_cloud, read_diagnostics, read_labels, read_poses,
+)
 from lidarpgt.errors import LidarPgtError
 from lidarpgt.pipeline import generate_pseudo_labels
 
@@ -453,6 +455,22 @@ def _write_text(text):
     return corrupt
 
 
+def _prepend_byte(byte):
+    def corrupt(path):
+        path.write_bytes(byte + path.read_bytes())
+
+    return corrupt
+
+
+def _copy_of(name):
+    """Put a copy of the sibling file `name` at the corrupted path."""
+
+    def corrupt(path):
+        path.write_bytes((path.parent / name).read_bytes())
+
+    return corrupt
+
+
 def _edit_entry(edit, boxed=False):
     """Apply `edit` to the first diagnostics entry (with a box, if `boxed`);
     returns the entry's name, which the error must give."""
@@ -506,15 +524,36 @@ CORRUPTIONS = {
         "pgt/diagnostics/000001.json", _edit_entry(lambda e: e["box_lidar"].update(dims=[-1.0, 1.0, 1.0]), True)
     ),
     "diagnostics-no-anchor": ("pgt/diagnostics/000001.json", _edit_entry(lambda e: e.pop("anchor"), True)),
+    "config-not-utf8": ("cfg.json", _prepend_byte(b"\xff")),
+    "calib-not-utf8": ("seq/calib.txt", _prepend_byte(b"\xff")),
+    "pose-not-utf8": ("seq/poses.txt", _prepend_byte(b"\xff")),
+    "label-not-utf8": ("seq/label_2/000000.txt", _prepend_byte(b"\xff")),
+    "velodyne-stray-name": ("seq/velodyne/foo.bin", _copy_of("000000.bin")),
+    "diagnostics-stray-name": ("pgt/diagnostics/foo.json", _copy_of("000000.json")),
 }
 
 
-READERS = {"seq/": ("generate",), "pgt/diagnostics/": ("evaluate-loss", "render")}
+# the commands that read a file, by the first prefix of its path that matches;
+# `render` reads only the diagnostics file of the frame it draws
+READERS = {
+    "cfg.json": ("simulate", "generate"),
+    "seq/calib.txt": ("generate", "evaluate"),
+    "seq/label_2/": ("evaluate", "render"),
+    "seq/velodyne/": ("generate", "evaluate-loss", "render"),
+    "seq/": ("generate",),
+    "pgt/diagnostics/foo.json": ("evaluate-loss",),
+    "pgt/diagnostics/": ("evaluate-loss", "render"),
+}
+
+
+def _readers(relative):
+    return next(commands for prefix, commands in READERS.items() if relative.startswith(prefix))
+
+
 CORRUPTION_CASES = [
     pytest.param(name, command, id=name if command == "generate" else f"{name}-{command}")
     for name, (relative, _) in sorted(CORRUPTIONS.items())
-    for prefix, commands in READERS.items() if relative.startswith(prefix)
-    for command in commands
+    for command in _readers(relative)
 ]
 
 
@@ -526,14 +565,19 @@ def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, na
     from lidarpgt.dataset import write_box_grid
     from lidarpgt.proposals import heuristic_grid
 
-    seq, pgt, cfg = tmp_path / "seq", tmp_path / "pgt", str(workspace / "cfg.json")
+    seq, pgt, cfg = tmp_path / "seq", tmp_path / "pgt", str(tmp_path / "cfg.json")
     shutil.copytree(workspace / "seq", seq)
     shutil.copytree(workspace / "pgt" / "diagnostics", pgt / "diagnostics")
+    shutil.copy(workspace / "cfg.json", cfg)
     relative, corrupt = CORRUPTIONS[name]
+    frame = Path(relative).stem if Path(relative).stem.isdigit() else "0"
     argv = {
+        "simulate": ["simulate", "--config", cfg, "--out", str(tmp_path / "sim")],
         "generate": ["generate", str(seq), "--out", str(tmp_path / "out"), "--config", cfg, "--jobs", "1"],
+        "evaluate": ["evaluate", "--dets", str(seq / "label_2"), "--gt", str(seq / "label_2"),
+                     "--mode", "2d", "--calib", str(seq / "calib.txt")],
         "evaluate-loss": ["evaluate-loss", str(seq), "--pgt", str(pgt), "--config", cfg],
-        "render": ["render", str(seq), "--frame", Path(relative).stem, "--out", str(tmp_path / "f.ppm"),
+        "render": ["render", str(seq), "--frame", frame, "--out", str(tmp_path / "f.ppm"),
                    "--overlays", "gt,pseudo", "--pgt", str(pgt), "--config", cfg],
     }[command]
     if relative.startswith("seq/grids/"):
@@ -552,6 +596,65 @@ def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, na
     assert str(tmp_path / relative.replace(".bin.json", ".bin")) in err, err
     assert entry is None or entry in err, err
     assert len(err.splitlines()) == 1 and len(err) < 400, err
+
+
+def test_evaluate_loss_checks_every_frame_name_before_printing(workspace, tmp_path, capsys):
+    import shutil
+
+    diagnostics = tmp_path / "pgt" / "diagnostics"
+    shutil.copytree(workspace / "pgt" / "diagnostics", diagnostics)
+    _copy_of("000000.json")(diagnostics / "foo.json")
+    argv = ["evaluate-loss", str(workspace / "seq"), "--pgt", str(tmp_path / "pgt"),
+            "--config", str(workspace / "cfg.json")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(diagnostics / "foo.json") in err, (out, err)
+
+
+TEXT_READERS = {
+    "seq/poses.txt": read_poses,
+    "seq/calib.txt": read_calib,
+    "seq/label_2/000000.txt": read_labels,
+    "pgt/label_pgt/000001.txt": read_labels,  # one row, with a score column
+}
+ODD_FIELDS = st.sampled_from(
+    [b"nan", b"inf", b"-inf", b"1e999", b"9" * 400, b"-" + b"9" * 30, b"0", b"-1", b"x", b":", b""]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_text_readers_raise_only_package_errors(workspace, tmp_path_factory, data):
+    import warnings
+
+    relative = data.draw(st.sampled_from(sorted(TEXT_READERS)), label="file")
+    raw = (workspace / relative).read_bytes()
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        if data.draw(st.booleans(), label="byte edit"):
+            # replace, insert or (with no byte) delete one byte, non-UTF-8 ones included
+            at = data.draw(st.integers(0, len(raw)), label="at")
+            byte = data.draw(st.binary(max_size=1), label="byte")
+            raw = raw[:at] + byte + raw[at + (0 if data.draw(st.booleans(), label="insert") else 1):]
+        else:
+            lines = raw.split(b"\n")
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            fields = lines[i].split(b" ")
+            j = data.draw(st.integers(0, len(fields) - 1), label="field")
+            how = data.draw(st.sampled_from(["swap", "drop", "add"]), label="how")
+            if how == "drop":
+                del fields[j]
+            else:
+                fields[j:j + (how == "swap")] = [data.draw(ODD_FIELDS, label="value")]
+            lines[i] = b" ".join(fields)
+            raw = b"\n".join(lines)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+    path.write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "re-orthonormalizing")  # read_poses repairs a small drift
+        try:
+            TEXT_READERS[relative](path)
+        except LidarPgtError as exc:
+            assert str(path) in str(exc), exc
 
 
 def _json_paths(node, path=()):

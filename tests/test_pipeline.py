@@ -309,6 +309,158 @@ class TestTrackPoints:
         assert np.abs(tracked.positions[2] - cams[0]).max() < 0.08
 
 
+def reference_sample_flow(flow, valid, u, v):
+    """The tracker's flow lookup as it was written before the shared window kernel."""
+    h, w = valid.shape
+    c0 = np.floor(u).astype(int)
+    r0 = np.floor(v).astype(int)
+    fu = u - c0
+    fv = v - r0
+    cand_r = np.stack([r0, r0, r0 + 1, r0 + 1], axis=1)
+    cand_c = np.stack([c0, c0 + 1, c0, c0 + 1], axis=1)
+    in_img = (cand_r >= 0) & (cand_r < h) & (cand_c >= 0) & (cand_c < w)
+    rr = np.clip(cand_r, 0, h - 1)
+    cc = np.clip(cand_c, 0, w - 1)
+    usable = in_img & valid[rr, cc]
+    out = np.zeros((len(u), 2))
+    ok = usable.any(axis=1)
+    all_four = usable.all(axis=1)
+    if all_four.any():
+        idx = np.flatnonzero(all_four)
+        w00 = (1 - fu[idx]) * (1 - fv[idx])
+        w01 = fu[idx] * (1 - fv[idx])
+        w10 = (1 - fu[idx]) * fv[idx]
+        w11 = fu[idx] * fv[idx]
+        out[idx] = (
+            flow[rr[idx, 0], cc[idx, 0]] * w00[:, None]
+            + flow[rr[idx, 1], cc[idx, 1]] * w01[:, None]
+            + flow[rr[idx, 2], cc[idx, 2]] * w10[:, None]
+            + flow[rr[idx, 3], cc[idx, 3]] * w11[:, None]
+        )
+    partial = ok & ~all_four
+    if partial.any():
+        idx = np.flatnonzero(partial)
+        d2 = (cand_r[idx] - v[idx, None]) ** 2 + (cand_c[idx] - u[idx, None]) ** 2
+        d2[~usable[idx]] = np.inf
+        pick = np.argmin(d2, axis=1)
+        out[idx] = flow[rr[idx, pick], cc[idx, pick]]
+    return out, ok
+
+
+def reference_scan_depth_window(depth, u, v, rows, cols, radius):
+    h, w = depth.shape
+    n = len(u)
+    span = np.arange(-radius, radius + 1)
+    size = len(span)
+    win_r = np.broadcast_to(rows[:, None, None] + span[None, :, None], (n, size, size))
+    win_c = np.broadcast_to(cols[:, None, None] + span[None, None, :], (n, size, size))
+    in_img = (win_r >= 0) & (win_r < h) & (win_c >= 0) & (win_c < w)
+    rr = np.clip(win_r, 0, h - 1)
+    ww = np.clip(win_c, 0, w - 1)
+    usable = in_img & (depth[rr, ww] > 0)
+    d2 = (win_r - v[:, None, None]) ** 2 + (win_c - u[:, None, None]) ** 2
+    d2 = np.where(usable, d2, np.inf).reshape(n, -1)
+    pick = np.argmin(d2, axis=1)
+    ar = np.arange(n)
+    return rr.reshape(n, -1)[ar, pick], ww.reshape(n, -1)[ar, pick], d2[ar, pick]
+
+
+def reference_nearest_valid_depth(depth, u, v, radius=7):
+    """The tracker's depth snap as it was written before the shared window kernel."""
+    rows = np.floor(v + 0.5).astype(int)
+    cols = np.floor(u + 0.5).astype(int)
+    best_r, best_c, best_d2 = reference_scan_depth_window(depth, u, v, rows, cols, 1)
+    unresolved = ~(best_d2 < 2.25)
+    if unresolved.any():
+        idx = np.flatnonzero(unresolved)
+        fr, fc, fd2 = reference_scan_depth_window(depth, u[idx], v[idx], rows[idx], cols[idx], radius)
+        best_r[idx], best_c[idx], best_d2[idx] = fr, fc, fd2
+    return best_r, best_c, depth[best_r, best_c], np.isfinite(best_d2)
+
+
+class TestTrackerWindowSearch:
+    """Flow lookup and depth snap equal the earlier per-caller searches bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        from lidarpgt.simulate import EgoMotion, SimConfig, SimObject, make_scene
+
+        cfg = SimConfig(
+            n_frames=2,
+            objects=[SimObject("vehicle", (2.0, 14.0), yaw=0.5, velocity=(0.3, 0.8))],
+            intrinsics=INTR,
+            ground_extent=(-10.0, 10.0, 4.0, 40.0),
+            ego=EgoMotion(velocity=(0.0, 0.1)),
+        )
+        frames = make_scene(cfg, seed=12)
+        cam = cfg.lidar_to_cam.apply(frames[0].cloud.xyz)
+        cam = cam[cam[:, 2] > 0]
+        u = INTR.fx * cam[:, 0] / cam[:, 2] + INTR.cx
+        v = INTR.fy * cam[:, 1] / cam[:, 2] + INTR.cy
+        # the scene's points, those points advanced by the flow, and points
+        # off the image, on half-pixel ties and at and beyond the borders
+        h, w = INTR.height, INTR.width
+        pixel = np.clip(np.floor(v).astype(int), 0, h - 1), np.clip(np.floor(u).astype(int), 0, w - 1)
+        flow = frames[0].flow[pixel]
+        rng = np.random.default_rng(4)
+        ties_r = rng.integers(0, h, 400) + rng.choice([0.0, 0.5], 400)
+        ties_c = rng.integers(0, w, 400) + rng.choice([0.0, 0.5], 400)
+        near = np.array([-40.0, -7.5, -1.5, -1.0, -0.5, -0.25, 0.0, 0.5])
+        edge_c, edge_r = np.meshgrid(np.r_[near, w - 1 - near], np.r_[near, h - 1 - near])
+        edge_rows = np.r_[edge_r.ravel(), rng.uniform(-10, h + 10, 300), rng.uniform(0, h, 300)]
+        edge_cols = np.r_[edge_c.ravel(), rng.uniform(0, w, 300), rng.uniform(-10, w + 10, 300)]
+        u = np.concatenate([u, u + flow[:, 0], ties_c, edge_cols])
+        v = np.concatenate([v, v + flow[:, 1], ties_r, edge_rows])
+        return frames, u, v
+
+    def valid_masks(self, depth):
+        """The scene's own mask, a thinned one with empty windows and a
+        checkerboard, on which a column-major scan breaks ties differently."""
+        rng = np.random.default_rng(9)
+        rows, cols = np.indices(depth.shape)
+        return {
+            "scene": depth > 0,
+            "thinned": (depth > 0) & (rng.random(depth.shape) < 0.01),
+            "checkerboard": (rows + cols) % 2 == 1,
+        }
+
+    def test_flow_lookup_equals_reference(self, scene):
+        from lidarpgt.pipeline import _sample_flow
+
+        frames, u, v = scene
+        flow = frames[0].flow
+        for name, valid in self.valid_masks(frames[0].depth).items():
+            out, ok = _sample_flow(flow, valid, u, v)
+            ref_out, ref_ok = reference_sample_flow(flow, valid, u, v)
+            assert np.array_equal(ok, ref_ok), name
+            assert np.array_equal(out[ok], ref_out[ok]), name
+            assert ok.any() and not ok.all(), name
+        # the scene's mask exercises both the bilinear and the nearest branch
+        valid = frames[0].depth > 0
+        c0, r0 = np.floor(u).astype(int), np.floor(v).astype(int)
+        inside = (r0 >= 0) & (r0 < valid.shape[0] - 1) & (c0 >= 0) & (c0 < valid.shape[1] - 1)
+        four = np.zeros_like(inside)
+        r, c = r0[inside], c0[inside]
+        four[inside] = valid[r, c] & valid[r, c + 1] & valid[r + 1, c] & valid[r + 1, c + 1]
+        assert four.any() and (ok & ~four).any()
+
+    def test_depth_snap_equals_reference(self, scene):
+        from lidarpgt.pipeline import _nearest_valid_depth
+
+        frames, u, v = scene
+        for name, valid in self.valid_masks(frames[1].depth).items():
+            depth = np.where(valid, np.abs(frames[1].depth) + 1.0, 0.0)
+            got = _nearest_valid_depth(depth, valid, u, v)
+            ref = reference_nearest_valid_depth(depth, u, v)
+            for field, a, b in zip(("rows", "cols", "depths", "ok"), got, ref):
+                assert np.array_equal(a, b), (name, field)
+            rows, cols, _, ok = got
+            d2 = (rows - v) ** 2 + (cols - u) ** 2
+            # some points resolve in the 3x3 pre-pass, some only in the full window
+            assert (ok & (d2 < 2.25)).any() and (ok & (d2 >= 2.25)).any(), name
+            assert (~ok).any() or name == "checkerboard", name
+
+
 def cuboid_corners(dims, yaw=0.0, centre=(0.0, 0.0, 0.0)):
     dx, dy, dz = dims
     signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
