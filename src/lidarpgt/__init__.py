@@ -43,6 +43,6 @@ from .pipeline import (
     track_points,
 )
 from .proposals import heuristic_grid
-from .sampling import SamplerConfig, sample_pixels, smooth_confidence
+from .sampling import SamplerConfig, sample_pixels, smooth_confidence, smoothed_confidences
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, require_grid_shape
+from .bev import BoxGrid, GridSpec
 from .errors import MalformedFile, MalformedLine, ShapeMismatch
 from .geometry import AABB2, CAMERA, LIDAR, CameraIntrinsics, Obb3, PointCloud, RigidTransform
 from .pipeline import PgtResult, PseudoLabel
@@ -37,15 +37,22 @@ _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
 # point clouds
 
 
+def _finite_floats(raw: bytes, path) -> np.ndarray:
+    """float32-LE bytes as float64, rejecting NaN and inf before the cast
+    (which warns on a signalling NaN)."""
+    values = np.frombuffer(raw, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise MalformedFile(f"{path}: non-finite value")
+    return values.astype(float)
+
+
 def read_cloud(path) -> PointCloud:
     raw = Path(path).read_bytes()
     if len(raw) % _POINT_RECORD_BYTES:
         raise MalformedFile(
             f"{path}: size {len(raw)} is not a multiple of {_POINT_RECORD_BYTES}"
         )
-    pts = np.frombuffer(raw, dtype="<f4").astype(float).reshape(-1, 4)
-    if not np.isfinite(pts).all():
-        raise MalformedFile(f"{path}: non-finite value")
+    pts = _finite_floats(raw, path).reshape(-1, 4)
     if pts.size:
         pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
     return PointCloud(pts, frame="lidar")
@@ -313,9 +320,7 @@ def read_raster(path):
     expected = rows * cols * channels * 4
     if len(raw) != expected:
         raise MalformedFile(f"{path}: size {len(raw)}, sidecar implies {expected}")
-    arr = np.frombuffer(raw, dtype="<f4").astype(float).reshape(rows, cols, channels)
-    if not np.isfinite(arr).all():
-        raise MalformedFile(f"{path}: non-finite value")
+    arr = _finite_floats(raw, path).reshape(rows, cols, channels)
     if channels == 1:
         arr = arr[:, :, 0]
     return arr, meta.get("sentinel")
@@ -352,12 +357,10 @@ def read_box_grid(path, spec: GridSpec) -> BoxGrid:
     """Read a box grid, checking its shape and every cell's code: no centre
     offset beyond the grid's extent on its axis, no negative size and a
     confidence in [0, 1]."""
-    arr, _ = read_raster(path)
-    if arr.ndim != 3 or arr.shape[2] != 8:
-        raise ShapeMismatch(f"{path}: box grid must have 8 channels")
-    grid = BoxGrid(arr)
-    require_grid_shape(grid, spec)
-    data = grid.data
+    data, _ = read_raster(path)
+    expected = (spec.out_rows, spec.out_cols, 8)
+    if data.shape != expected:
+        raise ShapeMismatch(f"{path}: box grid has shape {data.shape}, expected {expected}")
     span = [hi - lo for lo, hi in (spec.x_range, spec.y_range, spec.z_range)]
     faults = (
         ("box offset", "exceeds the grid span", (np.abs(data[:, :, 0:3]) > span).any(axis=2)),
@@ -368,7 +371,7 @@ def read_box_grid(path, spec: GridSpec) -> BoxGrid:
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise MalformedFile(f"{path}: {field_name} at cell ({row}, {col}) {fault}")
-    return grid
+    return BoxGrid(data)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +515,19 @@ def frame_index(path) -> int:
 
 
 def load_sequence(root) -> SequenceIndex:
-    """Index a sequence directory, checking the frame files are contiguous from 0."""
+    """Index a sequence directory, checking the frame files are contiguous from 0
+    and that no two files name the same frame."""
     root = Path(root)
     velo = root / "velodyne"
     if not velo.is_dir():
         raise MalformedFile(f"{root}: missing velodyne/ directory")
-    indices = sorted(map(frame_index, velo.glob("*.bin")))
+    frames = {}
+    for path in sorted(velo.glob("*.bin")):
+        t = frame_index(path)
+        if t in frames:
+            raise MalformedFile(f"{frames[t]} and {path}: both are frame {t}")
+        frames[t] = path
+    indices = sorted(frames)
     if indices != list(range(len(indices))):
         raise MalformedFile(f"{root}: frame indices are not contiguous from 0")
     calib = read_calib(root / "calib.txt")

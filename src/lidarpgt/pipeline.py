@@ -31,7 +31,7 @@ from .geometry import (
     transform_obb,
     yaw_matrix,
 )
-from .sampling import SamplerConfig, grid_centres, sample_pixels, smooth_confidence
+from .sampling import SamplerConfig, grid_centres, sample_pixels, smoothed_confidences
 
 if TYPE_CHECKING:  # dataset imports this module for the pseudo-label types
     from .dataset import SequenceIndex
@@ -548,8 +548,9 @@ def generate_pseudo_labels(
     u_plus: list[PseudoLabel] = []
     u_minus: list[tuple[tuple[int, int], float]] = []
     diagnostics: list[PixelDiagnostics] = []
-    for pixel, per_pixel in zip(pixels, crops):
-        diag = PixelDiagnostics(pixel, smooth_confidence(grid, spec, pixel, centres))
+    smoothed = smoothed_confidences(grid, spec, pixels, centres)
+    for pixel, per_pixel, confidence in zip(pixels, crops, smoothed):
+        diag = PixelDiagnostics(pixel, confidence)
         scores = []
         first_fits = {}
         for anchor, rows in zip(anchors, per_pixel):

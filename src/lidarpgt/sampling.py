@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,23 +67,63 @@ def smooth_confidence(grid: BoxGrid, spec: GridSpec, pixel, centres: np.ndarray 
 
     With fewer than 8 other boxes the mean runs over what exists. Passing a
     precomputed `centres` array (from grid_centres) avoids re-decoding when
-    smoothing many pixels of one grid.
+    smoothing many pixels of one grid; smoothed_confidences does a batch.
+    """
+    return smoothed_confidences(grid, spec, [pixel], centres)[0]
+
+
+def _sq_dist(points: np.ndarray, own: np.ndarray) -> np.ndarray:
+    sq = (points - own) ** 2
+    return sq[:, 0] + sq[:, 1] + sq[:, 2]  # the sums np.sum(sq, axis=1) makes, at a third of its cost
+
+
+def smoothed_confidences(grid: BoxGrid, spec: GridSpec, pixels, centres: np.ndarray | None = None) -> list[float]:
+    """smooth_confidence of each pixel, bit for bit, from one centre index.
+
+    The centres are sorted by x once. A pixel's 8th-nearest squared distance
+    is at most the 8th nearest among its clipped 5x5 lattice block, so a box
+    whose x differs from the pixel's by more than that bound's root (padded
+    by a tiny relative term that absorbs rounding) is farther than 8 others
+    and cannot be chosen. Only the bisected x-slab is searched, in (row, col)
+    order, so the ties break as in a full sort. Every pixel is checked
+    against the grid before any is smoothed.
     """
     require_grid_shape(grid, spec)
-    r, c = pixel
-    if not (0 <= r < spec.out_rows and 0 <= c < spec.out_cols):
-        raise OutOfGrid(f"pixel {(r, c)} outside {spec.out_rows}x{spec.out_cols} grid")
+    rows, cols = spec.out_rows, spec.out_cols
+    pixels = list(pixels)
+    for r, c in pixels:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise OutOfGrid(f"pixel {(r, c)} outside {rows}x{cols} grid")
     if centres is None:
         centres = grid_centres(grid, spec)
     conf = grid.confidence.reshape(-1)
-    own_flat = r * spec.out_cols + c
-    sq = (centres - centres[own_flat]) ** 2
-    d2 = sq[:, 0] + sq[:, 1] + sq[:, 2]  # the sums np.sum(sq, axis=1) makes, at a third of its cost
-    d2[own_flat] = np.inf
-    n_other = min(8, len(d2) - 1)
-    # Flat indices run in (row, col) order, so a stable sort of the boxes no
-    # farther than the n-th nearest keeps the tie-break of a full sort.
-    kth = np.partition(d2, n_other - 1)[n_other - 1]
-    candidates = np.flatnonzero(d2 <= kth)
-    neighbours = candidates[np.argsort(d2[candidates], kind="stable")[:n_other]]
-    return float((conf[own_flat] + conf[neighbours].sum()) / (1 + n_other))
+    n_other = min(8, rows * cols - 1)
+    order = np.argsort(centres[:, 0], kind="stable")
+    xs = centres[order, 0]
+    smoothed = []
+    for r, c in pixels:
+        own_flat = r * cols + c
+        own = centres[own_flat]
+        block = (np.arange(max(r - 2, 0), min(r + 3, rows))[:, None] * cols
+                 + np.arange(max(c - 2, 0), min(c + 3, cols))).reshape(-1)
+        bound = math.inf
+        if len(block) > n_other:
+            d2 = _sq_dist(centres[block], own)
+            d2[block == own_flat] = np.inf
+            bound = float(np.partition(d2, n_other - 1)[n_other - 1])
+        reach = math.sqrt(bound)
+        reach += 1e-9 * (1.0 + abs(own[0]) + reach)
+        lo, hi = 0, len(xs)
+        if reach < math.inf:  # else (too few block cells, overflow, NaN) every box
+            lo = np.searchsorted(xs, own[0] - reach, side="left")
+            hi = np.searchsorted(xs, own[0] + reach, side="right")
+        slab = np.sort(order[lo:hi])
+        d2 = _sq_dist(centres[slab], own)
+        d2[slab == own_flat] = np.inf
+        # a stable sort of the slab's boxes no farther than the n-th nearest
+        # keeps the tie-break of a full sort
+        kth = np.partition(d2, n_other - 1)[n_other - 1]
+        candidates = np.flatnonzero(d2 <= kth)
+        neighbours = slab[candidates[np.argsort(d2[candidates], kind="stable")[:n_other]]]
+        smoothed.append(float((conf[own_flat] + conf[neighbours].sum()) / (1 + n_other)))
+    return smoothed

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
 from lidarpgt.dataset import (
-    load_sequence, read_calib, read_cloud, read_diagnostics, read_labels, read_poses,
+    load_sequence, read_box_grid, read_calib, read_cloud, read_diagnostics, read_labels, read_poses,
 )
 from lidarpgt.errors import LidarPgtError
 from lidarpgt.pipeline import generate_pseudo_labels
@@ -471,6 +471,23 @@ def _copy_of(name):
     return corrupt
 
 
+def _second_name_of(name):
+    """Put a copy of the sibling frame file `name` at the corrupted path, a
+    second file for the same frame; returns the sibling, which the error
+    must also name."""
+
+    def corrupt(path):
+        _copy_of(name)(path)
+        return str(path.parent / name)
+
+    return corrupt
+
+
+def _signalling_nan(path):
+    """Overwrite the first float32 with a signalling NaN, which warns when cast to float64."""
+    path.write_bytes(bytes([1, 0, 0x80, 0x7F]) + path.read_bytes()[4:])
+
+
 def _edit_entry(edit, boxed=False):
     """Apply `edit` to the first diagnostics entry (with a box, if `boxed`);
     returns the entry's name, which the error must give."""
@@ -493,6 +510,8 @@ CORRUPTIONS = {
     "pose-nan": ("seq/poses.txt", _replace_line(1, " ".join(["nan"] * 12))),
     "flow-nan": ("seq/flow/000000.bin", _poison_raster(np.nan)),
     "depth-inf": ("seq/depth/000001.bin", _poison_raster(np.inf)),
+    "depth-signalling-nan": ("seq/depth/000001.bin", _signalling_nan),
+    "velodyne-signalling-nan": ("seq/velodyne/000000.bin", _signalling_nan),
     "grid-nan-confidence": ("seq/grids/000000.bin", _poison_raster(np.nan)),
     "grid-huge-offset": ("seq/grids/000000.bin", _offset_occupied_cells(1e38)),
     "grid-confidence-above-one": ("seq/grids/000000.bin", _set_grid_channel(7, 7.0, (0, 0))),
@@ -529,6 +548,7 @@ CORRUPTIONS = {
     "pose-not-utf8": ("seq/poses.txt", _prepend_byte(b"\xff")),
     "label-not-utf8": ("seq/label_2/000000.txt", _prepend_byte(b"\xff")),
     "velodyne-stray-name": ("seq/velodyne/foo.bin", _copy_of("000000.bin")),
+    "velodyne-duplicate-frame": ("seq/velodyne/4.bin", _second_name_of("000004.bin")),
     "diagnostics-stray-name": ("pgt/diagnostics/foo.json", _copy_of("000000.json")),
 }
 
@@ -622,6 +642,13 @@ ODD_FIELDS = st.sampled_from(
 )
 
 
+def _edit_byte(raw, data):
+    """Replace, insert or (with no byte) delete one byte, non-UTF-8 ones included."""
+    at = data.draw(st.integers(0, len(raw)), label="at")
+    byte = data.draw(st.binary(max_size=1), label="byte")
+    return raw[:at] + byte + raw[at + (0 if data.draw(st.booleans(), label="insert") else 1):]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_text_readers_raise_only_package_errors(workspace, tmp_path_factory, data):
@@ -631,10 +658,7 @@ def test_text_readers_raise_only_package_errors(workspace, tmp_path_factory, dat
     raw = (workspace / relative).read_bytes()
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         if data.draw(st.booleans(), label="byte edit"):
-            # replace, insert or (with no byte) delete one byte, non-UTF-8 ones included
-            at = data.draw(st.integers(0, len(raw)), label="at")
-            byte = data.draw(st.binary(max_size=1), label="byte")
-            raw = raw[:at] + byte + raw[at + (0 if data.draw(st.booleans(), label="insert") else 1):]
+            raw = _edit_byte(raw, data)
         else:
             lines = raw.split(b"\n")
             i = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -684,23 +708,115 @@ ODD_VALUES = st.one_of(
 )
 
 
+def _edit_json(payload, data):
+    """Swap one value below `payload` for an odd one, or drop it from its object."""
+    paths = list(_json_paths(payload))
+    if not paths:
+        return
+    *parents, key = data.draw(st.sampled_from(paths), label="path")
+    parent = functools.reduce(operator.getitem, parents, payload)
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="drop"):
+        del parent[key]
+    else:
+        parent[key] = data.draw(ODD_VALUES, label="value")
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_read_diagnostics_raises_only_package_errors(small_diagnostics, tmp_path_factory, data):
     payload = json.loads(small_diagnostics)
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
-        paths = list(_json_paths(payload))
-        if not paths:
-            break
-        *parents, key = data.draw(st.sampled_from(paths), label="path")
-        parent = functools.reduce(operator.getitem, parents, payload)
-        if isinstance(parent, dict) and data.draw(st.booleans(), label="drop"):
-            del parent[key]
-        else:
-            parent[key] = data.draw(ODD_VALUES, label="value")
+        _edit_json(payload, data)
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(payload))
     try:
         read_diagnostics(path, GridSpec())
     except LidarPgtError:
         pass
+
+
+@pytest.fixture(scope="module")
+def raster_sources(workspace, tmp_path_factory):
+    """A valid file per binary reader: frame 0's cloud, depth and flow, and a box grid."""
+    from lidarpgt.dataset import write_box_grid
+    from lidarpgt.proposals import heuristic_grid
+
+    grid = tmp_path_factory.mktemp("grid") / "000000.bin"
+    write_box_grid(grid, heuristic_grid(read_cloud(workspace / "seq" / "velodyne" / "000000.bin"), GridSpec()))
+    seq = workspace / "seq"
+    return {
+        "velodyne/000000.bin": seq / "velodyne" / "000000.bin",
+        "depth/000000.bin": seq / "depth" / "000000.bin",
+        "flow/000000.bin": seq / "flow" / "000000.bin",
+        "grids/000000.bin": grid,
+    }
+
+
+# the fuzzed file, relative to a sequence root, and how it is read
+BINARY_READERS = {
+    "velodyne/000000.bin": lambda seq, path: read_cloud(path),
+    "depth/000000.bin": lambda seq, path: seq.read_depth(0),
+    "flow/000000.bin": lambda seq, path: seq.read_flow(0),
+    "grids/000000.bin": lambda seq, path: read_box_grid(path, GridSpec()),
+}
+ODD_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 3e38, -3e38, -1.0, 0.0, 2.0, 1e-45])
+
+
+def _edit_payload(raw, data):
+    """One edit of a float32 payload: a byte, a float overwritten with an odd value, or a cut."""
+    how = data.draw(st.sampled_from(["byte", "float", "cut"]), label="payload edit")
+    if how == "float" and len(raw) >= 4:
+        at = 4 * data.draw(st.integers(0, len(raw) // 4 - 1), label="float at")
+        return raw[:at] + np.array(data.draw(ODD_FLOATS, label="float"), dtype="<f4").tobytes() + raw[at + 4:]
+    if how == "cut":
+        return raw[:data.draw(st.integers(0, len(raw)), label="length")]
+    return _edit_byte(raw, data)
+
+
+def _edit_sidecar(raw, data):
+    """One edit of a sidecar: a byte, a value swapped or dropped, or the
+    shape refolded to the same byte count (k times one axis, 1/k another)."""
+    how = data.draw(st.sampled_from(["byte", "value", "refold"]), label="sidecar edit")
+    try:
+        meta = json.loads(raw)
+    except ValueError:
+        how = "byte"
+    if how == "byte":
+        return _edit_byte(raw, data)
+    if how == "value":
+        _edit_json(meta, data)
+    elif isinstance(meta, dict):
+        axes = [k for k in ("rows", "cols", "channels") if isinstance(meta.get(k), int)]
+        if len(axes) >= 2:
+            grow, shrink = data.draw(st.permutations(axes), label="axes")[:2]
+            k = data.draw(st.sampled_from([2, 4, 8]), label="k")
+            if meta[shrink] % k == 0:
+                meta[grow], meta[shrink] = meta[grow] * k, meta[shrink] // k
+    return json.dumps(meta).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_binary_readers_raise_only_package_errors(workspace, raster_sources, tmp_path_factory, data):
+    import dataclasses
+
+    relative = data.draw(st.sampled_from(sorted(BINARY_READERS)), label="file")
+    payload = raster_sources[relative].read_bytes()
+    sidecar_source = raster_sources[relative].with_name(raster_sources[relative].name + ".json")
+    sidecar = sidecar_source.read_bytes() if sidecar_source.exists() else None
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        if sidecar is not None and data.draw(st.booleans(), label="edit the sidecar"):
+            sidecar = _edit_sidecar(sidecar, data)
+        else:
+            payload = _edit_payload(payload, data)
+    root = tmp_path_factory.getbasetemp() / "fuzzed-seq"
+    path = root / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(payload)
+    if sidecar is not None:
+        path.with_name(path.name + ".json").write_bytes(sidecar)
+    seq = dataclasses.replace(load_sequence(workspace / "seq"), root=root)
+    try:
+        BINARY_READERS[relative](seq, path)
+    except LidarPgtError as exc:
+        assert str(path) in str(exc), exc  # a sidecar's path starts with its raster's

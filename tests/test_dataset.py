@@ -453,6 +453,14 @@ class TestSequenceIndex:
         with pytest.raises(MalformedFile):
             load_sequence(tmp_path / "seq")
 
+    def test_rejects_two_files_for_one_frame(self, tmp_path):
+        velo = tmp_path / "seq" / "velodyne"
+        self._make_sequence(tmp_path / "seq")
+        (velo / "2.bin").write_bytes((velo / "000002.bin").read_bytes())
+        message = f"{velo / '000002.bin'} and {velo / '2.bin'}: both are frame 2"
+        with pytest.raises(MalformedFile, match=re.escape(message)):
+            load_sequence(tmp_path / "seq")
+
     def test_rejects_missing_poses(self, tmp_path):
         self._make_sequence(tmp_path / "seq")
         write_poses(tmp_path / "seq" / "poses.txt", [RigidTransform.identity()])

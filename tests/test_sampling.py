@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpgt.bev import BoxGrid, GridSpec
-from lidarpgt.sampling import SamplerConfig, grid_centres, sample_pixels, smooth_confidence
+from lidarpgt.errors import OutOfGrid
+from lidarpgt.sampling import SamplerConfig, grid_centres, sample_pixels, smooth_confidence, smoothed_confidences
 
 SMALL = GridSpec(x_range=(0.0, 20.0), y_range=(-10.0, 10.0), z_range=(-2.0, 2.0), height=80, width=80, stride=4)
 
@@ -138,6 +143,13 @@ def lexsort_smooth(grid, spec, pixel):
 # cell_x = 1.5 m, cell_y = 1.0 m: zero-offset neighbours tie in pairs
 OBLONG = GridSpec(x_range=(0.0, 30.0), y_range=(-10.0, 10.0), z_range=(-2.0, 2.0), height=80, width=80, stride=4)
 TINY = GridSpec(x_range=(0, 4), y_range=(-2, 2), z_range=(-1, 1), height=8, width=8, stride=4)
+ONE_CELL = GridSpec(x_range=(0, 1), y_range=(0, 1), z_range=(-1, 1), height=4, width=4, stride=4)
+ONE_ROW = GridSpec(x_range=(0, 1), y_range=(0, 20), z_range=(-1, 1), height=4, width=80, stride=4)
+# 20 rows of 2 columns, cell_y = 1 m; cell_x = 1 m, then 0.3 m, where the
+# root of a two-row distance, added to a centre's x, can round short of the
+# row's x
+TWO_COLUMNS = GridSpec(x_range=(0, 20), y_range=(0, 2), z_range=(-1, 1), height=80, width=8, stride=4)
+TWO_COLUMNS_DECIMAL = GridSpec(x_range=(0, 6), y_range=(0, 2), z_range=(-1, 1), height=80, width=8, stride=4)
 
 
 def _tie_grid(spec, offset_scale):
@@ -148,14 +160,90 @@ def _tie_grid(spec, offset_scale):
     return grid
 
 
+def _stray_grid(spec):
+    """Random offsets, plus cells moved across the grid next to another cell's
+    centre (a far box is then some pixel's nearest) and one moved a whole
+    span away: offsets read_box_grid accepts."""
+    grid = _tie_grid(spec, 0.4)
+    centres = grid_centres(grid, spec).reshape(spec.out_rows, spec.out_cols, 3)
+    for stray, host in [((0, 0), (10, 10)), ((19, 19), (3, 15)), ((0, 19), (19, 0))]:
+        grid.data[stray][0:3] += centres[host] - centres[stray] + 0.01
+    span = np.array([hi - lo for lo, hi in (spec.x_range, spec.y_range, spec.z_range)])
+    grid.data[5, 5, 0:3] = span
+    assert (np.abs(grid.data[:, :, 0:3]) <= span).all()
+    return grid
+
+
+def _duplicate_grid(spec):
+    """Both cells of each row decode to the same centre (d2 == 0 ties), and
+    the 8th nearest lies exactly two rows away, on the slab's edge."""
+    grid = _tie_grid(spec, 0.0)
+    grid.data[:, 0, 1] = 0.5 * spec.cell_y
+    grid.data[:, 1, 1] = -0.5 * spec.cell_y
+    return grid
+
+
 @pytest.mark.parametrize(
-    "spec, offset_scale",
-    [(OBLONG, 0.0), (SMALL, 0.0), (SMALL, 0.4), (TINY, 0.0)],
-    ids=["paired-ties", "lattice-ties", "random-offsets", "fewer-than-8"],
+    "spec, make_grid",
+    [
+        (OBLONG, lambda spec: _tie_grid(spec, 0.0)),
+        (SMALL, lambda spec: _tie_grid(spec, 0.0)),
+        (SMALL, lambda spec: _tie_grid(spec, 0.4)),
+        (TINY, lambda spec: _tie_grid(spec, 0.0)),
+        (SMALL, _stray_grid),
+        (TWO_COLUMNS, _duplicate_grid),
+        (TWO_COLUMNS_DECIMAL, _duplicate_grid),
+        (ONE_CELL, lambda spec: _tie_grid(spec, 0.4)),
+        (ONE_ROW, lambda spec: _tie_grid(spec, 0.4)),
+    ],
+    ids=[
+        "paired-ties", "lattice-ties", "random-offsets", "fewer-than-8", "stray",
+        "duplicate-centres", "duplicate-centres-decimal", "one-cell", "one-row",
+    ],
 )
-def test_smoothing_equals_full_sort_on_every_pixel(spec, offset_scale):
-    grid = _tie_grid(spec, offset_scale)
+def test_smoothing_equals_full_sort_on_every_pixel(spec, make_grid):
+    grid = make_grid(spec)
     centres = grid_centres(grid, spec)
-    for r in range(spec.out_rows):
-        for c in range(spec.out_cols):
-            assert smooth_confidence(grid, spec, (r, c), centres) == lexsort_smooth(grid, spec, (r, c))
+    pixels = [(r, c) for r in range(spec.out_rows) for c in range(spec.out_cols)]
+    expected = [lexsort_smooth(grid, spec, pixel) for pixel in pixels]
+    assert [smooth_confidence(grid, spec, pixel, centres) for pixel in pixels] == expected
+    assert smoothed_confidences(grid, spec, pixels) == expected
+
+
+# offsets and confidences drawn from small sets (ties, duplicate centres) or
+# from whole ranges (a cell moved across the grid)
+OFFSETS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0]), st.floats(-10.0, 10.0))
+CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_smoothing_equals_full_sort(data):
+    rows, cols = data.draw(st.integers(1, 9), label="rows"), data.draw(st.integers(1, 9), label="cols")
+    cell_x, cell_y = data.draw(st.sampled_from([0.1, 0.3, 1.0, 1.5]), label="cell x"), 1.0
+    spec = GridSpec(
+        x_range=(0.0, rows * cell_x), y_range=(-cols * cell_y, 0.0), z_range=(-1.0, 1.0),
+        height=4 * rows, width=4 * cols, stride=4,
+    )
+    grid = BoxGrid.zeros(spec)
+    offsets = data.draw(st.lists(OFFSETS, min_size=rows * cols * 3, max_size=rows * cols * 3), label="offsets")
+    grid.data[:, :, 0:3] = np.reshape(offsets, (rows, cols, 3)) * cell_x
+    grid.data[:, :, 7] = np.reshape(
+        data.draw(st.lists(CONFIDENCES, min_size=rows * cols, max_size=rows * cols), label="confidences"),
+        (rows, cols),
+    )
+    pixel = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    pixels = data.draw(st.lists(pixel, min_size=1, max_size=12), label="pixels")
+    assert smoothed_confidences(grid, spec, pixels) == [lexsort_smooth(grid, spec, p) for p in pixels]
+
+
+@pytest.mark.parametrize("bad", [(20, 0), (0, 20), (-1, 3), (4, -1)])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_out_of_grid_pixel_anywhere_in_a_batch_is_named(bad, at):
+    grid = _tie_grid(SMALL, 0.4)
+    pixels = [(0, 0), (19, 19)]
+    pixels.insert(at, bad)
+    with pytest.raises(OutOfGrid, match=re.escape(f"pixel {bad} outside 20x20 grid")):
+        smoothed_confidences(grid, SMALL, pixels)
+    with pytest.raises(OutOfGrid, match=re.escape(f"pixel {bad} outside 20x20 grid")):
+        smooth_confidence(grid, SMALL, bad)
