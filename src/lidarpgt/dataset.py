@@ -315,6 +315,9 @@ def read_raster(path):
         value = meta.get(key)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise MalformedFile(f"{meta_path}: {key!r} must be an integer >= 1")
+    for key, value in (("dtype", "<f4"), ("order", "row-major")):
+        if meta.get(key) != value:
+            raise MalformedFile(f"{meta_path}: {key!r} must be {value!r}")
     rows, cols, channels = meta["rows"], meta["cols"], meta["channels"]
     raw = Path(path).read_bytes()
     expected = rows * cols * channels * 4

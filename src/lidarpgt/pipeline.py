@@ -389,12 +389,13 @@ def track_points(
 
 
 def _moments(pts: np.ndarray):
-    """Mean, centred points and covariance eigen-decomposition of (n, 3) points.
+    """Mean, centred points and covariance eigen-decomposition of C-ordered (n, 3) points.
 
-    The mean is `np.mean`'s own reduction without its Python wrapper.
+    The mean adds the rows in order, first to last, onto +0.0, as `np.mean`
+    does on a C-ordered array, without its Python wrapper.
     """
     n = len(pts)
-    centre = np.add.reduce(pts, axis=0) / n
+    centre = np.einsum("ij->j", pts) / n
     centred = pts - centre
     vals, vecs = np.linalg.eigh(centred.T @ centred / n)
     return centre, centred, vals, vecs
@@ -402,7 +403,7 @@ def _moments(pts: np.ndarray):
 
 def principal_direction(points) -> np.ndarray:
     """Unit eigenvector of the point covariance with the largest eigenvalue."""
-    vecs = _moments(np.asarray(points, dtype=float).reshape(-1, 3))[3]
+    vecs = _moments(np.ascontiguousarray(points, dtype=float).reshape(-1, 3))[3]
     return vecs[:, 2]
 
 
@@ -413,7 +414,7 @@ class _Fit(NamedTuple):
 
 
 def _fit(pts: np.ndarray) -> _Fit | None:
-    """`fit_obb` on (n, 3) float points without building an Obb3; None if degenerate."""
+    """`fit_obb` on C-ordered (n, 3) float points without building an Obb3; None if degenerate."""
     if len(pts) < 3:
         return None
     centre, centred, vals, vecs = _moments(pts)
@@ -441,7 +442,7 @@ def fit_obb(points) -> Obb3:
     geometry untouched), which makes fits of the same object comparable across
     frames. Raises DegenerateInput for < 3 points or rank-deficient spreads.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 3)
     fit = _fit(pts)
     if fit is None:
         raise DegenerateInput(
@@ -557,8 +558,10 @@ def generate_pseudo_labels(
             score = AnchorScore(0.0, 0.0, -math.inf)
             if len(rows) >= 3:
                 at = rank[rows]
-                positions, alive = tracked.positions[:, at], tracked.alive[:, at]
-                fits = [_fit(positions[k][alive[k]]) for k in range(tracked.steps + 1)]
+                fits = [
+                    _fit(tracked.positions[k].take(at[tracked.alive[k].take(at)], axis=0))
+                    for k in range(tracked.steps + 1)
+                ]
                 if None not in fits:
                     score.moving = moving_score(fits)
                     score.inconsistency = inconsistency_score(fits)

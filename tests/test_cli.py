@@ -430,11 +430,14 @@ def _set_grid_channel(channel, value, cells=(slice(None), slice(None))):
     return corrupt
 
 
-def _set_sidecar_shape(rows, cols):
+def _set_sidecar(named=None, **fields):
+    """Set sidecar fields; returns `named`, which the error must also give."""
+
     def corrupt(path):
         meta = json.loads(path.read_text())
-        meta.update(rows=rows, cols=cols)
+        meta.update(fields)
         path.write_text(json.dumps(meta))
+        return named
 
     return corrupt
 
@@ -517,8 +520,14 @@ CORRUPTIONS = {
     "grid-confidence-above-one": ("seq/grids/000000.bin", _set_grid_channel(7, 7.0, (0, 0))),
     "grid-negative-size": ("seq/grids/000000.bin", _set_grid_channel(3, -1.0)),
     # same byte count as the 320x800 camera's rasters, wrong image shape
-    "depth-shape-160x1600": ("seq/depth/000001.bin.json", _set_sidecar_shape(160, 1600)),
-    "flow-shape-160x1600": ("seq/flow/000000.bin.json", _set_sidecar_shape(160, 1600)),
+    "depth-shape-160x1600": ("seq/depth/000001.bin.json", _set_sidecar(rows=160, cols=1600)),
+    "flow-shape-160x1600": ("seq/flow/000000.bin.json", _set_sidecar(rows=160, cols=1600)),
+    # the reader reads only the float32 row-major layout that write_raster writes
+    "depth-sidecar-f8-column-major": (
+        "seq/depth/000001.bin.json", _set_sidecar("'dtype'", dtype="<f8", order="column-major")
+    ),
+    "flow-sidecar-column-major": ("seq/flow/000000.bin.json", _set_sidecar("'order'", order="column-major")),
+    "grid-sidecar-f8": ("seq/grids/000000.bin.json", _set_sidecar("'dtype'", dtype="<f8")),
     "sidecar-no-rows": ("seq/depth/000000.bin.json", _write_text('{"cols": 800, "channels": 1}')),
     "sidecar-list": ("seq/flow/000000.bin.json", _write_text("[320, 800, 2]")),
     "sidecar-string-rows": ("seq/depth/000000.bin.json", _write_text('{"rows": "320", "cols": 800, "channels": 1}')),

@@ -399,6 +399,10 @@ class TestRasterIo:
             ({"rows": 4, "cols": 4, "channels": 0}, "channels"),
             ({"rows": 4, "cols": True, "channels": 1}, "cols"),
             ({"rows": 4, "cols": 4, "channels": None}, "channels"),
+            ({"rows": 4, "cols": 4, "channels": 1, "order": "row-major"}, "dtype"),
+            ({"rows": 4, "cols": 4, "channels": 1, "dtype": "<f8", "order": "row-major"}, "dtype"),
+            ({"rows": 4, "cols": 4, "channels": 1, "dtype": "<f4"}, "order"),
+            ({"rows": 4, "cols": 4, "channels": 1, "dtype": "<f4", "order": "column-major"}, "order"),
             ([4, 4, 1], "object"),
             ("not json", "Expecting value"),
         ],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpgt.errors import DegenerateInput, MissingFrameData
 from lidarpgt.geometry import (
@@ -21,6 +23,7 @@ from lidarpgt.pipeline import (
     _crop_rows,
     _cylinder_mask,
     _fit,
+    _moments,
     ScorerConfig,
     combined_confidence,
     crop_cylinder,
@@ -537,6 +540,38 @@ class TestFitObb:
         residual = (moved.yaw - base.yaw - angle + math.pi / 2) % math.pi - math.pi / 2
         assert abs(residual) < 1e-9
 
+    @pytest.mark.parametrize("n", [9, 100, 1113, 5000])
+    def test_fit_does_not_depend_on_memory_layout(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3)) * [1.8, 0.6, 4.2] + [3.1, 1.2, 14.7]
+        wide = np.zeros((n, 6))
+        wide[:, ::2] = pts
+        expected = fit_obb(pts)
+        for same in (np.asfortranarray(pts), wide[:, ::2], np.repeat(pts, 2, axis=0)[::2]):
+            box = fit_obb(same)
+            assert (box.centre == expected.centre).all()
+            assert (box.dims == expected.dims).all()
+            assert box.yaw == expected.yaw
+            assert (principal_direction(same) == principal_direction(pts)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.sampled_from([(0, 0), (-8, 8), (-8, 16)]),
+    negative_zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_moments_mean_adds_rows_in_order(n, seed, exponents, negative_zeros):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(*exponents, size=(n, 3), endpoint=True)
+    pts[rng.random((n, 3)) < negative_zeros] = -0.0
+    # row by row, first to last, onto +0.0 (so a column of -0.0 sums to +0.0)
+    expected = (0.0 + np.add.accumulate(pts, axis=0)[-1]) / n
+    centre = _moments(pts)[0]
+    assert (centre == expected).all()
+    assert (np.signbit(centre) == np.signbit(expected)).all()
+
 
 def reference_fit_obb(points) -> Obb3:
     """The box fit written out with np.mean and axis-0 extents, as the oracle."""
@@ -767,6 +802,43 @@ class TestGeneratePseudoLabels:
             e = principal_direction(pts)
             swapped += fit.yaw != canonical_yaw(math.atan2(e[2], e[0]))
         assert len(fitted) - degenerate > 500 and degenerate > 0 and swapped > 0
+
+    def test_each_fitted_set_is_its_crop_tracked_alone(self, monkeypatch):
+        import lidarpgt.pipeline as pipeline
+        from lidarpgt.bev import GridSpec
+        from lidarpgt.proposals import heuristic_grid
+        from lidarpgt.sampling import SamplerConfig
+
+        cfg, frames = self._vehicle_scene()
+        window = self._window(frames, cfg, 3)
+        spec = GridSpec()
+        crops, fitted = [], []
+
+        def recording_crops(*args):
+            result = _crop_rows(*args)
+            crops.extend(rows for per_pixel in result for rows in per_pixel if len(rows) >= 3)
+            return result
+
+        monkeypatch.setattr(pipeline, "_crop_rows", recording_crops)
+        monkeypatch.setattr(pipeline, "_fit", lambda pts: fitted.append(pts) or _fit(pts))
+        # 240 samples reach the few crops whose points lose their tracks
+        pipeline.generate_pseudo_labels(
+            window, heuristic_grid(frames[0].cloud, spec), spec,
+            sampler_cfg=SamplerConfig(sample_count=240, seed=1),
+        )
+        monkeypatch.undo()
+        cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
+        steps = 4  # the crop itself and 3 tracked frames
+        assert len(fitted) == steps * len(crops) > 0
+        dying = 0
+        for i, rows in enumerate(crops):
+            alone = track_points(cloud_cam[rows], window.flows, window.depths, window.poses, 3, window.intrinsics)
+            for k in range(steps):
+                pts = fitted[steps * i + k]
+                assert pts.dtype == np.float64 and pts.flags.c_contiguous
+                assert np.array_equal(pts, alone.point_set(k))
+            dying += not alone.alive[3].all()
+        assert dying > 0  # some crops lose tracks, so a set without dead rows differs
 
     @pytest.mark.parametrize(
         "pts",
