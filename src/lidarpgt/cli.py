@@ -47,29 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _apply_overrides(cfg, args):
-    over = {
-        ("sampler", "confidence_threshold"): args.sample_threshold,
-        ("sampler", "sample_count"): args.samples,
-        ("sampler", "seed"): args.seed,
-        ("scorer", "score_threshold"): args.score_threshold,
-        ("scorer", "moving_weight"): args.moving_weight,
-        ("scorer", "inconsistency_weight"): args.inconsistency_weight,
-        ("scorer", "k_frames"): args.track_frames,
-    }
-    for (section, key), value in over.items():
-        if value is not None:
-            cfg[section][key] = value
-    return cfg
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="lidarpgt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic sequence on disk")
     p.add_argument("--config", help="JSON config file (simulate section)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -80,15 +64,8 @@ def build_parser() -> _Parser:
         "--proposals", type=_proposals, default="heuristic",
         help="'heuristic' or 'file:<dir>' with per-frame box-grid files",
     )
-    p.add_argument("--jobs", type=int, default=0, help="frame-level workers (0 = all cores)")
+    p.add_argument("--jobs", type=_count, default=0, help="frame-level workers (0 = all cores)")
     p.add_argument("--config", help="JSON config file overriding the defaults")
-    p.add_argument("--sample-threshold", type=float, help="confidence band split")
-    p.add_argument("--samples", type=int, help="pixels sampled per frame")
-    p.add_argument("--seed", type=int, help="sampler seed (per-frame seeds add the frame index)")
-    p.add_argument("--score-threshold", type=float, help="anchor survival threshold")
-    p.add_argument("--moving-weight", type=float)
-    p.add_argument("--inconsistency-weight", type=float)
-    p.add_argument("--track-frames", type=int, help="tracking horizon in frames")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score detections against ground truth")
@@ -112,9 +89,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("render", help="render a BEV image with box overlays")
     p.add_argument("sequence")
-    p.add_argument("--frame", type=int, default=0)
+    p.add_argument("--frame", type=_count, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--overlays", default="gt", help="comma list of gt,pseudo,proposals")
+    p.add_argument("--overlays", type=_overlays, default="gt", help="comma list of gt,pseudo,proposals")
     p.add_argument("--pgt", help="generate output directory (for pseudo overlays)")
     p.add_argument("--bev-raster", help="also export the raw BEV channels as a flat binary raster")
     p.add_argument("--config")
@@ -131,20 +108,38 @@ def _proposals(text: str) -> Path | None:
     raise argparse.ArgumentTypeError(f"expected 'heuristic' or 'file:<dir>', got {text!r}")
 
 
-def _load_grid(grids: Path | None, seq, t, spec, ground_margin, cloud=None):
+def _count(text: str) -> int:
+    """An integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _overlays(text: str) -> set[str]:
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in ("gt", "pseudo", "proposals"):
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of gt, pseudo and proposals, got {name!r} in {text!r}"
+            )
+    return set(names)
+
+
+def _load_grid(grids: Path | None, seq, t, cfg: cfgmod.Config, cloud=None):
     if grids is None:
-        return heuristic_grid(seq.read_cloud(t) if cloud is None else cloud, spec, ground_margin)
-    return grid_from_file(grids / f"{t:06d}.bin", spec)
+        cloud = seq.read_cloud(t) if cloud is None else cloud
+        return heuristic_grid(cloud, cfg.grid, cfg.ground_margin)
+    return grid_from_file(grids / f"{t:06d}.bin", cfg.grid)
 
 
-def _generate_frame(seq, spec, sampler, scorer, anchors, grids, ground_margin, out: Path, t: int):
+def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
     """Label the window starting at frame t and write its files; the run's
     inputs come first so that `functools.partial` binds them once."""
     # Per-frame seeds keep frames decorrelated but reproducible.
-    sampler = dataclasses.replace(sampler, seed=sampler.seed + t)
-    window = FrameWindow.from_sequence(seq, t, scorer.k_frames)
-    grid = _load_grid(grids, seq, t, spec, ground_margin, window.cloud)
-    result = generate_pseudo_labels(window, grid, spec, anchors, sampler, scorer)
+    sampler = dataclasses.replace(cfg.sampler, seed=cfg.sampler.seed + t)
+    window = FrameWindow.from_sequence(seq, t, cfg.scorer.k_frames)
+    grid = _load_grid(grids, seq, t, cfg, window.cloud)
+    result = generate_pseudo_labels(window, grid, cfg.grid, cfg.anchors, sampler, cfg.scorer)
     calib = seq.calibration
     records = [
         label_record(_PGT_CLASS, label.box, calib.lidar_to_cam, calib.intrinsics, label.confidence)
@@ -158,36 +153,30 @@ def _generate_frame(seq, spec, sampler, scorer, anchors, grids, ground_margin, o
 
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    sim, seed = cfgmod.sim_config(cfg)
-    seed = args.seed if args.seed is not None else seed
-    frames = make_scene(sim, seed)
-    write_scene(frames, sim, args.out, seed=seed)
+    seed = cfg.seed if args.seed is None else args.seed
+    frames = make_scene(cfg.scene, seed)
+    write_scene(frames, cfg.scene, args.out, seed=seed)
     n_points = sum(len(f.cloud) for f in frames) // len(frames)
     print(
-        f"wrote {len(frames)} frames, {len(sim.objects)} objects, "
+        f"wrote {len(frames)} frames, {len(cfg.scene.objects)} objects, "
         f"~{n_points} points/frame to {args.out}"
     )
     return 0
 
 
 def cmd_generate(args) -> int:
-    if args.jobs < 0:
-        raise _UsageError(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+    cfg = cfgmod.load_config(args.config)
     seq = load_sequence(args.sequence)
-    scorer = cfgmod.scorer_config(cfg)
-    n_windows = seq.n_frames - scorer.k_frames
+    n_windows = seq.n_frames - cfg.scorer.k_frames
     if n_windows <= 0:
         print(
-            f"sequence has {seq.n_frames} frames; tracking needs at least {scorer.k_frames + 1}",
+            f"sequence has {seq.n_frames} frames; "
+            f"tracking needs at least {cfg.scorer.k_frames + 1}",
             file=sys.stderr,
         )
         return 2
     out = Path(args.out)
-    work = functools.partial(
-        _generate_frame, seq, cfgmod.grid_spec(cfg), cfgmod.sampler_config(cfg), scorer,
-        cfgmod.anchors(cfg), args.proposals, cfgmod.ground_margin(cfg), out,
-    )
+    work = functools.partial(_generate_frame, seq, cfg, args.proposals, out)
     (out / "label_pgt").mkdir(parents=True, exist_ok=True)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
     jobs = min(args.jobs or os.cpu_count() or 1, n_windows)
@@ -244,8 +233,6 @@ def _loss_terms_text(terms: LossBreakdown) -> str:
 def cmd_evaluate_loss(args) -> int:
     cfg = cfgmod.load_config(args.config)
     seq = load_sequence(args.sequence)
-    spec = cfgmod.grid_spec(cfg)
-    loss_cfg = cfgmod.loss_config(cfg)
     diag_dir = Path(args.pgt) / "diagnostics"
     frames = sorted((frame_index(path), path) for path in diag_dir.glob("*.json"))
     if not frames:
@@ -253,9 +240,9 @@ def cmd_evaluate_loss(args) -> int:
         return 2
     totals = LossBreakdown()
     for t, path in frames:
-        grid = _load_grid(args.proposals, seq, t, spec, cfgmod.ground_margin(cfg))
-        u_plus, u_minus = read_diagnostics(path, spec)
-        terms = frame_loss_terms(grid, u_plus, u_minus, spec, loss_cfg)
+        grid = _load_grid(args.proposals, seq, t, cfg)
+        u_plus, u_minus = read_diagnostics(path, cfg.grid)
+        terms = frame_loss_terms(grid, u_plus, u_minus, cfg.grid, cfg.loss)
         print(f"frame {t:04d}: total={terms.total:.6f} {_loss_terms_text(terms)}")
         for key, value in vars(terms).items():
             setattr(totals, key, getattr(totals, key) + value)
@@ -265,34 +252,32 @@ def cmd_evaluate_loss(args) -> int:
 
 def cmd_render(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    spec = cfgmod.grid_spec(cfg)
     seq = load_sequence(args.sequence)
     t = args.frame
     cloud = seq.read_cloud(t)
-    wanted = {name.strip() for name in args.overlays.split(",") if name.strip()}
     overlays = []
     cam_to_lidar = seq.calibration.lidar_to_cam.invert()
-    if "gt" in wanted and seq.label_path(t).exists():
+    if "gt" in args.overlays and seq.label_path(t).exists():
         boxes = [transform_obb(r.box, cam_to_lidar, LIDAR) for r in seq.read_labels(t)]
         overlays.append((GT_COLOR, boxes))
-    if "pseudo" in wanted:
+    if "pseudo" in args.overlays:
         if not args.pgt:
             raise _UsageError("--pgt is required for the pseudo overlay")
-        u_plus, _ = read_diagnostics(Path(args.pgt) / "diagnostics" / f"{t:06d}.json", spec)
+        u_plus, _ = read_diagnostics(Path(args.pgt) / "diagnostics" / f"{t:06d}.json", cfg.grid)
         overlays.append((PSEUDO_COLOR, [label.box for label in u_plus]))
-    if "proposals" in wanted:
-        grid = heuristic_grid(cloud, spec, cfgmod.ground_margin(cfg))
-        threshold = cfgmod.sampler_config(cfg).confidence_threshold
-        shown = (grid.confidence > threshold) & np.all(grid.data[:, :, 3:6] > 0, axis=2)
+    if "proposals" in args.overlays:
+        grid = heuristic_grid(cloud, cfg.grid, cfg.ground_margin)
+        shown = grid.confidence > cfg.sampler.confidence_threshold
+        shown &= np.all(grid.data[:, :, 3:6] > 0, axis=2)
         rows, cols = np.nonzero(shown)
         codes = grid.data[rows, cols]
-        centres = pillar_centres(rows, cols, spec) + codes[:, 0:3]
+        centres = pillar_centres(rows, cols, cfg.grid) + codes[:, 0:3]
         boxes = [Obb3(c, code[3:6], float(code[6]), LIDAR) for c, code in zip(centres, codes)]
         overlays.append((PROPOSAL_COLOR, boxes))
-    image = render_overlays(cloud, spec, overlays)
+    image = render_overlays(cloud, cfg.grid, overlays)
     write_ppm(args.out, image)
     if args.bev_raster:
-        write_raster(args.bev_raster, rasterize(cloud, spec), sentinel=None)
+        write_raster(args.bev_raster, rasterize(cloud, cfg.grid), sentinel=None)
     print(f"wrote {args.out}")
     return 0
 

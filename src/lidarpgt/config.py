@@ -2,12 +2,11 @@
 
 The defaults are those of the objects the sections build, and
 DEFAULTS["simulate"] is the reference scene. A user config file only needs
-the keys it overrides, and command-line flags override the file.
+the keys it overrides; it is the only way to override a default.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import types
@@ -125,71 +124,56 @@ _SECTIONS = {
 }
 
 
-def _section(cfg: dict, name: str):
-    return _check(_SECTIONS[name], name, cfg[name])
-
-
 def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+    """`override` laid over `base`; shares their values, which `_check` only reads."""
+    out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
+        both = isinstance(value, dict) and isinstance(base.get(key), dict)
+        out[key] = _merge(base[key], value) if both else value
     return out
 
 
-def load_config(path=None) -> dict:
+class Config(typing.NamedTuple):
+    """A run's configuration: every section, built and checked."""
+
+    grid: GridSpec
+    sampler: SamplerConfig
+    scorer: ScorerConfig
+    loss: LossConfig
+    anchors: list[Anchor]
+    ground_margin: float
+    scene: SimConfig
+    seed: int  # the simulator's
+
+
+def load_config(path=None) -> Config:
     """The defaults, deep-merged with an optional JSON config file.
 
-    Each section the file sets is checked when it is read, so a bad key fails
-    every command, not only the ones that use its section.
+    Every section is built and checked here, once, so a bad key fails every
+    command, not only the ones that use its section; errors name the file,
+    the section and the key.
     """
-    if path is None:
-        return copy.deepcopy(DEFAULTS)
-    try:
-        user = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSON or text decoding
-        raise ConfigInvalid(f"{path}: {exc}") from exc
-    if not isinstance(user, dict):
-        raise ConfigInvalid(f"{path}: config root must be an object")
-    cfg = _merge(DEFAULTS, user)
-    for name in user:
-        if name not in _SECTIONS:
-            raise ConfigInvalid(f"{path}: unknown config section {name!r}")
+    user = {}
+    if path is not None:
         try:
-            _section(cfg, name)
-        except ConfigInvalid as exc:
+            user = json.loads(Path(path).read_text())
+        except ValueError as exc:  # JSON or text decoding
             raise ConfigInvalid(f"{path}: {exc}") from exc
-    return cfg
-
-
-def grid_spec(cfg: dict) -> GridSpec:
-    return _section(cfg, "grid")
-
-
-def sampler_config(cfg: dict) -> SamplerConfig:
-    return _section(cfg, "sampler")
-
-
-def scorer_config(cfg: dict) -> ScorerConfig:
-    return _section(cfg, "scorer")
-
-
-def loss_config(cfg: dict) -> LossConfig:
-    return _section(cfg, "loss")
-
-
-def anchors(cfg: dict) -> list[Anchor]:
-    return _section(cfg, "anchors")
-
-
-def ground_margin(cfg: dict) -> float:
-    return _section(cfg, "heuristic")["ground_margin"]
-
-
-def sim_config(cfg: dict) -> tuple[SimConfig, int]:
-    """The simulate section: the scene and its seed."""
-    scene = _section(cfg, "simulate")
-    seed = scene.pop("seed")
-    return _construct(SimConfig, "simulate", scene), seed
+        if not isinstance(user, dict):
+            raise ConfigInvalid(f"{path}: config root must be an object")
+    try:
+        for name in user:
+            if name not in _SECTIONS:
+                raise ConfigInvalid(f"unknown config section {name!r}")
+        cfg = _merge(DEFAULTS, user)
+        built = {name: _check(hint, name, cfg[name]) for name, hint in _SECTIONS.items()}
+        scene = built["simulate"]
+        seed = scene.pop("seed")
+        if seed < 0:
+            raise ConfigInvalid(f"simulate.seed: expected an integer >= 0, got {seed}")
+        return Config(
+            built["grid"], built["sampler"], built["scorer"], built["loss"], built["anchors"],
+            built["heuristic"]["ground_margin"], _construct(SimConfig, "simulate", scene), seed,
+        )
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc

@@ -24,6 +24,8 @@ class SamplerConfig:
             raise ValueError("confidence threshold must lie in [0, 1]")
         if self.sample_count <= 0 or self.sample_count % 2:
             raise ValueError("sample count must be even and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def sample_pixels(grid: BoxGrid, spec: GridSpec, cfg: SamplerConfig) -> list[tuple[int, int]]:

@@ -252,12 +252,11 @@ class TestCliRoundTrip:
             assert (workspace / "pgt" / name).read_bytes() == (out / name).read_bytes()
 
     def test_file_backed_proposals_match_heuristic(self, workspace, tmp_path):
-        import lidarpgt.config as cfgmod
+        from lidarpgt.config import load_config
         from lidarpgt.dataset import load_sequence, write_box_grid
         from lidarpgt.proposals import heuristic_grid
 
-        cfg = json.loads((workspace / "cfg.json").read_text())
-        spec = cfgmod.grid_spec(cfgmod._merge(cfgmod.DEFAULTS, cfg))
+        spec = load_config(workspace / "cfg.json").grid
         seq = load_sequence(workspace / "seq")
         grids = tmp_path / "grids"
         grids.mkdir()
@@ -332,11 +331,34 @@ class TestCliErrors:
         assert code == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--samples", "--seed", "--score-threshold", "--track-frames"])
-    def test_evaluate_loss_has_no_sampler_or_scorer_flags(self, workspace, capsys, flag):
-        code = main(["evaluate-loss", str(workspace / "seq"), "--pgt", str(workspace / "pgt"), flag, "2"])
-        assert code == 1
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *(
+                pytest.param("evaluate-loss", flag, id=flag)
+                for flag in ("--samples", "--seed", "--score-threshold", "--track-frames")
+            ),
+            *(
+                pytest.param("generate", flag, id=f"generate{flag}")
+                for flag in (
+                    "--sample-threshold", "--samples", "--seed", "--score-threshold",
+                    "--moving-weight", "--inconsistency-weight", "--track-frames",
+                )
+            ),
+        ],
+    )
+    def test_evaluate_loss_has_no_sampler_or_scorer_flags(
+        self, workspace, tmp_path, capsys, command, flag
+    ):
+        # the config file is the only way to set these
+        out = tmp_path / "out"
+        if command == "generate":
+            argv = ["generate", str(workspace / "seq"), "--out", str(out)]
+        else:
+            argv = ["evaluate-loss", str(workspace / "seq"), "--pgt", str(workspace / "pgt")]
+        assert main(argv + [flag, "2"]) == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sequence_too_short_for_tracking(self, tmp_path, workspace, capsys):
         cfg = tmp_path / "cfg.json"
@@ -352,6 +374,26 @@ class TestCliErrors:
         assert code == 1
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [("simulate", "--seed"), ("render", "--frame")])
+    def test_negative_counts(self, workspace, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), flag, "-1"]
+        if command == "render":
+            argv.insert(1, str(workspace / "seq"))
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overlays, bad", [("gt,psuedo", "'psuedo'"), ("gt,,pseudo", "''")])
+    def test_unknown_overlay(self, workspace, tmp_path, capsys, overlays, bad):
+        out = tmp_path / "f.ppm"
+        argv = ["render", str(workspace / "seq"), "--out", str(out), "--overlays", overlays,
+                "--pgt", str(workspace / "pgt")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--overlays" in err and bad in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, config, named",
         [
@@ -363,6 +405,8 @@ class TestCliErrors:
             ("generate", {"sampelr": {"sample_count": 10}}, ["sampelr"]),
             ("simulate", {"simulate": {"ego": {"velocity": 3}}}, ["simulate", "velocity"]),
             ("generate", {"loss": {"alpha": 0.001, "gamma": 1.0}}, ["loss"]),
+            ("generate", {"sampler": {"seed": -1}}, ["sampler", "seed"]),
+            ("simulate", {"simulate": {"seed": -1}}, ["simulate", "seed"]),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -376,6 +420,7 @@ class TestCliErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
+        assert not Path(out).exists()
 
     @pytest.mark.parametrize(
         "iou", ["0.1:0.7:0", "0.1:0.7:-0.1", "0.1:0.7:nan", "nan", "0.1,nan", "0", "-0.2", "1.5", "0.1:1.2:0.1"]

@@ -1,16 +1,7 @@
 import numpy as np
 
 from lidarpgt.bev import GridSpec
-from lidarpgt.config import (
-    anchors,
-    grid_spec,
-    ground_margin,
-    load_config,
-    loss_config,
-    sampler_config,
-    scorer_config,
-    sim_config,
-)
+from lidarpgt.config import load_config
 from lidarpgt.geometry import CameraIntrinsics
 from lidarpgt.loss import LossConfig
 from lidarpgt.pipeline import ScorerConfig, default_anchors
@@ -20,12 +11,12 @@ from lidarpgt.sampling import SamplerConfig
 
 def test_defaults_are_the_dataclass_defaults():
     cfg = load_config()
-    assert grid_spec(cfg) == GridSpec()
-    assert sampler_config(cfg) == SamplerConfig()
-    assert scorer_config(cfg) == ScorerConfig()
-    assert loss_config(cfg) == LossConfig()
-    assert ground_margin(cfg) == DEFAULT_GROUND_MARGIN
-    built, expected = anchors(cfg), default_anchors()
+    assert cfg.grid == GridSpec()
+    assert cfg.sampler == SamplerConfig()
+    assert cfg.scorer == ScorerConfig()
+    assert cfg.loss == LossConfig()
+    assert cfg.ground_margin == DEFAULT_GROUND_MARGIN
+    built, expected = cfg.anchors, default_anchors()
     assert [a.name for a in built] == [a.name for a in expected]
     for a, b in zip(built, expected):
         assert np.array_equal(a.dims, b.dims)
@@ -33,7 +24,7 @@ def test_defaults_are_the_dataclass_defaults():
 
 def test_reference_scene():
     cfg = load_config()
-    scene, seed = sim_config(cfg)
+    scene, seed = cfg.scene, cfg.seed
     assert seed == 0
     assert scene.n_frames == 10 and len(scene.objects) == 8
     assert scene.intrinsics == CameraIntrinsics(500.0, 500.0, 800.0, 187.0, 1600, 448)
