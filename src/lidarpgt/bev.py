@@ -4,6 +4,8 @@ Pixel axis mapping, fixed package-wide: image rows index lidar x (forward),
 image columns index lidar y (left-right). Grid pixels are (row, col) integer
 pairs. Cells are half-open: a point exactly on a max bound is excluded, so
 every in-volume point lands in exactly one pillar.
+Only this module knows the pixel rules: `check_pixel` bounds a box-grid
+pixel, `_cell_index` maps lidar x/y to a pixel, `grid_centres` decodes them.
 """
 
 from __future__ import annotations
@@ -129,6 +131,14 @@ def require_grid_shape(grid: BoxGrid, spec: GridSpec):
         )
 
 
+def check_pixel(pixel, spec: GridSpec) -> tuple[int, int]:
+    """The (row, col) of a box-grid pixel, or OutOfGrid when it lies off the grid."""
+    r, c = pixel
+    if not (0 <= r < spec.out_rows and 0 <= c < spec.out_cols):
+        raise OutOfGrid(f"pixel {(r, c)} outside {spec.out_rows}x{spec.out_cols} grid")
+    return r, c
+
+
 def in_volume_mask(xyz: np.ndarray, spec: GridSpec) -> np.ndarray:
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     return (
@@ -139,6 +149,15 @@ def in_volume_mask(xyz: np.ndarray, spec: GridSpec) -> np.ndarray:
         & (z >= spec.z_range[0])
         & (z < spec.z_range[1])
     )
+
+
+def _cell_index(xyz: np.ndarray, spec: GridSpec, stride: int):
+    """(row, col) of in-volume lidar points (`xyz[..., 0:2]`) on the grid of
+    stride x stride pixel blocks: 1 for the raster, spec.stride for the box grid."""
+    rows = np.floor((xyz[..., 0] - spec.x_range[0]) / (spec.x_res * stride)).astype(int)
+    cols = np.floor((xyz[..., 1] - spec.y_range[0]) / (spec.y_res * stride)).astype(int)
+    # Guard against points landing exactly on the top edge through rounding.
+    return np.clip(rows, 0, spec.height // stride - 1), np.clip(cols, 0, spec.width // stride - 1)
 
 
 def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
@@ -160,11 +179,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
         return image
     xyz = xyz[keep]
     intensity = cloud.intensity[keep]
-    rows = np.floor((xyz[:, 0] - spec.x_range[0]) / spec.x_res).astype(int)
-    cols = np.floor((xyz[:, 1] - spec.y_range[0]) / spec.y_res).astype(int)
-    # Guard against points landing exactly on the top edge through rounding.
-    rows = np.clip(rows, 0, spec.height - 1)
-    cols = np.clip(cols, 0, spec.width - 1)
+    rows, cols = _cell_index(xyz, spec, 1)
     flat = rows * spec.width + cols
 
     n_pix = spec.height * spec.width
@@ -199,10 +214,13 @@ def pillar_centres(rows, cols, spec: GridSpec) -> np.ndarray:
 
 def pillar_centre(pixel, spec: GridSpec) -> np.ndarray:
     """3D centre (lidar frame) of the stride x stride pillar block at a grid pixel."""
-    r, c = pixel
-    if not (0 <= r < spec.out_rows and 0 <= c < spec.out_cols):
-        raise OutOfGrid(f"pixel {(r, c)} outside {spec.out_rows}x{spec.out_cols} grid")
-    return pillar_centres(r, c, spec)
+    return pillar_centres(*check_pixel(pixel, spec), spec)
+
+
+def grid_centres(grid: BoxGrid, spec: GridSpec) -> np.ndarray:
+    """Decoded 3D centres of every grid box, (rows*cols, 3), row-major."""
+    base = pillar_centres(np.arange(spec.out_rows)[:, None], np.arange(spec.out_cols), spec)
+    return (base + grid.data[:, :, 0:3]).reshape(-1, 3)
 
 
 def decode_box(pixel, code: BoxCode, spec: GridSpec) -> Obb3:
@@ -217,10 +235,7 @@ def encode_box(box: Obb3, spec: GridSpec, confidence: float = 1.0):
     c = box.centre
     if not in_volume_mask(c.reshape(1, 3), spec)[0]:
         raise OutOfVolume(f"box centre {c.tolist()} outside the rasterized volume")
-    row = int(np.floor((c[0] - spec.x_range[0]) / spec.cell_x))
-    col = int(np.floor((c[1] - spec.y_range[0]) / spec.cell_y))
-    row = min(row, spec.out_rows - 1)
-    col = min(col, spec.out_cols - 1)
-    pixel = (row, col)
+    row, col = _cell_index(c, spec, spec.stride)
+    pixel = (int(row), int(col))
     delta = c - pillar_centre(pixel, spec)
     return pixel, BoxCode(delta, box.dims, box.yaw, confidence)

@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .bev import pillar_centres, rasterize
+from .bev import grid_centres, rasterize
 from .dataset import (
-    frame_index, load_sequence, read_calib, read_diagnostics, write_diagnostics, write_labels,
-    write_raster,
+    frame_index, frame_path, load_sequence, read_calib, read_diagnostics, write_diagnostics,
+    write_labels, write_raster,
 )
-from .errors import LidarPgtError
+from .errors import LidarPgtError, MissingFrameData
 from .evaluation import evaluate_sequence, label_record
 from .geometry import LIDAR, Obb3, transform_obb
 from .loss import LossBreakdown, frame_loss_terms
@@ -129,7 +129,7 @@ def _load_grid(grids: Path | None, seq, t, cfg: cfgmod.Config, cloud=None):
     if grids is None:
         cloud = seq.read_cloud(t) if cloud is None else cloud
         return heuristic_grid(cloud, cfg.grid, cfg.ground_margin)
-    return grid_from_file(grids / f"{t:06d}.bin", cfg.grid)
+    return grid_from_file(frame_path(grids, t, ".bin"), cfg.grid)
 
 
 def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
@@ -145,8 +145,8 @@ def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
         label_record(_PGT_CLASS, label.box, calib.lidar_to_cam, calib.intrinsics, label.confidence)
         for label in result.u_plus
     ]
-    write_labels(out / "label_pgt" / f"{t:06d}.txt", records)
-    write_diagnostics(out / "diagnostics" / f"{t:06d}.json", result)
+    write_labels(frame_path(out / "label_pgt", t, ".txt"), records)
+    write_diagnostics(frame_path(out / "diagnostics", t, ".json"), result)
     mean_conf_sum = sum(l.confidence for l in result.u_plus) + sum(c for _, c in result.u_minus)
     return len(result.u_plus), len(result.u_minus), mean_conf_sum
 
@@ -169,12 +169,9 @@ def cmd_generate(args) -> int:
     seq = load_sequence(args.sequence)
     n_windows = seq.n_frames - cfg.scorer.k_frames
     if n_windows <= 0:
-        print(
-            f"sequence has {seq.n_frames} frames; "
-            f"tracking needs at least {cfg.scorer.k_frames + 1}",
-            file=sys.stderr,
+        raise MissingFrameData(
+            f"sequence has {seq.n_frames} frames; tracking needs at least {cfg.scorer.k_frames + 1}"
         )
-        return 2
     out = Path(args.out)
     work = functools.partial(_generate_frame, seq, cfg, args.proposals, out)
     (out / "label_pgt").mkdir(parents=True, exist_ok=True)
@@ -263,21 +260,20 @@ def cmd_render(args) -> int:
     if "pseudo" in args.overlays:
         if not args.pgt:
             raise _UsageError("--pgt is required for the pseudo overlay")
-        u_plus, _ = read_diagnostics(Path(args.pgt) / "diagnostics" / f"{t:06d}.json", cfg.grid)
+        u_plus, _ = read_diagnostics(frame_path(Path(args.pgt) / "diagnostics", t, ".json"), cfg.grid)
         overlays.append((PSEUDO_COLOR, [label.box for label in u_plus]))
     if "proposals" in args.overlays:
         grid = heuristic_grid(cloud, cfg.grid, cfg.ground_margin)
         shown = grid.confidence > cfg.sampler.confidence_threshold
         shown &= np.all(grid.data[:, :, 3:6] > 0, axis=2)
-        rows, cols = np.nonzero(shown)
-        codes = grid.data[rows, cols]
-        centres = pillar_centres(rows, cols, cfg.grid) + codes[:, 0:3]
+        codes = grid.data[shown]
+        centres = grid_centres(grid, cfg.grid)[shown.reshape(-1)]
         boxes = [Obb3(c, code[3:6], float(code[6]), LIDAR) for c, code in zip(centres, codes)]
         overlays.append((PROPOSAL_COLOR, boxes))
     image = render_overlays(cloud, cfg.grid, overlays)
     write_ppm(args.out, image)
     if args.bev_raster:
-        write_raster(args.bev_raster, rasterize(cloud, cfg.grid), sentinel=None)
+        write_raster(args.bev_raster, rasterize(cloud, cfg.grid))
     print(f"wrote {args.out}")
     return 0
 

@@ -11,7 +11,8 @@ Directory layout of a sequence:
       label_2/000000.txt ...    KITTI-format labels (optional)
 
 All binary payloads are little-endian float32 with a JSON sidecar recording
-shape, dtype and the invalid-value sentinel.
+shape, dtype and order. Every frame file is named `<t:06d><suffix>` in its
+directory: `frame_path` builds such a name and `frame_index` reads it back.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def write_raster(path, array, sentinel=None):
+def write_raster(path, array):
     """Write a (rows, cols[, channels]) array as float32-LE plus a JSON sidecar."""
     arr = np.asarray(array, dtype="<f4")
     if arr.ndim == 2:
@@ -295,13 +296,12 @@ def write_raster(path, array, sentinel=None):
         "channels": arr.shape[2],
         "dtype": "<f4",
         "order": "row-major",
-        "sentinel": sentinel,
     }
     _sidecar_path(path).write_text(json.dumps(meta) + "\n")
 
 
 def read_raster(path):
-    """Read a raster written by write_raster; returns (array, sentinel)."""
+    """Read a raster written by write_raster; sidecar keys it does not use are ignored."""
     meta_path = _sidecar_path(path)
     if not meta_path.exists():
         raise MalformedFile(f"{path}: missing sidecar {meta_path}")
@@ -326,41 +326,41 @@ def read_raster(path):
     arr = _finite_floats(raw, path).reshape(rows, cols, channels)
     if channels == 1:
         arr = arr[:, :, 0]
-    return arr, meta.get("sentinel")
+    return arr
 
 
 def write_depth(path, depth):
     """Depth raster; entries <= 0 mark invalid pixels."""
-    write_raster(path, depth, sentinel=0.0)
+    write_raster(path, depth)
 
 
 def read_depth(path) -> np.ndarray:
-    arr, _ = read_raster(path)
+    arr = read_raster(path)
     if arr.ndim != 2:
         raise MalformedFile(f"{path}: depth raster must have a single channel")
     return arr
 
 
 def write_flow(path, flow):
-    write_raster(path, flow, sentinel=None)
+    write_raster(path, flow)
 
 
 def read_flow(path) -> np.ndarray:
-    arr, _ = read_raster(path)
+    arr = read_raster(path)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise MalformedFile(f"{path}: flow raster must have two channels")
     return arr
 
 
 def write_box_grid(path, grid: BoxGrid):
-    write_raster(path, grid.data, sentinel=None)
+    write_raster(path, grid.data)
 
 
 def read_box_grid(path, spec: GridSpec) -> BoxGrid:
     """Read a box grid, checking its shape and every cell's code: no centre
     offset beyond the grid's extent on its axis, no negative size and a
     confidence in [0, 1]."""
-    data, _ = read_raster(path)
+    data = read_raster(path)
     expected = (spec.out_rows, spec.out_cols, 8)
     if data.shape != expected:
         raise ShapeMismatch(f"{path}: box grid has shape {data.shape}, expected {expected}")
@@ -474,16 +474,16 @@ class SequenceIndex:
     n_frames: int
 
     def cloud_path(self, t) -> Path:
-        return self.root / "velodyne" / f"{t:06d}.bin"
+        return frame_path(self.root / "velodyne", t, ".bin")
 
     def depth_path(self, t) -> Path:
-        return self.root / "depth" / f"{t:06d}.bin"
+        return frame_path(self.root / "depth", t, ".bin")
 
     def flow_path(self, t) -> Path:
-        return self.root / "flow" / f"{t:06d}.bin"
+        return frame_path(self.root / "flow", t, ".bin")
 
     def label_path(self, t) -> Path:
-        return self.root / "label_2" / f"{t:06d}.txt"
+        return frame_path(self.root / "label_2", t, ".txt")
 
     def read_cloud(self, t) -> PointCloud:
         return read_cloud(self.cloud_path(t))
@@ -507,6 +507,11 @@ class SequenceIndex:
 
     def read_labels(self, t) -> list[LabelRecord]:
         return read_labels(self.label_path(t))
+
+
+def frame_path(directory, t: int, suffix: str) -> Path:
+    """`<directory>/<t:06d><suffix>`, the frame file name frame_index reads back."""
+    return Path(directory) / f"{t:06d}{suffix}"
 
 
 def frame_index(path) -> int:

@@ -41,9 +41,5 @@ class BehindCamera(LidarPgtError):
     """A box vertex has non-positive depth in camera space."""
 
 
-class PixelOutOfRange(LidarPgtError):
-    """A pseudo-label references a pixel outside the prediction grid."""
-
-
 class ConfigInvalid(LidarPgtError):
     """A configuration value violates its documented constraints."""

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, pillar_centre
-from .errors import PixelOutOfRange
+from .bev import BoxGrid, GridSpec, check_pixel, pillar_centres, require_grid_shape
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,6 @@ class LossBreakdown:
         return self.centre + self.dims + self.yaw + self.confidence_pos + self.confidence_neg
 
 
-def _checked_code(grid: BoxGrid, pixel) -> list[float]:
-    r, c = pixel
-    if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-        raise PixelOutOfRange(f"pixel {(r, c)} outside {grid.rows}x{grid.cols} grid")
-    return grid.data[r, c].tolist()
-
-
 def frame_loss_terms(
     grid: BoxGrid, u_plus, u_minus, spec: GridSpec, cfg: LossConfig = LossConfig()
 ) -> LossBreakdown:
@@ -105,16 +97,19 @@ def frame_loss_terms(
     before comparison. Accumulation runs in pixel-sorted order so the result
     does not depend on how the targets were produced.
     """
+    require_grid_shape(grid, spec)
     out = LossBreakdown()
     for label in sorted(u_plus, key=lambda l: l.pixel):
-        code = _checked_code(grid, label.pixel)
-        predicted_centre = pillar_centre(label.pixel, spec) + code[0:3]
+        r, c = check_pixel(label.pixel, spec)
+        code = grid.data[r, c].tolist()
+        predicted_centre = pillar_centres(r, c, spec) + code[0:3]
         out.centre += float(np.sum(balanced_l1(predicted_centre - label.box.centre, cfg)))
         out.dims += float(np.sum(balanced_l1(code[3:6] - label.box.dims, cfg)))
         out.yaw += float(balanced_l1(wrap_angle_residual(code[6] - label.box.yaw), cfg))
         out.confidence_pos += (code[7] - label.confidence) ** 2
     for pixel, target in sorted(u_minus, key=lambda p: p[0]):
-        out.confidence_neg += (_checked_code(grid, pixel)[7] - target) ** 2
+        r, c = check_pixel(pixel, spec)
+        out.confidence_neg += (float(grid.data[r, c, 7]) - target) ** 2
     return out
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, require_grid_shape
+from .bev import BoxGrid, GridSpec, grid_centres, require_grid_shape
 from .errors import DegenerateInput, MissingFrameData
 from .geometry import (
     CAMERA,
@@ -31,7 +31,7 @@ from .geometry import (
     transform_obb,
     yaw_matrix,
 )
-from .sampling import SamplerConfig, grid_centres, sample_pixels, smoothed_confidences
+from .sampling import SamplerConfig, sample_pixels, smoothed_confidences
 
 if TYPE_CHECKING:  # dataset imports this module for the pseudo-label types
     from .dataset import SequenceIndex

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, in_volume_mask, pillar_centres
+from .bev import BoxGrid, GridSpec, _cell_index, in_volume_mask, pillar_centres
 from .dataset import read_box_grid
 from .geometry import LIDAR, PointCloud
 
@@ -46,10 +46,7 @@ def heuristic_grid(cloud: PointCloud, spec: GridSpec, ground_margin: float = DEF
     if not keep.any():
         return grid
     xyz = xyz[keep]
-    rows = np.floor((xyz[:, 0] - spec.x_range[0]) / spec.cell_x).astype(int)
-    cols = np.floor((xyz[:, 1] - spec.y_range[0]) / spec.cell_y).astype(int)
-    rows = np.clip(rows, 0, spec.out_rows - 1)
-    cols = np.clip(cols, 0, spec.out_cols - 1)
+    rows, cols = _cell_index(xyz, spec, spec.stride)
     flat = rows * spec.out_cols + cols
 
     n_cells = spec.out_rows * spec.out_cols

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, pillar_centres, require_grid_shape
-from .errors import OutOfGrid
+from .bev import BoxGrid, GridSpec, check_pixel, grid_centres, require_grid_shape
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,6 @@ def sample_pixels(grid: BoxGrid, spec: GridSpec, cfg: SamplerConfig) -> list[tup
     return [(int(flat // cols), int(flat % cols)) for flat in chosen]
 
 
-def grid_centres(grid: BoxGrid, spec: GridSpec) -> np.ndarray:
-    """Decoded 3D centres of every grid box, (rows*cols, 3), row-major."""
-    base = pillar_centres(np.arange(spec.out_rows)[:, None], np.arange(spec.out_cols), spec)
-    return (base + grid.data[:, :, 0:3]).reshape(-1, 3)
-
-
 def smooth_confidence(grid: BoxGrid, spec: GridSpec, pixel, centres: np.ndarray | None = None) -> float:
     """Average a pixel's confidence with the 8 boxes whose decoded 3D centres
     are nearest to its own (Euclidean; ties broken by (row, col) order).
@@ -92,10 +85,7 @@ def smoothed_confidences(grid: BoxGrid, spec: GridSpec, pixels, centres: np.ndar
     """
     require_grid_shape(grid, spec)
     rows, cols = spec.out_rows, spec.out_cols
-    pixels = list(pixels)
-    for r, c in pixels:
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise OutOfGrid(f"pixel {(r, c)} outside {rows}x{cols} grid")
+    pixels = [check_pixel(pixel, spec) for pixel in pixels]
     if centres is None:
         centres = grid_centres(grid, spec)
     conf = grid.confidence.reshape(-1)

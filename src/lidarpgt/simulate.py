@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import (
     Calibration,
+    SequenceIndex,
     write_calib,
     write_cloud,
     write_depth,
@@ -316,21 +317,21 @@ _LABEL_CLASS = {"vehicle": "Car", "pedestrian": "Pedestrian", "cyclist": "Cyclis
 
 def write_scene(frames: list[SceneFrame], config: SimConfig, out_dir, seed: int | None = None):
     """Write a scene in the on-disk sequence layout (see dataset module)."""
-    out = Path(out_dir)
-    for sub in ("velodyne", "depth", "flow", "label_2"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
     calib = Calibration(config.lidar_to_cam, config.intrinsics)
-    write_calib(out / "calib.txt", calib)
-    write_poses(out / "poses.txt", [f.pose for f in frames])
+    seq = SequenceIndex(Path(out_dir), calib, [f.pose for f in frames], len(frames))
+    for frame_file in (seq.cloud_path, seq.depth_path, seq.flow_path, seq.label_path):
+        frame_file(0).parent.mkdir(parents=True, exist_ok=True)
+    write_calib(seq.root / "calib.txt", calib)
+    write_poses(seq.root / "poses.txt", seq.poses)
     for t, frame in enumerate(frames):
-        write_cloud(out / "velodyne" / f"{t:06d}.bin", frame.cloud)
-        write_depth(out / "depth" / f"{t:06d}.bin", frame.depth)
-        write_flow(out / "flow" / f"{t:06d}.bin", frame.flow)
+        write_cloud(seq.cloud_path(t), frame.cloud)
+        write_depth(seq.depth_path(t), frame.depth)
+        write_flow(seq.flow_path(t), frame.flow)
         records = [
             label_record(_LABEL_CLASS[gt.cls], gt.box, config.lidar_to_cam, config.intrinsics)
             for gt in frame.gt_boxes
         ]
-        write_labels(out / "label_2" / f"{t:06d}.txt", records)
+        write_labels(seq.label_path(t), records)
     meta = {
         "seed": seed,
         "n_frames": len(frames),
@@ -338,4 +339,4 @@ def write_scene(frames: list[SceneFrame], config: SimConfig, out_dir, seed: int 
             {"cls": obj.cls, "moving": obj.is_moving} for obj in config.objects
         ],
     }
-    (out / "scene_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (seq.root / "scene_meta.json").write_text(json.dumps(meta, indent=2) + "\n")

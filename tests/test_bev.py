@@ -12,6 +12,7 @@ from lidarpgt.bev import (
 )
 from lidarpgt.errors import OutOfGrid, OutOfVolume
 from lidarpgt.geometry import LIDAR, Obb3, PointCloud
+from lidarpgt.proposals import heuristic_grid
 
 
 def make_cloud(xyz, intensity=0.5):
@@ -133,6 +134,31 @@ class TestPillarCentre:
             pillar_centre((152, 0), GridSpec())
         with pytest.raises(OutOfGrid):
             pillar_centre((0, -1), GridSpec())
+
+
+# On this grid a point one ulp below the x and y max bounds divides out onto
+# the top edge of both the raster and the box grid, and the clamp folds it back.
+EDGE = GridSpec(x_range=(-18.0, 18.0), y_range=(-18.0, 18.0))
+EDGE_XYZ = np.array([np.nextafter(18.0, -np.inf), np.nextafter(18.0, -np.inf), 0.0])
+
+
+class TestVolumeEdge:
+    def test_point_rounds_onto_the_top_edge(self):
+        for value, res, size in ((EDGE_XYZ[0], EDGE.x_res, EDGE.height), (EDGE_XYZ[1], EDGE.y_res, EDGE.width)):
+            assert np.floor((value + 18.0) / res) == size
+            assert np.floor((value + 18.0) / (res * EDGE.stride)) == size // EDGE.stride
+
+    def test_rasterize_last_pixel(self):
+        image = rasterize(make_cloud(EDGE_XYZ), EDGE)
+        assert np.argwhere(image[:, :, 2] > 0).tolist() == [[EDGE.height - 1, EDGE.width - 1]]
+
+    def test_heuristic_grid_last_cell(self):
+        grid = heuristic_grid(make_cloud(EDGE_XYZ), EDGE)
+        assert np.argwhere(grid.confidence > 0).tolist() == [[EDGE.out_rows - 1, EDGE.out_cols - 1]]
+
+    def test_encode_box_last_cell(self):
+        pixel, _ = encode_box(Obb3(EDGE_XYZ, (1.0, 1.0, 1.0), 0.0, LIDAR), EDGE)
+        assert pixel == (EDGE.out_rows - 1, EDGE.out_cols - 1)
 
 
 class TestEncodeDecode:

@@ -301,7 +301,7 @@ class TestCliRoundTrip:
             ]
         )
         assert code == 0
-        arr, _ = read_raster(raster)
+        arr = read_raster(raster)
         assert arr.shape == (608, 608, 3)
         assert arr.min() >= 0.0 and arr.max() <= 1.0
 
@@ -367,7 +367,10 @@ class TestCliErrors:
         cfg.write_text(json.dumps(small))
         seq = tmp_path / "short"
         assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(seq)]) == 0
+        capsys.readouterr()
         assert main(["generate", str(seq), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: sequence has 2 frames; tracking needs at least 4\n"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_jobs(self, workspace, capsys):
         code = main(["generate", str(workspace / "seq"), "--out", str(workspace / "x"), "--jobs", "-5"])
@@ -446,9 +449,9 @@ def _poison_raster(value):
     def corrupt(path):
         from lidarpgt.dataset import read_raster, write_raster
 
-        arr, sentinel = read_raster(path)
+        arr = read_raster(path)
         arr.reshape(-1)[-1] = value  # for a box grid: the last pixel's confidence
-        write_raster(path, arr, sentinel)
+        write_raster(path, arr)
 
     return corrupt
 
@@ -457,9 +460,9 @@ def _offset_occupied_cells(value):
     def corrupt(path):
         from lidarpgt.dataset import read_raster, write_raster
 
-        arr, sentinel = read_raster(path)
+        arr = read_raster(path)
         arr[arr[:, :, 7] > 0, 0:3] = value
-        write_raster(path, arr, sentinel)
+        write_raster(path, arr)
 
     return corrupt
 
@@ -468,9 +471,9 @@ def _set_grid_channel(channel, value, cells=(slice(None), slice(None))):
     def corrupt(path):
         from lidarpgt.dataset import read_raster, write_raster
 
-        arr, sentinel = read_raster(path)
+        arr = read_raster(path)
         arr[(*cells, channel)] = value
-        write_raster(path, arr, sentinel)
+        write_raster(path, arr)
 
     return corrupt
 

@@ -425,11 +425,14 @@ class TestRasterIo:
         with pytest.raises(MalformedFile, match=re.escape(f"{path}: non-finite")):
             read_raster(path)
 
-    def test_generic_raster_sentinel(self, tmp_path):
-        path = tmp_path / "r.bin"
-        write_raster(path, np.ones((3, 3)), sentinel=-1.0)
-        _, sentinel = read_raster(path)
-        assert sentinel == -1.0
+    def test_old_sidecar_with_sentinel_loads(self, tmp_path):
+        path, sidecar = tmp_path / "r.bin", tmp_path / "r.bin.json"
+        write_raster(path, np.ones((3, 3)))
+        meta = json.loads(sidecar.read_text())
+        assert sorted(meta) == ["channels", "cols", "dtype", "order", "rows"]
+        # earlier versions also wrote the invalid-value sentinel, which no reader used
+        sidecar.write_text(json.dumps(dict(meta, sentinel=-1.0)) + "\n")
+        assert np.array_equal(read_raster(path), np.ones((3, 3)))
 
 
 class TestSequenceIndex:

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lidarpgt.bev import BoxGrid, GridSpec, encode_box, pillar_centre
-from lidarpgt.errors import PixelOutOfRange
+from lidarpgt.errors import OutOfGrid, ShapeMismatch
 from lidarpgt.geometry import LIDAR, Obb3
 from lidarpgt.loss import (
     LossConfig,
@@ -134,8 +135,18 @@ class TestFrameLoss:
         grid = BoxGrid.zeros(SPEC)
         label = make_label((2, 2), SPEC)
         bad = PseudoLabel((25, 2), label.box, label.confidence, label.anchor)
-        with pytest.raises(PixelOutOfRange):
+        with pytest.raises(OutOfGrid, match=r"pixel \(25, 2\) outside 20x20 grid"):
             frame_loss(grid, [bad], [], SPEC)
+
+    @pytest.mark.parametrize("pixel", [(20, 3), (3, 20), (-1, 3), (3, -1)])
+    def test_u_minus_pixel_out_of_grid(self, pixel):
+        with pytest.raises(OutOfGrid, match=re.escape(f"pixel {pixel} outside 20x20 grid")):
+            frame_loss(BoxGrid.zeros(SPEC), [], [(pixel, 0.5)], SPEC)
+
+    def test_grid_shape_must_match_spec(self):
+        grid = BoxGrid(np.zeros((SPEC.out_rows + 1, SPEC.out_cols, 8)))
+        with pytest.raises(ShapeMismatch):
+            frame_loss(grid, [], [((0, 0), 0.5)], SPEC)
 
     def test_gradient_check_against_analytic(self):
         rng = np.random.default_rng(1)
