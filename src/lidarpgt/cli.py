@@ -94,6 +94,10 @@ def build_parser() -> _Parser:
     p.add_argument("--overlays", type=_overlays, default="gt", help="comma list of gt,pseudo,proposals")
     p.add_argument("--pgt", help="generate output directory (for pseudo overlays)")
     p.add_argument("--bev-raster", help="also export the raw BEV channels as a flat binary raster")
+    p.add_argument(
+        "--proposals", type=_proposals, default="heuristic",
+        help="'heuristic' or 'file:<dir>', as given to generate (for proposals overlays)",
+    )
     p.add_argument("--config")
     p.set_defaults(func=cmd_render)
     return parser
@@ -263,7 +267,7 @@ def cmd_render(args) -> int:
         u_plus, _ = read_diagnostics(frame_path(Path(args.pgt) / "diagnostics", t, ".json"), cfg.grid)
         overlays.append((PSEUDO_COLOR, [label.box for label in u_plus]))
     if "proposals" in args.overlays:
-        grid = heuristic_grid(cloud, cfg.grid, cfg.ground_margin)
+        grid = _load_grid(args.proposals, seq, t, cfg, cloud)
         shown = grid.confidence > cfg.sampler.confidence_threshold
         shown &= np.all(grid.data[:, :, 3:6] > 0, axis=2)
         codes = grid.data[shown]

@@ -215,6 +215,8 @@ def _label_from_fields(fields, where) -> LabelRecord:
     x, y, z = vals[10:13]
     rot_y = vals[13]
     score = vals[14] if len(vals) == 15 else None
+    if score is not None and not 0.0 <= score <= 1.0:
+        raise MalformedLine(f"{where}: score {score:g} does not lie in [0, 1]")
     try:
         return LabelRecord(
             cls=cls,
@@ -233,8 +235,8 @@ def _label_from_fields(fields, where) -> LabelRecord:
 def read_labels(path) -> list[LabelRecord]:
     """Parse a KITTI label file, skipping DontCare rows.
 
-    A non-finite value or an invalid box or 2D box raises MalformedLine
-    naming the file and line.
+    A non-finite value, a score outside [0, 1] or an invalid box or 2D box
+    raises MalformedLine naming the file and line.
     """
     records = []
     for where, line in _lines(path):

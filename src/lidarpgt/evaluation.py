@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabelRecord, read_labels
-from .errors import BehindCamera, ConfigInvalid
+from .errors import BehindCamera, ConfigInvalid, MalformedFile
 from .geometry import (
     AABB2,
     CAMERA,
@@ -64,11 +64,29 @@ def label_record(
     return record
 
 
-def _iou_matrix(detections, gt_boxes, iou_fn) -> np.ndarray:
-    """(detections, ground truth) IoU matrix; each pair is computed once."""
-    return np.array(
-        [[iou_fn(det.box, gt) for gt in gt_boxes] for det in detections], dtype=float
-    ).reshape(len(detections), len(gt_boxes))
+# A gap this wide between two boxes' bounds outweighs any rounding in them.
+_BOUNDS_PAD = 1e-6
+
+
+def _iou_matrix(detections, gt_boxes, iou_fn, bounds=None) -> np.ndarray:
+    """(detections, ground truth) IoU matrix; each pair is computed at most once.
+
+    `bounds(box)` gives a box's axis-aligned (lo, hi) corners in the plane
+    `iou_fn` compares. With it, a pair whose bounds lie more than _BOUNDS_PAD
+    apart on some axis is not passed to `iou_fn`: the boxes cannot overlap,
+    and the pair keeps 0.0, the value `iou_fn` returns for it. Without it,
+    every pair is computed.
+    """
+    ious = np.zeros((len(detections), len(gt_boxes)))
+    meet = np.ones(ious.shape, dtype=bool)
+    if bounds is not None and ious.size:
+        det = np.array([bounds(d.box) for d in detections])[:, None]  # (n, 1, lo/hi, axis)
+        gt = np.array([bounds(g) for g in gt_boxes])[None]
+        apart = (gt[..., 0, :] - det[..., 1, :] > _BOUNDS_PAD) | (det[..., 0, :] - gt[..., 1, :] > _BOUNDS_PAD)
+        meet = ~apart.any(axis=2)
+    for i, j in zip(*np.nonzero(meet)):
+        ious[i, j] = iou_fn(detections[i].box, gt_boxes[j])
+    return ious
 
 
 def _ap_from_flags(flags, n_gt: int) -> float:
@@ -208,6 +226,11 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _footprint_bounds(box: Obb3):
+    footprint = box.footprint()
+    return footprint.min(axis=0), footprint.max(axis=0)
+
+
 def _record_to_aabb2(record, intrinsics):
     """The stored 2D box, else the projected 3D box. A box with a vertex behind
     the camera keeps its empty 2D box, which overlaps nothing."""
@@ -233,7 +256,10 @@ def evaluate_sequence(
     BEV mode compares the yaw-rotated ground-plane footprints; 2D mode
     compares axis-aligned image boxes (stored ones when present, otherwise
     projections via the intrinsics). Frames are paired by file name; a
-    missing detection file means no detections for that frame.
+    missing detection file means no detections for that frame, and a
+    detection file with no ground-truth file of its name raises
+    MalformedFile. Only the pairs whose axis-aligned bounds meet are scored
+    by the IoU function (see _iou_matrix).
     """
     if mode not in ("bev", "2d"):
         raise ConfigInvalid(f"unknown evaluation mode {mode!r}")
@@ -245,13 +271,18 @@ def evaluate_sequence(
     frames = sorted(p.stem for p in gt_dir.glob("*.txt"))
     if not frames:
         raise ConfigInvalid(f"{gt_dir}: no ground-truth label files")
+    for path in sorted(det_dir.glob("*.txt")):
+        if path.stem not in frames:
+            raise MalformedFile(f"{path}: no ground-truth file of that name in {gt_dir}")
 
     if mode == "bev":
         iou_fn = rotated_iou_bev
         to_box = lambda record: record.box
+        bounds = _footprint_bounds
     else:
         iou_fn = iou_2d
         to_box = lambda record: _record_to_aabb2(record, intrinsics)
+        bounds = lambda box: (box.min_corner, box.max_corner)
 
     dets_by_frame = {}
     ious = {}
@@ -265,7 +296,7 @@ def evaluate_sequence(
             Detection(to_box(r), r.score if r.score is not None else 1.0)
             for r in det_records
         ]
-        ious[frame] = _iou_matrix(dets_by_frame[frame], [to_box(r) for r in gt_records], iou_fn)
+        ious[frame] = _iou_matrix(dets_by_frame[frame], [to_box(r) for r in gt_records], iou_fn, bounds)
         classes[frame] = [r.cls for r in gt_records]
         n_gt += len(gt_records)
 

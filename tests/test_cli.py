@@ -134,12 +134,14 @@ class TestCliRoundTrip:
 
     def test_evaluate_2d_keeps_empty_box_behind_camera(self, workspace, tmp_path):
         # a zero 2D box whose 3D box reaches behind the camera, as label_record writes it
-        gt = tmp_path / "gt"
+        gt, dets = tmp_path / "gt", tmp_path / "dets"
         gt.mkdir()
+        dets.mkdir()
         (gt / "000000.txt").write_text(
             "Car 0.00 0 -10.00 0.00 0.00 0.00 0.00 1.50 1.60 3.90 2.00 2.55 0.50 0.00\n"
         )
-        argv = ["evaluate", "--dets", str(workspace / "pgt" / "label_pgt"), "--gt", str(gt),
+        (dets / "000000.txt").write_bytes((workspace / "pgt" / "label_pgt" / "000000.txt").read_bytes())
+        argv = ["evaluate", "--dets", str(dets), "--gt", str(gt),
                 "--mode", "2d", "--iou", "0.3", "--calib", str(workspace / "seq" / "calib.txt"),
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0
@@ -280,6 +282,43 @@ class TestCliRoundTrip:
         a = (workspace / "pgt" / "label_pgt" / "000000.txt").read_text()
         b = (out2 / "label_pgt" / "000000.txt").read_text()
         assert a.count("\n") == b.count("\n")
+
+    def test_render_draws_file_backed_proposals(self, workspace, tmp_path, capsys):
+        from lidarpgt.bev import BoxCode, BoxGrid, pillar_centre
+        from lidarpgt.config import load_config
+        from lidarpgt.dataset import read_box_grid, write_box_grid
+        from lidarpgt.geometry import LIDAR, Obb3
+        from lidarpgt.render import PROPOSAL_COLOR, render_overlays, write_ppm
+
+        spec = load_config(workspace / "cfg.json").grid
+        grids = tmp_path / "grids"
+        grids.mkdir()
+        # one proposal above the confidence threshold in frame 0, no grid file for frame 1
+        pixel = (spec.out_rows // 2, spec.out_cols // 2)
+        grid = BoxGrid.zeros(spec)
+        grid.set_code(pixel, BoxCode((0.1, -0.2, 0.0), (4.0, 1.8, 1.5), 0.4, 0.9))
+        write_box_grid(grids / "000000.bin", grid)
+
+        def render(frame, name, *proposals):
+            out = tmp_path / f"{name}.ppm"
+            argv = ["render", str(workspace / "seq"), "--frame", str(frame), "--out", str(out),
+                    "--overlays", "proposals", "--config", str(workspace / "cfg.json"), *proposals]
+            return main(argv), out
+
+        code, drawn = render(0, "file", "--proposals", f"file:{grids}")
+        assert code == 0
+        cell = read_box_grid(grids / "000000.bin", spec).data[pixel]
+        box = Obb3(pillar_centre(pixel, spec) + cell[0:3], cell[3:6], float(cell[6]), LIDAR)
+        cloud = read_cloud(workspace / "seq" / "velodyne" / "000000.bin")
+        write_ppm(tmp_path / "expected.ppm", render_overlays(cloud, spec, [(PROPOSAL_COLOR, [box])]))
+        assert drawn.read_bytes() == (tmp_path / "expected.ppm").read_bytes()
+        code, heuristic = render(0, "heuristic")
+        assert code == 0 and heuristic.read_bytes() != drawn.read_bytes()
+
+        capsys.readouterr()
+        code, _ = render(1, "missing", "--proposals", f"file:{grids}")
+        assert code == 2
+        assert str(grids / "000001.bin") in capsys.readouterr().err
 
     def test_render_bev_raster_export(self, workspace, tmp_path):
         from lidarpgt.dataset import read_raster
@@ -534,6 +573,18 @@ def _second_name_of(name):
     return corrupt
 
 
+def _append_score(index, score):
+    """Append a score to line `index`; returns `path:line`, which the error must give."""
+
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        lines[index] += f" {score}"
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path}:{index + 1}"
+
+    return corrupt
+
+
 def _signalling_nan(path):
     """Overwrite the first float32 with a signalling NaN, which warns when cast to float64."""
     path.write_bytes(bytes([1, 0, 0x80, 0x7F]) + path.read_bytes()[4:])
@@ -607,6 +658,10 @@ CORRUPTIONS = {
     "velodyne-stray-name": ("seq/velodyne/foo.bin", _copy_of("000000.bin")),
     "velodyne-duplicate-frame": ("seq/velodyne/4.bin", _second_name_of("000004.bin")),
     "diagnostics-stray-name": ("pgt/diagnostics/foo.json", _copy_of("000000.json")),
+    # detection files are paired with ground-truth files by name
+    "dets-past-last-frame": ("dets/000099.txt", _copy_of("000000.txt")),
+    "dets-stray-name": ("dets/notes.txt", _write_text("scored by hand\n")),
+    "dets-score-above-one": ("dets/000000.txt", _append_score(0, 1.5)),
 }
 
 
@@ -616,6 +671,7 @@ READERS = {
     "cfg.json": ("simulate", "generate"),
     "seq/calib.txt": ("generate", "evaluate"),
     "seq/label_2/": ("evaluate", "render"),
+    "dets/": ("evaluate",),
     "seq/velodyne/": ("generate", "evaluate-loss", "render"),
     "seq/": ("generate",),
     "pgt/diagnostics/foo.json": ("evaluate-loss",),
@@ -644,6 +700,7 @@ def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, na
 
     seq, pgt, cfg = tmp_path / "seq", tmp_path / "pgt", str(tmp_path / "cfg.json")
     shutil.copytree(workspace / "seq", seq)
+    shutil.copytree(workspace / "seq" / "label_2", tmp_path / "dets")
     shutil.copytree(workspace / "pgt" / "diagnostics", pgt / "diagnostics")
     shutil.copy(workspace / "cfg.json", cfg)
     relative, corrupt = CORRUPTIONS[name]
@@ -651,7 +708,7 @@ def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, na
     argv = {
         "simulate": ["simulate", "--config", cfg, "--out", str(tmp_path / "sim")],
         "generate": ["generate", str(seq), "--out", str(tmp_path / "out"), "--config", cfg, "--jobs", "1"],
-        "evaluate": ["evaluate", "--dets", str(seq / "label_2"), "--gt", str(seq / "label_2"),
+        "evaluate": ["evaluate", "--dets", str(tmp_path / "dets"), "--gt", str(seq / "label_2"),
                      "--mode", "2d", "--calib", str(seq / "calib.txt")],
         "evaluate-loss": ["evaluate-loss", str(seq), "--pgt", str(pgt), "--config", cfg],
         "render": ["render", str(seq), "--frame", frame, "--out", str(tmp_path / "f.ppm"),

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpgt.errors import BehindCamera
 from lidarpgt.evaluation import (
+    _BOUNDS_PAD,
     Detection,
+    _footprint_bounds,
+    _iou_matrix,
     average_precision,
     average_precision_grouped,
     per_class_accuracy,
@@ -14,6 +19,7 @@ from lidarpgt.evaluation import (
 from lidarpgt.geometry import (
     CAMERA,
     LIDAR,
+    AABB2,
     CameraIntrinsics,
     Obb3,
     RigidTransform,
@@ -204,6 +210,8 @@ class TestPerClassAccuracy:
 
 class TestEvaluateSequence:
     def test_scores_each_pair_once_and_matches_grouped_ap(self, tmp_path, monkeypatch):
+        import collections
+
         import lidarpgt.evaluation as evaluation
         from lidarpgt.dataset import LabelRecord, read_labels, write_labels
 
@@ -224,22 +232,42 @@ class TestEvaluateSequence:
             write_labels(det_dir / f"{frame:06d}.txt", [record("Mobile", float(rng.random())) for _ in range(n_det)])
             n_pairs += n_gt * n_det
 
-        calls = []
-
-        def counting_iou(a, b):
-            calls.append(1)
-            return rotated_iou_bev(a, b)
-
-        monkeypatch.setattr(evaluation, "rotated_iou_bev", counting_iou)
-        thresholds = [0.1, 0.3, 0.5, 0.7]
-        report = evaluation.evaluate_sequence(det_dir, gt_dir, thresholds=thresholds)
-        assert len(calls) == n_pairs
-
         frames = sorted(p.stem for p in gt_dir.glob("*.txt"))
-        dets = {f: [Detection(r.box, r.score) for r in read_labels(det_dir / f"{f}.txt")] for f in frames}
-        gts = {f: [r.box for r in read_labels(gt_dir / f"{f}.txt")] for f in frames}
-        for t in thresholds:
-            assert report.mean_ap[t] == average_precision_grouped(dets, gts, rotated_iou_bev, t)
+        modes = {
+            # mode: (IoU function name, label record -> box, box -> (lo, hi) bounds)
+            "bev": ("rotated_iou_bev", lambda r: r.box,
+                    lambda box: (box.footprint().min(axis=0), box.footprint().max(axis=0))),
+            "2d": ("iou_2d", lambda r: project_box_2d(r.box, RigidTransform.identity(), INTR),
+                   lambda box: (box.min_corner, box.max_corner)),
+        }
+        for mode, (name, to_box, bounds) in modes.items():
+            iou_fn = getattr(evaluation, name)
+            key = lambda box: np.array(bounds(box)).tobytes()
+            calls = []
+
+            def counting_iou(a, b):
+                calls.append((key(a), key(b)))
+                return iou_fn(a, b)
+
+            def meet(a, b):
+                (lo_a, hi_a), (lo_b, hi_b) = bounds(a), bounds(b)
+                return all(lo_b[k] - hi_a[k] <= 1e-6 and lo_a[k] - hi_b[k] <= 1e-6 for k in (0, 1))
+
+            monkeypatch.setattr(evaluation, name, counting_iou)
+            thresholds = [0.1, 0.3, 0.5, 0.7]
+            report = evaluation.evaluate_sequence(det_dir, gt_dir, mode, thresholds, INTR)
+            monkeypatch.setattr(evaluation, name, iou_fn)
+
+            dets = {f: [Detection(to_box(r), r.score) for r in read_labels(det_dir / f"{f}.txt")] for f in frames}
+            gts = {f: [to_box(r) for r in read_labels(gt_dir / f"{f}.txt")] for f in frames}
+            # once for each pair whose bounds meet within 1e-6 on both axes, never for another
+            meeting = collections.Counter(
+                (key(d.box), key(g)) for f in frames for d in dets[f] for g in gts[f] if meet(d.box, g)
+            )
+            assert 0 < sum(meeting.values()) < n_pairs, mode
+            assert collections.Counter(calls) == meeting, mode
+            for t in thresholds:
+                assert report.mean_ap[t] == average_precision_grouped(dets, gts, iou_fn, t), (mode, t)
 
     def test_2d_box_behind_camera_is_an_unmatched_gt(self, tmp_path):
         from lidarpgt.dataset import LabelRecord, write_labels
@@ -259,3 +287,88 @@ class TestEvaluateSequence:
             report = evaluate_sequence(det_dir, gt_dir, mode="2d", thresholds=[0.5], intrinsics=INTR)
             maps.append(report.mean_ap[0.5])
         assert maps == [1.0, 0.5]
+
+
+# How far a second box's facing bound lies beyond a first box's bound `edge`,
+# moving away from it in direction `way` (+1 or -1); "overlap" reaches back
+# into the first box by `depth`.
+GAPS = {
+    "touch": lambda edge, way, depth: edge,
+    "1 ulp apart": lambda edge, way, depth: np.nextafter(edge, way * np.inf),
+    "1 ulp overlap": lambda edge, way, depth: np.nextafter(edge, -way * np.inf),
+    "1e-9": lambda edge, way, depth: edge + way * 1e-9,
+    "pad": lambda edge, way, depth: edge + way * _BOUNDS_PAD,
+    "pad + 1 ulp": lambda edge, way, depth: np.nextafter(edge + way * _BOUNDS_PAD, way * np.inf),
+    "pad - 1 ulp": lambda edge, way, depth: np.nextafter(edge + way * _BOUNDS_PAD, -way * np.inf),
+    "overlap": lambda edge, way, depth: edge - way * depth,
+}
+
+
+def _footprint_with_bound(target, axis, way, dims, yaw, across):
+    """A lidar box whose footprint's lowest (way +1) or highest (way -1)
+    coordinate on `axis` is `target`, to the ulp where some centre gives it;
+    its centre on the other axis is `across`."""
+    centre = np.zeros(3)
+    centre[1 - axis] = across
+    extreme = (lambda fp: fp[:, axis].min()) if way > 0 else (lambda fp: fp[:, axis].max())
+    centre[axis] = target - (extreme(Obb3(centre, dims, yaw, LIDAR).footprint()) - centre[axis])
+    for _ in range(8):
+        box = Obb3(centre, dims, yaw, LIDAR)
+        bound = extreme(box.footprint())
+        if bound == target:
+            break
+        centre[axis] = np.nextafter(centre[axis], np.inf if bound < target else -np.inf)
+    return box
+
+
+def _aabb_with_bound(target, axis, way, size, lo_across, size_across):
+    lo, hi = np.zeros(2), np.zeros(2)
+    lo[axis], hi[axis] = (target, target + size) if way > 0 else (target - size, target)
+    lo[1 - axis], hi[1 - axis] = lo_across, lo_across + size_across
+    return AABB2(lo, hi)
+
+
+COORD = st.floats(-60.0, 60.0)
+SIZE = st.floats(0.2, 8.0)
+# 2D sizes include 0: zero-area boxes are written for labels without a 2D box
+SIZE_2D = st.one_of(st.just(0.0), st.floats(0.0, 300.0))
+
+
+class TestIouMatrixBounds:
+    """Skipping the pairs whose bounds lie apart changes no IoU, at any gap."""
+
+    @staticmethod
+    def assert_same_matrix(first, others, iou_fn, bounds):
+        for dets, gts in (([first], others), (others, [first])):
+            dets = [Detection(box, 0.5) for box in dets]
+            assert np.array_equal(_iou_matrix(dets, gts, iou_fn, bounds), _iou_matrix(dets, gts, iou_fn))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gap=st.sampled_from(sorted(GAPS)), axis=st.sampled_from([0, 1]), way=st.sampled_from([-1, 1]),
+        centre=st.tuples(COORD, COORD), dims=st.tuples(SIZE, SIZE), yaw=st.floats(-math.pi, math.pi),
+        other_dims=st.tuples(SIZE, SIZE), other_yaw=st.floats(-math.pi, math.pi),
+        depth=st.floats(0.0, 1.0), across=st.floats(-1.0, 1.0),
+    )
+    def test_bev(self, gap, axis, way, centre, dims, yaw, other_dims, other_yaw, depth, across):
+        first = Obb3((*centre, 0.0), (*dims, 1.5), yaw, LIDAR)
+        lo, hi = _footprint_bounds(first)
+        edge = hi[axis] if way > 0 else lo[axis]
+        target = GAPS[gap](edge, way, depth * (hi[axis] - lo[axis]))
+        across = centre[1 - axis] + across * (hi[1 - axis] - lo[1 - axis])
+        second = _footprint_with_bound(target, axis, way, (*other_dims, 1.5), other_yaw, across)
+        self.assert_same_matrix(first, [second, first], rotated_iou_bev, _footprint_bounds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gap=st.sampled_from(sorted(GAPS)), axis=st.sampled_from([0, 1]), way=st.sampled_from([-1, 1]),
+        lo=st.tuples(st.floats(0.0, 1200.0), st.floats(0.0, 400.0)), size=st.tuples(SIZE_2D, SIZE_2D),
+        other_size=SIZE_2D, other_across=SIZE_2D, depth=st.floats(0.0, 1.0), across=st.floats(-1.0, 1.0),
+    )
+    def test_2d(self, gap, axis, way, lo, size, other_size, other_across, depth, across):
+        first = AABB2(lo, np.add(lo, size))
+        edge = first.max_corner[axis] if way > 0 else first.min_corner[axis]
+        target = GAPS[gap](edge, way, depth * size[axis])
+        lo_across = lo[1 - axis] + across * max(size[1 - axis], 1.0)
+        second = _aabb_with_bound(target, axis, way, other_size, lo_across, other_across)
+        self.assert_same_matrix(first, [second, first], iou_2d, lambda box: (box.min_corner, box.max_corner))
