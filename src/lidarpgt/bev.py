@@ -5,7 +5,8 @@ image columns index lidar y (left-right). Grid pixels are (row, col) integer
 pairs. Cells are half-open: a point exactly on a max bound is excluded, so
 every in-volume point lands in exactly one pillar.
 Only this module knows the pixel rules: `check_pixel` bounds a box-grid
-pixel, `_cell_index` maps lidar x/y to a pixel, `grid_centres` decodes them.
+pixel, `pixel_coords` maps lidar x/y to continuous pixel coordinates,
+`_cell_index` floors them to a pixel, `grid_centres` decodes them.
 """
 
 from __future__ import annotations
@@ -151,11 +152,17 @@ def in_volume_mask(xyz: np.ndarray, spec: GridSpec) -> np.ndarray:
     )
 
 
-def _cell_index(xyz: np.ndarray, spec: GridSpec, stride: int):
-    """(row, col) of in-volume lidar points (`xyz[..., 0:2]`) on the grid of
+def pixel_coords(xy: np.ndarray, spec: GridSpec, stride: int):
+    """Continuous (row, col) of lidar x/y (`xy[..., 0:2]`) on the grid of
     stride x stride pixel blocks: 1 for the raster, spec.stride for the box grid."""
-    rows = np.floor((xyz[..., 0] - spec.x_range[0]) / (spec.x_res * stride)).astype(int)
-    cols = np.floor((xyz[..., 1] - spec.y_range[0]) / (spec.y_res * stride)).astype(int)
+    rows = (xy[..., 0] - spec.x_range[0]) / (spec.x_res * stride)
+    cols = (xy[..., 1] - spec.y_range[0]) / (spec.y_res * stride)
+    return rows, cols
+
+
+def _cell_index(xyz: np.ndarray, spec: GridSpec, stride: int):
+    """(row, col) of the pixel block holding each in-volume lidar point."""
+    rows, cols = (np.floor(v).astype(int) for v in pixel_coords(xyz, spec, stride))
     # Guard against points landing exactly on the top edge through rounding.
     return np.clip(rows, 0, spec.height // stride - 1), np.clip(cols, 0, spec.width // stride - 1)
 

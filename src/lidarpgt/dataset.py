@@ -144,12 +144,15 @@ def read_calib(path) -> Calibration:
         if ":" not in line:
             raise MalformedLine(f"{where}: expected 'key: values'")
         key, _, rest = line.partition(":")
-        entries[key.strip()] = _finite_values(rest.split(), where)
+        entries[key.strip()] = where, _finite_values(rest.split(), where)
     try:
-        fx, fy, cx, cy, width, height = entries["intrinsics"]
-        extr = entries["lidar_to_cam"].reshape(3, 4)
+        intr_at, (fx, fy, cx, cy, width, height) = entries["intrinsics"]
+        extr = entries["lidar_to_cam"][1].reshape(3, 4)
     except (KeyError, ValueError) as exc:
         raise MalformedLine(f"{path}: missing or malformed calibration entries") from exc
+    for name, size in (("width", width), ("height", height)):
+        if not (size >= 1 and size == int(size)):
+            raise MalformedLine(f"{intr_at}: image {name} {size:g} is not a whole number >= 1")
     try:
         return Calibration(
             RigidTransform(extr[:, :3], extr[:, 3]),
@@ -210,6 +213,8 @@ def _label_from_fields(fields, where) -> LabelRecord:
     cls = fields[0]
     vals = _finite_values(fields[1:], where).tolist()
     trunc, occ, alpha = vals[0], int(vals[1]), vals[2]
+    if occ != vals[1]:
+        raise MalformedLine(f"{where}: occluded {vals[1]:g} is not an integer")
     left, top, right, bottom = vals[3:7]
     h, w, l = vals[7:10]
     x, y, z = vals[10:13]

@@ -94,12 +94,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def apply(self, points):
         """Transform a (3,) point or an (n, 3) array of points."""
         p = np.asarray(points, dtype=float)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import GridSpec, rasterize
+from .bev import GridSpec, pixel_coords, rasterize
 from .geometry import LIDAR, PointCloud
 
 GT_COLOR = (80, 220, 80)
@@ -21,12 +21,6 @@ def bev_base_image(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
     return np.repeat(value[:, :, None], 3, axis=2)
 
 
-def _to_pixel(point_xy, spec: GridSpec):
-    row = (point_xy[0] - spec.x_range[0]) / spec.x_res
-    col = (point_xy[1] - spec.y_range[0]) / spec.y_res
-    return row, col
-
-
 def _draw_line(image, r0, c0, r1, c1, color):
     n = int(max(abs(r1 - r0), abs(c1 - c0))) + 1
     rows = np.round(np.linspace(r0, r1, n)).astype(int)
@@ -39,10 +33,8 @@ def draw_box_outline(image, box, spec: GridSpec, color):
     """Draw a lidar-frame box's footprint outline onto a BEV image."""
     if box.frame != LIDAR:
         raise ValueError("draw_box_outline expects lidar-frame boxes")
-    corners = [_to_pixel(p, spec) for p in box.footprint()]
-    for i in range(4):
-        r0, c0 = corners[i]
-        r1, c1 = corners[(i + 1) % 4]
+    rows, cols = pixel_coords(box.footprint(), spec, 1)
+    for r0, c0, r1, c1 in zip(rows, cols, np.roll(rows, -1), np.roll(cols, -1)):
         _draw_line(image, r0, c0, r1, c1, color)
 
 

@@ -1,7 +1,9 @@
 """Synthetic multi-frame scenes with analytic flow, depth and poses.
 
 Objects are rigid cuboid shells (4 sides + top, no underside) standing on a
-flat ground plane and moving with constant per-frame velocity and yaw rate.
+flat ground plane. The ego and every object move by one rule, `_planar_pose`:
+constant per-frame velocity and yaw rate. Its transform places an object's
+points, and its translation is the object's ground-truth box centre.
 The world frame coincides with the camera frame of an unmoved ego (x right,
 y down, z forward), so the ground plane is y = ground_y with ground_y > 0.
 
@@ -81,13 +83,9 @@ class SimObject:
     def is_moving(self) -> bool:
         return bool(np.linalg.norm(self.velocity) > 0 or self.yaw_rate != 0.0)
 
-    def pose_at(self, t: int):
-        """(x, z, yaw) of the object in the world ground plane at frame t."""
-        return (
-            self.position[0] + t * self.velocity[0],
-            self.position[1] + t * self.velocity[1],
-            self.yaw + t * self.yaw_rate,
-        )
+    def pose_at(self, t: int, ground_y: float) -> RigidTransform:
+        """Box-local -> world placement at frame t; the box stands on y = ground_y."""
+        return _planar_pose(self, self.yaw, t, ground_y - 0.5 * self.dims[1])
 
 
 @dataclass
@@ -101,10 +99,21 @@ class EgoMotion:
 
     def pose_at(self, t: int) -> RigidTransform:
         """Camera(t) -> world transform."""
-        x = self.position[0] + t * self.velocity[0]
-        z = self.position[1] + t * self.velocity[1]
-        heading = self.heading + t * self.yaw_rate
-        return RigidTransform(yaw_matrix(CAMERA, heading), (x, 0.0, z))
+        return _planar_pose(self, self.heading, t, 0.0)
+
+
+def _heading_at(body, heading: float, t: int) -> float:
+    return heading + t * body.yaw_rate
+
+
+def _planar_pose(body, heading: float, t: int, height: float) -> RigidTransform:
+    """Placement at frame t of a body in constant planar motion (the one motion
+    rule of the simulator): (x, z) = position + t * velocity at camera-frame
+    height `height`, turned by heading + t * yaw_rate about the vertical axis."""
+    return RigidTransform(
+        yaw_matrix(CAMERA, _heading_at(body, heading, t)),
+        (body.position[0] + t * body.velocity[0], height, body.position[1] + t * body.velocity[1]),
+    )
 
 
 @dataclass
@@ -206,11 +215,9 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     h, w = intrinsics.height, intrinsics.width
     depth = np.zeros((h, w))
     owner = np.full((h, w), -1, dtype=int)
-    z = xyz_cam[:, 2]
-    front = z > 0
-    if not front.any():
+    idx = np.flatnonzero(xyz_cam[:, 2] > 0)
+    if not len(idx):
         return depth, owner
-    idx = np.flatnonzero(front)
     uv = project(xyz_cam[idx], intrinsics)
     cols = np.floor(uv[:, 0] + 0.5).astype(int)
     rows = np.floor(uv[:, 1] + 0.5).astype(int)
@@ -234,31 +241,14 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     return depth, owner
 
 
-def render_depth(cloud: PointCloud, intrinsics: CameraIntrinsics, lidar_to_cam: RigidTransform):
-    """Sparse depth image of a lidar cloud: nearest depth wins per pixel, 0 = empty."""
-    depth, _ = _render_depth_with_owner(lidar_to_cam.apply(cloud.xyz), intrinsics)
-    return depth
-
-
-def object_rigid_motion(obj: SimObject, config: SimConfig, t0: int, t1: int) -> RigidTransform:
-    """World-frame rigid motion carrying the object's points from frame t0 to t1."""
-    x0, z0, yaw0 = obj.pose_at(t0)
-    x1, z1, yaw1 = obj.pose_at(t1)
-    y_centre = config.ground_y - 0.5 * obj.dims[1]
-    pose0 = RigidTransform(yaw_matrix(CAMERA, yaw0), (x0, y_centre, z0))
-    pose1 = RigidTransform(yaw_matrix(CAMERA, yaw1), (x1, y_centre, z1))
-    return pose1.compose(pose0.invert())
-
-
 def make_scene(config: SimConfig, seed: int) -> list[SceneFrame]:
     """Generate the scene deterministically for a given seed."""
     rng = np.random.default_rng(seed)
     x0, x1, z0, z1 = config.ground_extent
     n_ground = int(round((x1 - x0) * (z1 - z0) * config.ground_density))
-    ground = np.empty((n_ground, 3))
-    ground[:, 0] = rng.uniform(x0, x1, n_ground)
-    ground[:, 1] = config.ground_y
-    ground[:, 2] = rng.uniform(z0, z1, n_ground)
+    ground = np.column_stack(
+        [rng.uniform(x0, x1, n_ground), np.full(n_ground, config.ground_y), rng.uniform(z0, z1, n_ground)]
+    )
 
     local_points = [_sample_shell(rng, obj.dims, obj.density) for obj in config.objects]
     n_total = n_ground + sum(len(p) for p in local_points)
@@ -266,49 +256,41 @@ def make_scene(config: SimConfig, seed: int) -> list[SceneFrame]:
     intensities = rng.uniform(lo, hi, n_total)
 
     cam_to_lidar = config.lidar_to_cam.invert()
+    intr = config.intrinsics
 
-    def world_points(t):
-        parts = [ground]
-        for obj, local in zip(config.objects, local_points):
-            x, z, yaw = obj.pose_at(t)
-            centre = np.array([x, config.ground_y - 0.5 * obj.dims[1], z])
-            parts.append(local @ yaw_matrix(CAMERA, yaw).T + centre)
-        return np.vstack(parts)
+    def camera_points(t):
+        world = [ground] + [
+            obj.pose_at(t, config.ground_y).apply(local)
+            for obj, local in zip(config.objects, local_points)
+        ]
+        return config.ego.pose_at(t).invert().apply(np.vstack(world))
 
     frames = []
+    cam = camera_points(0)
     for t in range(config.n_frames):
         pose = config.ego.pose_at(t)
-        world = world_points(t)
-        cam = pose.invert().apply(world)
-        lidar = cam_to_lidar.apply(cam)
-        cloud = PointCloud(np.column_stack([lidar, intensities]), frame=LIDAR)
-        depth, owner = _render_depth_with_owner(cam, config.intrinsics)
+        cloud = PointCloud(np.column_stack([cam_to_lidar.apply(cam), intensities]), frame=LIDAR)
+        depth, owner = _render_depth_with_owner(cam, intr)
 
-        flow = np.zeros((config.intrinsics.height, config.intrinsics.width, 2))
-        if t + 1 < config.n_frames:
-            cam_next = config.ego.pose_at(t + 1).invert().apply(world_points(t + 1))
-            owned = owner.reshape(-1)
-            pix = np.flatnonzero(owned >= 0)
-            pts_now = cam[owned[pix]]
-            pts_next = cam_next[owned[pix]]
-            visible = pts_next[:, 2] > 0
-            pix, pts_now, pts_next = pix[visible], pts_now[visible], pts_next[visible]
-            flow.reshape(-1, 2)[pix] = (
-                project(pts_next, config.intrinsics) - project(pts_now, config.intrinsics)
-            )
+        # Each frame's points are built once: first as frame t's flow target.
+        cam_next = camera_points(t + 1) if t + 1 < config.n_frames else None
+        flow = np.zeros((intr.height, intr.width, 2))
+        if cam_next is not None:
+            pix = np.flatnonzero(owner.reshape(-1) >= 0)
+            idx = owner.reshape(-1)[pix]
+            visible = cam_next[idx, 2] > 0
+            pix, idx = pix[visible], idx[visible]
+            flow.reshape(-1, 2)[pix] = project(cam_next[idx], intr) - project(cam[idx], intr)
 
+        world_to_cam = pose.invert()
         gt_boxes = []
         for obj in config.objects:
-            x, z, yaw = obj.pose_at(t)
-            centre_world = np.array([x, config.ground_y - 0.5 * obj.dims[1], z])
-            heading = config.ego.heading + t * config.ego.yaw_rate
-            cam_box = Obb3(
-                pose.invert().apply(centre_world), obj.dims, yaw - heading, CAMERA
-            )
-            gt_boxes.append(
-                GtBox(transform_obb(cam_box, cam_to_lidar, LIDAR), obj.cls, obj.is_moving)
-            )
+            centre = world_to_cam.apply(obj.pose_at(t, config.ground_y).translation)
+            yaw = _heading_at(obj, obj.yaw, t) - _heading_at(config.ego, config.ego.heading, t)
+            cam_box = Obb3(centre, obj.dims, yaw, CAMERA)
+            gt_boxes.append(GtBox(transform_obb(cam_box, cam_to_lidar, LIDAR), obj.cls, obj.is_moving))
         frames.append(SceneFrame(cloud, depth, flow, pose, gt_boxes))
+        cam = cam_next
     return frames
 
 

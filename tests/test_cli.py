@@ -530,10 +530,24 @@ def _set_sidecar(named=None, **fields):
 
 
 def _replace_line(index, text):
+    """Replace line `index`; returns `path:line`, which the error must give."""
+
     def corrupt(path):
         lines = path.read_text().splitlines()
         lines[index] = text
         path.write_text("\n".join(lines) + "\n")
+        return f"{path}:{index + 1}"
+
+    return corrupt
+
+
+def _set_field(index, column, value):
+    """Set field `column` of line `index`; returns `path:line`, which the error must give."""
+
+    def corrupt(path):
+        fields = path.read_text().splitlines()[index].split()
+        fields[column] = value
+        return _replace_line(index, " ".join(fields))(path)
 
     return corrupt
 
@@ -609,6 +623,7 @@ def _edit_entry(edit, boxed=False):
 CORRUPTIONS = {
     "calib-nan-rotation": ("seq/calib.txt", _replace_line(1, "lidar_to_cam: nan -1 0 0 0 0 -1 0 1 0 0 0")),
     "calib-nan-focal": ("seq/calib.txt", _replace_line(0, "intrinsics: nan 500 400 150 800 320")),
+    "calib-fractional-width": ("seq/calib.txt", _replace_line(0, "intrinsics: 500 500 400 150 800.7 320")),
     "pose-nan": ("seq/poses.txt", _replace_line(1, " ".join(["nan"] * 12))),
     "flow-nan": ("seq/flow/000000.bin", _poison_raster(np.nan)),
     "depth-inf": ("seq/depth/000001.bin", _poison_raster(np.inf)),
@@ -662,6 +677,7 @@ CORRUPTIONS = {
     "dets-past-last-frame": ("dets/000099.txt", _copy_of("000000.txt")),
     "dets-stray-name": ("dets/notes.txt", _write_text("scored by hand\n")),
     "dets-score-above-one": ("dets/000000.txt", _append_score(0, 1.5)),
+    "dets-fractional-occlusion": ("dets/000000.txt", _set_field(0, 2, "1.7")),
 }
 
 
@@ -669,7 +685,7 @@ CORRUPTIONS = {
 # `render` reads only the diagnostics file of the frame it draws
 READERS = {
     "cfg.json": ("simulate", "generate"),
-    "seq/calib.txt": ("generate", "evaluate"),
+    "seq/calib.txt": ("generate", "evaluate", "evaluate-loss", "render"),
     "seq/label_2/": ("evaluate", "render"),
     "dets/": ("evaluate",),
     "seq/velodyne/": ("generate", "evaluate-loss", "render"),

@@ -89,7 +89,7 @@ class TestPoseIo:
         path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
         poses = read_poses(path)
         assert len(poses) == 1
-        assert np.allclose(poses[0].as_matrix(), np.eye(4))
+        assert np.allclose(poses[0].rotation, np.eye(3)) and np.allclose(poses[0].translation, 0.0)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -103,7 +103,7 @@ class TestPoseIo:
         write_poses(path, poses)
         again = read_poses(path)
         for a, b in zip(poses, again):
-            assert np.array_equal(a.as_matrix(), b.as_matrix())
+            assert np.array_equal(a.rotation, b.rotation) and np.array_equal(a.translation, b.translation)
 
     def test_mild_drift_repaired_with_warning(self, tmp_path):
         rot = np.eye(3)
@@ -157,7 +157,8 @@ class TestCalibIo:
         path = tmp_path / "calib.txt"
         write_calib(path, calib)
         again = read_calib(path)
-        assert np.array_equal(again.lidar_to_cam.as_matrix(), calib.lidar_to_cam.as_matrix())
+        assert np.array_equal(again.lidar_to_cam.rotation, calib.lidar_to_cam.rotation)
+        assert np.array_equal(again.lidar_to_cam.translation, calib.lidar_to_cam.translation)
         assert again.intrinsics == calib.intrinsics
 
     def test_missing_key(self, tmp_path):

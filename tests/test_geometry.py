@@ -44,14 +44,16 @@ class TestRigidTransform:
         rng = np.random.default_rng(0)
         t = random_transform(rng)
         out = t.compose(RigidTransform.identity())
-        assert np.allclose(out.as_matrix(), t.as_matrix(), atol=1e-12)
+        assert np.allclose(out.rotation, t.rotation, atol=1e-12)
+        assert np.allclose(out.translation, t.translation, atol=1e-12)
 
     def test_inverse_law(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             t = random_transform(rng)
-            eye = t.invert().compose(t).as_matrix()
-            assert np.abs(eye - np.eye(4)).max() < 1e-9
+            eye = t.invert().compose(t)
+            assert np.abs(eye.rotation - np.eye(3)).max() < 1e-9
+            assert np.abs(eye.translation).max() < 1e-9
 
     def test_rotation_group_same_axis(self):
         a = rot_y(math.radians(30))

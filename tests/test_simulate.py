@@ -11,8 +11,6 @@ from lidarpgt.simulate import (
     _render_depth_with_owner,
     _splat_min,
     make_scene,
-    object_rigid_motion,
-    render_depth,
     write_scene,
 )
 
@@ -126,21 +124,17 @@ class TestMakeScene:
             SimConfig(n_frames=0, objects=[], intrinsics=INTR, ground_extent=(-8.0, 8.0, 4.0, 30.0))
 
 
+def depth_of(pts_cam):
+    return _render_depth_with_owner(np.asarray(pts_cam, dtype=float).reshape(-1, 3), INTR)[0]
+
+
 class TestRenderDepth:
     def test_empty_cloud(self):
-        from lidarpgt.geometry import PointCloud, kitti_lidar_to_camera
-
-        depth = render_depth(PointCloud(np.zeros((0, 4)), LIDAR), INTR, kitti_lidar_to_camera())
-        assert not (depth > 0).any()
+        assert not (depth_of(np.zeros((0, 3))) > 0).any()
 
     def test_single_point_recoverable(self):
-        from lidarpgt.geometry import PointCloud, kitti_lidar_to_camera
-
-        s = kitti_lidar_to_camera()
         cam_point = np.array([0.5, 0.2, 9.0])
-        lidar_point = s.invert().apply(cam_point)
-        cloud = PointCloud(np.array([[*lidar_point, 0.5]]), LIDAR)
-        depth = render_depth(cloud, INTR, s)
+        depth = depth_of(cam_point)
         nz = np.argwhere(depth > 0)
         assert len(nz) == 1
         r, c = nz[0]
@@ -149,27 +143,15 @@ class TestRenderDepth:
         assert np.linalg.norm(back - cam_point) < 0.5 * 9.0 / 500.0 * 1.5
 
     def test_nearer_point_wins(self):
-        from lidarpgt.geometry import PointCloud, kitti_lidar_to_camera
-
-        s = kitti_lidar_to_camera()
-        near = s.invert().apply(np.array([0.0, 0.0, 5.0]))
-        far = s.invert().apply(np.array([0.0, 0.0, 10.0]))
-        cloud = PointCloud(np.array([[*far, 0.5], [*near, 0.5]]), LIDAR)
-        depth = render_depth(cloud, INTR, s)
+        depth = depth_of([[0.0, 0.0, 10.0], [0.0, 0.0, 5.0]])
         assert depth[150, 400] == pytest.approx(5.0)
 
     def test_occluded_background_culled(self):
-        from lidarpgt.geometry import PointCloud, kitti_lidar_to_camera
-
-        s = kitti_lidar_to_camera()
         rng = np.random.default_rng(7)
         # a dense wall at 8 m should hide a sparse wall 20 m behind it
         wall = np.column_stack([rng.uniform(-1, 1, 900), rng.uniform(-1, 1, 900), np.full(900, 8.0)])
         behind = np.column_stack([rng.uniform(-0.5, 0.5, 40), rng.uniform(-0.5, 0.5, 40), np.full(40, 28.0)])
-        pts_cam = np.vstack([wall, behind])
-        lidar = s.invert().apply(pts_cam)
-        cloud = PointCloud(np.column_stack([lidar, np.full(len(lidar), 0.5)]), LIDAR)
-        depth = render_depth(cloud, INTR, s)
+        depth = depth_of(np.vstack([wall, behind]))
         assert not (np.abs(depth - 28.0) < 0.5).any()
 
     def test_exact_depth_tie_goes_to_lower_point_index(self):
@@ -195,19 +177,34 @@ class TestRenderDepth:
         assert np.array_equal(_splat_min(buf, radius), want)
 
 
+def world_points(frame, cfg):
+    """A frame's cloud back in the world frame."""
+    return frame.pose.apply(cfg.lidar_to_cam.apply(frame.cloud.xyz))
+
+
 class TestObjectRigidMotion:
+    """Frame t1's points are frame t0's carried by the object's placements."""
+
     def test_translation_only(self):
-        cfg = small_config([SimObject("vehicle", (1.0, 12.0), velocity=(0.4, -0.2))])
-        motion = object_rigid_motion(cfg.objects[0], cfg, 0, 3)
-        assert np.allclose(motion.rotation, np.eye(3))
-        assert np.allclose(motion.translation, [1.2, 0.0, -0.6])
+        cfg = small_config([SimObject("vehicle", (1.0, 12.0), velocity=(0.4, -0.2))], ground_density=0.0)
+        frames = make_scene(cfg, seed=9)
+        shift = world_points(frames[3], cfg) - world_points(frames[0], cfg)
+        assert np.allclose(shift, [1.2, 0.0, -0.6], atol=1e-9)
 
     def test_rotation_about_object_centre(self):
         obj = SimObject("vehicle", (2.0, 10.0), yaw=0.1, yaw_rate=0.2)
-        cfg = small_config([obj])
-        motion = object_rigid_motion(obj, cfg, 0, 1)
+        cfg = small_config([obj], ground_density=0.0, ego=EgoMotion(heading=0.1, velocity=(0.1, 0.3), yaw_rate=0.02))
+        frames = make_scene(cfg, seed=10)
+        motion = obj.pose_at(1, cfg.ground_y).compose(obj.pose_at(0, cfg.ground_y).invert())
+        assert np.allclose(motion.rotation, yaw_matrix(CAMERA, 0.2), atol=1e-12)
+        assert np.allclose(motion.apply(world_points(frames[0], cfg)), world_points(frames[1], cfg), atol=1e-9)
         centre = np.array([2.0, cfg.ground_y - obj.dims[1] / 2, 10.0])
         assert np.allclose(motion.apply(centre), centre, atol=1e-12)
+        for frame in frames[:2]:
+            box = frame.gt_boxes[0].box
+            assert np.allclose(frame.pose.apply(cfg.lidar_to_cam.apply(box.centre)), centre, atol=1e-9)
+            local = (frame.cloud.xyz - box.centre) @ yaw_matrix(LIDAR, box.yaw)
+            assert np.all(np.abs(local) <= box.dims / 2 + 1e-9)
 
 
 class TestWriteScene:
