@@ -26,7 +26,7 @@ from .dataset import (
     frame_index, frame_path, load_sequence, read_calib, read_diagnostics, write_diagnostics,
     write_labels, write_raster,
 )
-from .errors import LidarPgtError, MissingFrameData
+from .errors import LidarPgtError, MalformedFile, MissingFrameData
 from .evaluation import evaluate_sequence, label_record
 from .geometry import LIDAR, Obb3, transform_obb
 from .loss import LossBreakdown, frame_loss_terms
@@ -158,12 +158,10 @@ def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    frames = make_scene(cfg.scene, seed)
-    write_scene(frames, cfg.scene, args.out, seed=seed)
-    n_points = sum(len(f.cloud) for f in frames) // len(frames)
+    points_per_frame = write_scene(make_scene(cfg.scene, seed), cfg.scene, args.out, seed=seed)
     print(
-        f"wrote {len(frames)} frames, {len(cfg.scene.objects)} objects, "
-        f"~{n_points} points/frame to {args.out}"
+        f"wrote {len(points_per_frame)} frames, {len(cfg.scene.objects)} objects, "
+        f"~{sum(points_per_frame) // len(points_per_frame)} points/frame to {args.out}"
     )
     return 0
 
@@ -183,6 +181,11 @@ def cmd_generate(args) -> int:
     jobs = min(args.jobs or os.cpu_count() or 1, n_windows)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         results = list((pool.map if pool else map)(work, range(n_windows)))
+    # Frame files past this run's windows are stale, left by an earlier run into --out.
+    for path in (*(out / "label_pgt").glob("*.txt"), *(out / "diagnostics").glob("*.json")):
+        with contextlib.suppress(MalformedFile):
+            if frame_index(path) >= n_windows:
+                path.unlink()
     n_plus, n_minus, conf_sum = map(sum, zip(*results))
     total = n_plus + n_minus
     mean_conf = conf_sum / total if total else 0.0

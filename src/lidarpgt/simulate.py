@@ -15,6 +15,7 @@ the pixel. That makes the scenes usable as tracking oracles.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -241,8 +242,9 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     return depth, owner
 
 
-def make_scene(config: SimConfig, seed: int) -> list[SceneFrame]:
-    """Generate the scene deterministically for a given seed."""
+def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
+    """Yield the scene's frames in order, deterministically for a given seed.
+    Each is built when asked for, so memory does not grow with the frame count."""
     rng = np.random.default_rng(seed)
     x0, x1, z0, z1 = config.ground_extent
     n_ground = int(round((x1 - x0) * (z1 - z0) * config.ground_density))
@@ -265,7 +267,6 @@ def make_scene(config: SimConfig, seed: int) -> list[SceneFrame]:
         ]
         return config.ego.pose_at(t).invert().apply(np.vstack(world))
 
-    frames = []
     cam = camera_points(0)
     for t in range(config.n_frames):
         pose = config.ego.pose_at(t)
@@ -289,23 +290,29 @@ def make_scene(config: SimConfig, seed: int) -> list[SceneFrame]:
             yaw = _heading_at(obj, obj.yaw, t) - _heading_at(config.ego, config.ego.heading, t)
             cam_box = Obb3(centre, obj.dims, yaw, CAMERA)
             gt_boxes.append(GtBox(transform_obb(cam_box, cam_to_lidar, LIDAR), obj.cls, obj.is_moving))
-        frames.append(SceneFrame(cloud, depth, flow, pose, gt_boxes))
+        yield SceneFrame(cloud, depth, flow, pose, gt_boxes)
         cam = cam_next
-    return frames
 
 
 _LABEL_CLASS = {"vehicle": "Car", "pedestrian": "Pedestrian", "cyclist": "Cyclist"}
 
 
-def write_scene(frames: list[SceneFrame], config: SimConfig, out_dir, seed: int | None = None):
-    """Write a scene in the on-disk sequence layout (see dataset module)."""
+def write_scene(
+    frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: int | None = None
+) -> list[int]:
+    """Write `config`'s scene in the on-disk sequence layout (see dataset module).
+    The poses and frame count come from `config`; each frame is written as it
+    arrives. Returns the number of points of each frame."""
     calib = Calibration(config.lidar_to_cam, config.intrinsics)
-    seq = SequenceIndex(Path(out_dir), calib, [f.pose for f in frames], len(frames))
+    poses = [config.ego.pose_at(t) for t in range(config.n_frames)]
+    seq = SequenceIndex(Path(out_dir), calib, poses, config.n_frames)
     for frame_file in (seq.cloud_path, seq.depth_path, seq.flow_path, seq.label_path):
         frame_file(0).parent.mkdir(parents=True, exist_ok=True)
     write_calib(seq.root / "calib.txt", calib)
     write_poses(seq.root / "poses.txt", seq.poses)
+    n_points = []
     for t, frame in enumerate(frames):
+        n_points.append(len(frame.cloud))
         write_cloud(seq.cloud_path(t), frame.cloud)
         write_depth(seq.depth_path(t), frame.depth)
         write_flow(seq.flow_path(t), frame.flow)
@@ -316,9 +323,10 @@ def write_scene(frames: list[SceneFrame], config: SimConfig, out_dir, seed: int 
         write_labels(seq.label_path(t), records)
     meta = {
         "seed": seed,
-        "n_frames": len(frames),
+        "n_frames": config.n_frames,
         "objects": [
             {"cls": obj.cls, "moving": obj.is_moving} for obj in config.objects
         ],
     }
     (seq.root / "scene_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    return n_points

@@ -160,7 +160,7 @@ def test_criterion_3_tracking_oracle():
         ground_y=9.0,
         ground_density=0.0,
     )
-    frames = make_scene(cfg, seed=7)
+    frames = list(make_scene(cfg, seed=7))
     k_frames = 3
 
     # sanity: object silhouettes stay pairwise separated in the image,
@@ -262,7 +262,7 @@ def test_criterion_5_end_to_end_synthetic_recall():
         ground_extent=(-10.0, 10.0, 4.0, 40.0),
         ego=EgoMotion(velocity=(0.0, 0.1)),
     )
-    frames = make_scene(cfg, seed=42)
+    frames = list(make_scene(cfg, seed=42))
     spec = GridSpec()
     scorer = ScorerConfig()
     k = scorer.k_frames

@@ -201,6 +201,25 @@ class TestCliRoundTrip:
         for name in ("label_pgt/000000.txt", "label_pgt/000001.txt", "diagnostics/000000.json"):
             assert (workspace / "pgt" / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_rerun_with_fewer_windows_removes_stale_frames(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pgt"
+        short = tmp_path / "k1.json"
+        short.write_text(json.dumps(dict(CONFIG, scorer={"k_frames": 1})))
+        assert main(["generate", str(workspace / "seq"), "--out", str(out), "--config", str(short)]) == 0
+        assert len(list((out / "label_pgt").glob("*.txt"))) == 4
+        (out / "label_pgt" / "notes.txt").write_text("kept\n")
+        cfg = workspace / "cfg.json"
+        assert main(["generate", str(workspace / "seq"), "--out", str(out), "--config", str(cfg)]) == 0
+        # windows 2 and 3 of the first run are gone; a file not named as a frame stays
+        assert sorted(p.name for p in (out / "label_pgt").iterdir()) == ["000000.txt", "000001.txt", "notes.txt"]
+        assert sorted(p.name for p in (out / "diagnostics").iterdir()) == ["000000.json", "000001.json"]
+        for t in range(2):
+            for name in (f"label_pgt/{t:06d}.txt", f"diagnostics/{t:06d}.json"):
+                assert (out / name).read_bytes() == (workspace / "pgt" / name).read_bytes()
+        capsys.readouterr()
+        assert main(["evaluate-loss", str(workspace / "seq"), "--pgt", str(out), "--config", str(cfg)]) == 0
+        assert [line[:10] for line in capsys.readouterr().out.splitlines()[:-1]] == ["frame 0000", "frame 0001"]
+
     @pytest.mark.parametrize("jobs", ["5000", "0"])
     def test_workers_capped_at_window_count(self, workspace, tmp_path, monkeypatch, jobs):
         import lidarpgt.cli as cli

@@ -395,7 +395,7 @@ class TestTrackerWindowSearch:
             ground_extent=(-10.0, 10.0, 4.0, 40.0),
             ego=EgoMotion(velocity=(0.0, 0.1)),
         )
-        frames = make_scene(cfg, seed=12)
+        frames = list(make_scene(cfg, seed=12))
         cam = cfg.lidar_to_cam.apply(frames[0].cloud.xyz)
         cam = cam[cam[:, 2] > 0]
         u = INTR.fx * cam[:, 0] / cam[:, 2] + INTR.cx
@@ -695,7 +695,7 @@ class TestGeneratePseudoLabels:
             ground_extent=(-8.0, 8.0, 4.0, 30.0),
             ground_density=25.0,
         )
-        frames = make_scene(cfg, seed=11)
+        frames = list(make_scene(cfg, seed=11))
         spec = GridSpec()
         grid = heuristic_grid(frames[0].cloud, spec)
         result = generate_pseudo_labels(
@@ -716,7 +716,7 @@ class TestGeneratePseudoLabels:
             ground_extent=(-10.0, 10.0, 4.0, 40.0),
             ego=EgoMotion(velocity=(0.0, 0.1)),
         )
-        return cfg, make_scene(cfg, seed=12)
+        return cfg, list(make_scene(cfg, seed=12))
 
     def test_single_moving_vehicle_gets_vehicle_label(self):
         from lidarpgt.bev import GridSpec

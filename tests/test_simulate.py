@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,14 +61,14 @@ class TestMakeScene:
 
     def test_static_world_zero_flow(self):
         cfg = small_config([SimObject("vehicle", (1.0, 12.0))])
-        frames = make_scene(cfg, seed=1)
+        frames = list(make_scene(cfg, seed=1))
         for frame in frames[:-1]:
             valid = frame.depth > 0
             assert np.abs(frame.flow[valid]).max() < 1e-9
 
     def test_gt_centre_advances_with_velocity(self):
         cfg = small_config([SimObject("vehicle", (0.0, 12.0), velocity=(0.5, 0.0))])
-        frames = make_scene(cfg, seed=2)
+        frames = list(make_scene(cfg, seed=2))
         # static ego: lidar x = camera z, lidar y = -camera x
         c0 = frames[0].gt_boxes[0].box.centre
         c1 = frames[1].gt_boxes[0].box.centre
@@ -76,7 +78,7 @@ class TestMakeScene:
         cfg = small_config(
             [SimObject("vehicle", (0.0, 12.0), velocity=(0.5, 0.0)), SimObject("pedestrian", (3.0, 10.0))]
         )
-        frames = make_scene(cfg, seed=3)
+        frames = list(make_scene(cfg, seed=3))
         assert frames[0].gt_boxes[0].is_moving
         assert not frames[0].gt_boxes[1].is_moving
 
@@ -98,7 +100,7 @@ class TestMakeScene:
         cfg = small_config(
             [SimObject("cyclist", (1.0, 10.0), yaw=0.4)], ground_density=0.0
         )
-        frames = make_scene(cfg, seed=5)
+        frames = list(make_scene(cfg, seed=5))
         box = frames[0].gt_boxes[0].box
         pts = frames[0].cloud.xyz
         axes = yaw_matrix(LIDAR, box.yaw)
@@ -111,7 +113,7 @@ class TestMakeScene:
             [SimObject("vehicle", (0.0, 12.0))],
             ego=EgoMotion(velocity=(0.2, 0.4), yaw_rate=0.03),
         )
-        frames = make_scene(cfg, seed=6)
+        frames = list(make_scene(cfg, seed=6))
         world_point = np.array([1.0, 0.5, 14.0])
         for k in (1, 2, 3):
             in_cam_k = frames[k].pose.invert().apply(world_point)
@@ -187,14 +189,14 @@ class TestObjectRigidMotion:
 
     def test_translation_only(self):
         cfg = small_config([SimObject("vehicle", (1.0, 12.0), velocity=(0.4, -0.2))], ground_density=0.0)
-        frames = make_scene(cfg, seed=9)
+        frames = list(make_scene(cfg, seed=9))
         shift = world_points(frames[3], cfg) - world_points(frames[0], cfg)
         assert np.allclose(shift, [1.2, 0.0, -0.6], atol=1e-9)
 
     def test_rotation_about_object_centre(self):
         obj = SimObject("vehicle", (2.0, 10.0), yaw=0.1, yaw_rate=0.2)
         cfg = small_config([obj], ground_density=0.0, ego=EgoMotion(heading=0.1, velocity=(0.1, 0.3), yaw_rate=0.02))
-        frames = make_scene(cfg, seed=10)
+        frames = list(make_scene(cfg, seed=10))
         motion = obj.pose_at(1, cfg.ground_y).compose(obj.pose_at(0, cfg.ground_y).invert())
         assert np.allclose(motion.rotation, yaw_matrix(CAMERA, 0.2), atol=1e-12)
         assert np.allclose(motion.apply(world_points(frames[0], cfg)), world_points(frames[1], cfg), atol=1e-9)
@@ -210,7 +212,7 @@ class TestObjectRigidMotion:
 class TestWriteScene:
     def test_layout_loads_back(self, tmp_path):
         cfg = small_config([SimObject("vehicle", (1.0, 12.0), velocity=(0.3, 0.0))])
-        frames = make_scene(cfg, seed=8)
+        frames = list(make_scene(cfg, seed=8))
         write_scene(frames, cfg, tmp_path / "seq", seed=8)
         seq = load_sequence(tmp_path / "seq")
         assert seq.n_frames == 4
@@ -221,3 +223,43 @@ class TestWriteScene:
         labels = seq.read_labels(0)
         assert len(labels) == 1 and labels[0].cls == "Car"
         assert len(seq.poses) == 4
+
+
+class TestStreaming:
+    """make_scene yields one frame at a time; write_scene writes each as it arrives."""
+
+    @staticmethod
+    def config(n_frames):
+        objects = [
+            SimObject("vehicle", (1.0, 12.0), yaw=0.3, velocity=(0.3, 0.1), yaw_rate=0.05),
+            SimObject("pedestrian", (-3.0, 9.0), velocity=(0.1, 0.2)),
+        ]
+        return small_config(objects, n_frames=n_frames)
+
+    def test_first_frame_equals_listed_scene(self):
+        cfg = self.config(4)
+        first = next(make_scene(cfg, seed=7))
+        listed = list(make_scene(cfg, seed=7))[0]
+        assert np.array_equal(first.cloud.points, listed.cloud.points)
+        assert first.cloud.frame == listed.cloud.frame
+        assert np.array_equal(first.depth, listed.depth)
+        assert np.array_equal(first.flow, listed.flow)
+        assert np.array_equal(first.pose.rotation, listed.pose.rotation)
+        assert np.array_equal(first.pose.translation, listed.pose.translation)
+        assert len(first.gt_boxes) == len(listed.gt_boxes) == 2
+        for a, b in zip(first.gt_boxes, listed.gt_boxes):
+            assert (a.cls, a.is_moving, a.box.yaw, a.box.frame) == (b.cls, b.is_moving, b.box.yaw, b.box.frame)
+            assert np.array_equal(a.box.centre, b.box.centre)
+            assert np.array_equal(a.box.dims, b.box.dims)
+
+    def test_write_peak_does_not_grow_with_frame_count(self, tmp_path):
+        peaks = {}
+        for n_frames in (3, 9):
+            cfg = self.config(n_frames)
+            tracemalloc.start()
+            try:
+                write_scene(make_scene(cfg, seed=7), cfg, tmp_path / f"seq{n_frames}", seed=7)
+                peaks[n_frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[9] <= 1.1 * peaks[3], peaks
