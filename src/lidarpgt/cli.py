@@ -27,7 +27,7 @@ from .dataset import (
     write_labels, write_raster,
 )
 from .errors import LidarPgtError, MalformedFile, MissingFrameData
-from .evaluation import evaluate_sequence, label_record
+from .evaluation import evaluate_sequence, label_record, threshold_key
 from .geometry import LIDAR, Obb3, transform_obb
 from .loss import LossBreakdown, frame_loss_terms
 from .pipeline import FrameWindow, generate_pseudo_labels
@@ -198,7 +198,7 @@ _MIN_IOU_STEP = 1e-6
 
 
 def _thresholds(text: str) -> list[float]:
-    """IoU thresholds in (0, 1] from `start:stop:step` or a comma list."""
+    """IoU thresholds in (0, 1] from `start:stop:step` or a comma list; no two may share a report key."""
     try:
         if "," in text or ":" not in text:
             values = [float(v) for v in text.split(",")]
@@ -215,6 +215,12 @@ def _thresholds(text: str) -> list[float]:
             f"expected thresholds in (0, 1] as a comma list or start:stop:step with "
             f"start <= stop and step >= {_MIN_IOU_STEP:g}, got {text!r}"
         )
+    seen = {}
+    for v in values:
+        key = threshold_key(v)
+        if key in seen:
+            raise argparse.ArgumentTypeError(f"thresholds {seen[key]!r} and {v!r} share the report key {key!r}")
+        seen[key] = v
     return values
 
 

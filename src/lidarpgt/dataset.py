@@ -296,7 +296,7 @@ def write_raster(path, array):
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ValueError("raster must be 2D or 3D")
-    Path(path).write_bytes(arr.tobytes())
+    arr.tofile(path)
     meta = {
         "rows": arr.shape[0],
         "cols": arr.shape[1],

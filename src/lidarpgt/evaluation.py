@@ -186,6 +186,9 @@ def per_class_accuracy(detections, labelled_gts, iou_fn, threshold: float) -> di
     return _class_accuracy([(ious, [cls for _, cls in labelled_gts])], threshold)
 
 
+threshold_key = "{:g}".format  # an IoU threshold's key in a report's JSON
+
+
 @dataclass
 class EvalReport:
     mode: str
@@ -203,9 +206,9 @@ class EvalReport:
         return {
             "mode": self.mode,
             "thresholds": self.thresholds,
-            "mean_ap": {f"{t:g}": self.mean_ap[t] for t in self.thresholds},
+            "mean_ap": {threshold_key(t): self.mean_ap[t] for t in self.thresholds},
             "class_accuracy": {
-                f"{t:g}": self.class_accuracy[t] for t in self.thresholds
+                threshold_key(t): self.class_accuracy[t] for t in self.thresholds
             },
         }
 

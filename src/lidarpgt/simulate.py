@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import (
     Calibration,
@@ -48,6 +47,9 @@ from .geometry import (
 )
 from .pipeline import default_anchors
 
+# The most points a frame may hold, the ground's and every object's together.
+# `simulate` peaks at about 430 MB of resident memory just under it.
+MAX_FRAME_POINTS = 2_000_000
 _CLASS_DENSITY = {"vehicle": 150.0, "pedestrian": 400.0, "cyclist": 400.0}
 _ANCHOR_DIMS = {a.name: a.dims for a in default_anchors()}
 
@@ -137,6 +139,12 @@ class SimConfig:
         x0, x1, z0, z1 = self.ground_extent
         if not (x1 > x0 and z1 > z0):
             raise ConfigInvalid("ground extent must be a non-empty rectangle")
+        counts = {"ground_density": _point_count((x1 - x0) * (z1 - z0), self.ground_density)}
+        for i, obj in enumerate(self.objects):
+            counts[f"objects[{i}].density"] = sum(count for *_, count in _shell_faces(obj.dims, obj.density))
+        if sum(counts.values()) > MAX_FRAME_POINTS:
+            key = max(counts, key=counts.get)  # the largest share names the key to lower
+            raise ConfigInvalid(f"{key}: a frame would hold more than MAX_FRAME_POINTS = {MAX_FRAME_POINTS} points")
 
 
 @dataclass
@@ -165,8 +173,14 @@ def _sample_face(rng, count, axis, offset, extents):
     return pts
 
 
-def _sample_shell(rng, dims, density) -> np.ndarray:
-    """Cuboid shell points in the object's local frame: 4 sides and the top.
+def _point_count(area: float, density: float) -> int:
+    """Points drawn on `area` square metres at `density`; a count past the limit
+    is clipped to MAX_FRAME_POINTS + 1, so an overflowing product still counts."""
+    return int(round(min(area * density, MAX_FRAME_POINTS + 1)))
+
+
+def _shell_faces(dims, density) -> list[tuple[int, float, int]]:
+    """A cuboid shell's faces as (fixed axis, offset, point count): 4 sides and the top.
 
     The top face sits at the minimum local y (up is -y); the underside is
     never sampled, mimicking surface returns.
@@ -179,11 +193,15 @@ def _sample_shell(rng, dims, density) -> np.ndarray:
         (2, -0.5 * dz, dx * dy),
         (1, -0.5 * dy, dx * dz),
     ]
-    parts = []
-    for axis, offset, area in faces:
-        count = max(1, int(round(area * density)))
-        parts.append(_sample_face(rng, count, axis, offset, np.asarray(dims, dtype=float)))
-    return np.vstack(parts)
+    return [(axis, offset, max(1, _point_count(area, density))) for axis, offset, area in faces]
+
+
+def _sample_shell(rng, dims, density) -> np.ndarray:
+    """Cuboid shell points in the object's local frame (see `_shell_faces`)."""
+    extents = np.asarray(dims, dtype=float)
+    return np.vstack(
+        [_sample_face(rng, count, axis, offset, extents) for axis, offset, count in _shell_faces(dims, density)]
+    )
 
 
 # Hidden-point removal: a point is dropped when a splatted surface at least
@@ -196,49 +214,61 @@ _OCCLUSION_SPLAT_RADIUS = 4
 
 
 def _splat_min(buffer: np.ndarray, radius: int) -> np.ndarray:
-    """Separable sliding-window minimum over a (2*radius+1)^2 neighbourhood."""
-    out = buffer
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, constant_values=np.inf)
-        out = sliding_window_view(padded, 2 * radius + 1, axis=axis).min(axis=-1)
-    return out
+    """Separable sliding-window minimum over a (2*radius+1)^2 neighbourhood.
+    Each axis pass doubles the window on an inf-padded buffer (the min over 1,
+    2, 4, ... cells), then takes the min of two overlapping windows of the
+    largest power of two that fits; a min is exact, so overlap changes nothing."""
+    width = 2 * radius + 1
+    h, w = buffer.shape
+    run = np.full((h + 2 * radius, w + 2 * radius), np.inf)
+    run[radius : radius + h, radius : radius + w] = buffer
+    for n in (h, w):
+        span = 1
+        while 2 * span <= width:
+            run = np.minimum(run[:-span], run[span:])
+            span *= 2
+        # the pass is along axis 0; the transpose turns the next axis there
+        run = np.minimum(run[:n], run[width - span : width - span + n]).T
+    return run
 
 
 def _render_depth_with_owner(xyz_cam, intrinsics):
     """Z-buffered depth plus the index of the point owning each pixel (-1 empty).
 
-    Points far behind a nearer splatted surface are culled first, so the depth
-    image respects visibility; within each surviving pixel the nearest depth
-    wins.
+    Points far behind a nearer splatted surface are culled, so the depth image
+    respects visibility; each pixel's nearest point wins, ties going to the
+    lowest point index. A pixel's nearest point is culled only with all of its
+    points, so the cull is tested once per pixel.
     """
     h, w = intrinsics.height, intrinsics.width
     depth = np.zeros((h, w))
     owner = np.full((h, w), -1, dtype=int)
     idx = np.flatnonzero(xyz_cam[:, 2] > 0)
-    if not len(idx):
-        return depth, owner
     uv = project(xyz_cam[idx], intrinsics)
     cols = np.floor(uv[:, 0] + 0.5).astype(int)
     rows = np.floor(uv[:, 1] + 0.5).astype(int)
     in_img = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
     idx, rows, cols = idx[in_img], rows[in_img], cols[in_img]
+    if not len(idx):
+        return depth, owner
     z = xyz_cam[idx, 2]
-    flat = rows * w + cols
 
-    zbuf = np.full(h * w, np.inf)
+    # The buffers cover the bounding box of the points' pixels: outside it every
+    # cell is inf and holds no point.
+    r0, c0 = rows.min(), cols.min()
+    box = (rows.max() - r0 + 1, cols.max() - c0 + 1)
+    flat = (rows - r0) * box[1] + (cols - c0)
+    zbuf = np.full(box[0] * box[1], np.inf)
     np.minimum.at(zbuf, flat, z)
-    near = _splat_min(zbuf.reshape(h, w), _OCCLUSION_SPLAT_RADIUS).reshape(-1)
-    visible = z <= near[flat] + _OCCLUSION_MARGIN
-    idx, flat, z = idx[visible], flat[visible], z[visible]
-
-    # A pixel's nearest point is never culled, so its depth is zbuf's; ties go to
-    # the lowest point index.
-    nearest = np.flatnonzero(z == zbuf[flat])
-    winners = nearest[np.unique(flat[nearest], return_index=True)[1]]
-    depth.reshape(-1)[flat[winners]] = z[winners]
-    owner.reshape(-1)[flat[winners]] = idx[winners]
+    near = _splat_min(zbuf.reshape(box), _OCCLUSION_SPLAT_RADIUS).reshape(-1)
+    shown = zbuf <= near + _OCCLUSION_MARGIN
+    nearest = np.flatnonzero((z == zbuf[flat]) & shown[flat])
+    first = np.full(len(zbuf), len(z))
+    np.minimum.at(first, flat[nearest], nearest)
+    cells = np.flatnonzero(first < len(z))
+    r, c = np.unravel_index(cells, box)
+    depth[r + r0, c + c0] = z[first[cells]]
+    owner[r + r0, c + c0] = idx[first[cells]]
     return depth, owner
 
 
@@ -247,7 +277,7 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
     Each is built when asked for, so memory does not grow with the frame count."""
     rng = np.random.default_rng(seed)
     x0, x1, z0, z1 = config.ground_extent
-    n_ground = int(round((x1 - x0) * (z1 - z0) * config.ground_density))
+    n_ground = _point_count((x1 - x0) * (z1 - z0), config.ground_density)
     ground = np.column_stack(
         [rng.uniform(x0, x1, n_ground), np.full(n_ground, config.ground_y), rng.uniform(z0, z1, n_ground)]
     )

@@ -468,6 +468,16 @@ class TestCliErrors:
             ("generate", {"loss": {"alpha": 0.001, "gamma": 1.0}}, ["loss"]),
             ("generate", {"sampler": {"seed": -1}}, ["sampler", "seed"]),
             ("simulate", {"simulate": {"seed": -1}}, ["simulate", "seed"]),
+            # frames too large to build: refused before any array is allocated
+            (
+                "simulate", {"simulate": {"n_frames": 2, "ground_density": 1e9}},
+                ["simulate: ground_density:", "MAX_FRAME_POINTS"],
+            ),
+            (
+                "simulate",
+                {"simulate": {"objects": [{"cls": "vehicle", "position": [0.0, 12.0], "density": 1e9}]}},
+                ["simulate: objects[0].density:", "MAX_FRAME_POINTS"],
+            ),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -500,6 +510,22 @@ class TestCliErrors:
         )
         assert code == 1
         assert "--iou" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "iou, pair, key",
+        [
+            ("0.1234561,0.1234562,0.5,0.5", ("0.1234561", "0.1234562"), "0.123456"),
+            ("0.5,0.3,0.5", ("0.5", "0.5"), "0.5"),
+        ],
+    )
+    def test_iou_thresholds_sharing_a_report_key(self, workspace, tmp_path, capsys, iou, pair, key):
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--dets", str(workspace / "pgt" / "label_pgt"), "--gt", str(workspace / "seq" / "label_2"),
+                "--iou", iou, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--iou" in err and f"thresholds {pair[0]} and {pair[1]}" in err and repr(key) in err, err
+        assert not out.exists()
 
 
 

@@ -1,12 +1,18 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from lidarpgt import simulate
 from lidarpgt.dataset import load_sequence
 from lidarpgt.errors import ConfigInvalid
-from lidarpgt.geometry import CAMERA, LIDAR, CameraIntrinsics, backproject, yaw_matrix
+from lidarpgt.geometry import CAMERA, LIDAR, CameraIntrinsics, backproject, project, yaw_matrix
 from lidarpgt.simulate import (
+    _OCCLUSION_MARGIN,
+    _OCCLUSION_SPLAT_RADIUS,
+    MAX_FRAME_POINTS,
     EgoMotion,
     SimConfig,
     SimObject,
@@ -29,6 +35,61 @@ def small_config(objects, **kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def reference_splat_min(buffer, radius):
+    """A sliding-window minimum of padded copies: the splat's reference."""
+    out = buffer
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(out, pad, constant_values=np.inf)
+        out = sliding_window_view(padded, 2 * radius + 1, axis=axis).min(axis=-1)
+    return out
+
+
+def reference_render(xyz_cam, intrinsics):
+    """The render's reference: a z-buffer over the whole image, a per-point
+    cull, and each pixel's first nearest point found by np.unique."""
+    h, w = intrinsics.height, intrinsics.width
+    depth = np.zeros((h, w))
+    owner = np.full((h, w), -1, dtype=int)
+    idx = np.flatnonzero(xyz_cam[:, 2] > 0)
+    if not len(idx):
+        return depth, owner
+    uv = project(xyz_cam[idx], intrinsics)
+    cols = np.floor(uv[:, 0] + 0.5).astype(int)
+    rows = np.floor(uv[:, 1] + 0.5).astype(int)
+    in_img = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
+    idx, rows, cols = idx[in_img], rows[in_img], cols[in_img]
+    z = xyz_cam[idx, 2]
+    flat = rows * w + cols
+
+    zbuf = np.full(h * w, np.inf)
+    np.minimum.at(zbuf, flat, z)
+    near = reference_splat_min(zbuf.reshape(h, w), _OCCLUSION_SPLAT_RADIUS).reshape(-1)
+    visible = z <= near[flat] + _OCCLUSION_MARGIN
+    idx, flat, z = idx[visible], flat[visible], z[visible]
+
+    nearest = np.flatnonzero(z == zbuf[flat])
+    winners = nearest[np.unique(flat[nearest], return_index=True)[1]]
+    depth.reshape(-1)[flat[winners]] = z[winners]
+    owner.reshape(-1)[flat[winners]] = idx[winners]
+    return depth, owner
+
+
+def assert_frames_equal(a, b):
+    assert np.array_equal(a.cloud.points, b.cloud.points)
+    assert a.cloud.frame == b.cloud.frame
+    assert np.array_equal(a.depth, b.depth)
+    assert np.array_equal(a.flow, b.flow)
+    assert np.array_equal(a.pose.rotation, b.pose.rotation)
+    assert np.array_equal(a.pose.translation, b.pose.translation)
+    assert len(a.gt_boxes) == len(b.gt_boxes)
+    for ga, gb in zip(a.gt_boxes, b.gt_boxes):
+        assert (ga.cls, ga.is_moving, ga.box.yaw, ga.box.frame) == (gb.cls, gb.is_moving, gb.box.yaw, gb.box.frame)
+        assert np.array_equal(ga.box.centre, gb.box.centre)
+        assert np.array_equal(ga.box.dims, gb.box.dims)
 
 
 class TestSimObject:
@@ -126,6 +187,46 @@ class TestMakeScene:
             SimConfig(n_frames=0, objects=[], intrinsics=INTR, ground_extent=(-8.0, 8.0, 4.0, 30.0))
 
 
+class TestPointLimit:
+    """A scene whose frames would hold more than MAX_FRAME_POINTS is refused
+    before any point is drawn, naming the density to lower."""
+
+    @pytest.mark.parametrize(
+        "objects, ground_density, key",
+        [
+            ([], 1e9, "ground_density"),
+            ([SimObject("pedestrian", (0.0, 9.0)), SimObject("vehicle", (0.0, 12.0), density=1e9)], 20.0,
+             "objects[1].density"),
+            ([], 1e308, "ground_density"),  # the count overflows a float
+        ],
+    )
+    def test_refused_without_allocating(self, objects, ground_density, key):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match=re.escape(f"{key}: ") + ".*MAX_FRAME_POINTS"):
+                small_config(objects, ground_density=ground_density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_counts_round_as_make_scene_draws(self):
+        # 2e6 m² of ground: a density whose product rounds to the limit passes,
+        # one whose product rounds one point past it does not
+        extent = (0.0, 1000.0, 0.0, 2000.0)
+        small_config([], ground_extent=extent, ground_density=1.00000024)
+        with pytest.raises(ConfigInvalid, match="ground_density"):
+            small_config([], ground_extent=extent, ground_density=1.00000026)
+
+    def test_objects_count_towards_the_frame(self):
+        vehicle = SimObject("vehicle", (0.0, 12.0))
+        n_vehicle = len(next(make_scene(small_config([vehicle], ground_density=0.0), seed=1)).cloud)
+        area = 16.0 * 26.0  # small_config's ground extent
+        small_config([vehicle], ground_density=(MAX_FRAME_POINTS - n_vehicle) / area)
+        with pytest.raises(ConfigInvalid, match="ground_density"):
+            small_config([vehicle], ground_density=(MAX_FRAME_POINTS - n_vehicle + 1) / area)
+
+
 def depth_of(pts_cam):
     return _render_depth_with_owner(np.asarray(pts_cam, dtype=float).reshape(-1, 3), INTR)[0]
 
@@ -164,19 +265,130 @@ class TestRenderDepth:
             assert depth[150, 400] == 5.0 and owner[150, 400] == 1
             assert (owner >= 0).sum() == 1
 
-    @pytest.mark.parametrize("shape, radius", [((6, 9), 1), ((5, 7), 4), ((3, 3), 3), ((1, 20), 2), ((4, 2), 6)])
+    @pytest.mark.parametrize(
+        "shape, radius",
+        [
+            ((6, 9), 1),
+            ((5, 7), 4),
+            ((3, 3), 3),
+            ((1, 20), 2),
+            ((4, 2), 6),
+            ((5, 7), 0),
+            ((2, 3), 5),  # a window wider than both dimensions
+            ((9, 40), 7),
+        ],
+    )
     def test_splat_min_equals_brute_force_window_min(self, shape, radius):
         rng = np.random.default_rng(shape[0] * 31 + shape[1] + radius)
         buf = rng.random(shape)
         buf[rng.random(shape) < 0.6] = np.inf
         h, w = shape
-        want = np.array(
+        for buf in (buf, np.full(shape, np.inf)):
+            want = np.array(
+                [
+                    [
+                        buf[max(0, r - radius) : r + radius + 1, max(0, c - radius) : c + radius + 1].min()
+                        for c in range(w)
+                    ]
+                    for r in range(h)
+                ]
+            )
+            assert np.array_equal(_splat_min(buf, radius), want)
+            assert np.array_equal(reference_splat_min(buf, radius), want)
+
+    def test_splat_min_equals_reference_on_a_full_frame(self):
+        rng = np.random.default_rng(11)
+        buf = np.full((448, 1600), np.inf)
+        finite = rng.random(buf.shape) < 0.1
+        buf[finite] = rng.uniform(2.0, 60.0, finite.sum())
+        assert np.array_equal(
+            _splat_min(buf, _OCCLUSION_SPLAT_RADIUS), reference_splat_min(buf, _OCCLUSION_SPLAT_RADIUS)
+        )
+
+
+def at_pixels(rows, cols, z, intr=INTR):
+    """Camera-frame points at depths `z` that project onto the centres of the given pixels."""
+    rows, cols, z = np.broadcast_arrays(np.asarray(rows, float), np.asarray(cols, float), np.asarray(z, float))
+    return np.column_stack([(cols - intr.cx) * z / intr.fx, (rows - intr.cy) * z / intr.fy, z])
+
+
+class TestRenderEqualsReference:
+    """The bounding-box render gives the reference's depth and owner images exactly."""
+
+    @staticmethod
+    def check(pts_cam):
+        depth, owner = _render_depth_with_owner(pts_cam, INTR)
+        want_depth, want_owner = reference_render(pts_cam, INTR)
+        assert np.array_equal(depth, want_depth)
+        assert np.array_equal(owner, want_owner)
+        return depth, owner
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds_with_depth_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4000
+        # few pixels and few depths: many points share a pixel, many tie at its nearest depth;
+        # some fall off the image or behind the camera
+        rows = rng.integers(-20, INTR.height + 20, n)
+        cols = rng.integers(-20, INTR.width + 20, n) // 8 * 8
+        z = rng.choice([3.0, 4.0, 4.0, 9.0, 11.0, 25.0, -2.0], n)
+        pts = at_pixels(rows, cols, z)
+        pts[z < 0] = [0.3, 0.1, -2.0]
+        pts[: n // 4, :2] += rng.uniform(-0.002, 0.002, (n // 4, 2)) * pts[: n // 4, 2:]
+        depth, owner = self.check(pts)
+        assert (owner >= 0).sum() > 100
+
+    @pytest.mark.parametrize(
+        "edge", ["row 0", "row h-1", "column 0", "column w-1", "all four"]
+    )
+    def test_points_on_the_image_edges(self, edge):
+        rng = np.random.default_rng(3)
+        h, w = INTR.height, INTR.width
+        along_row = rng.integers(0, w, 300)
+        along_col = rng.integers(0, h, 300)
+        sides = {
+            "row 0": (np.zeros(300), along_row),
+            "row h-1": (np.full(300, h - 1), along_row),
+            "column 0": (along_col, np.zeros(300)),
+            "column w-1": (along_col, np.full(300, w - 1)),
+        }
+        picked = sides.values() if edge == "all four" else [sides[edge]]
+        rows = np.concatenate([r for r, _ in picked])
+        cols = np.concatenate([c for _, c in picked])
+        z = rng.choice([5.0, 5.0, 6.0, 20.0], len(rows))
+        depth, owner = self.check(at_pixels(rows, cols, z))
+        assert (owner >= 0).any()
+
+    def test_single_in_image_point(self):
+        off = at_pixels([-3, 10, INTR.height + 2], [5, INTR.width, 40], 7.0)
+        pts = np.vstack([off, at_pixels(200, 333, 12.5), [[0.0, 0.0, -4.0]]])
+        depth, owner = self.check(pts)
+        assert depth[200, 333] == 12.5 and owner[200, 333] == 3
+        assert (owner >= 0).sum() == 1
+
+    def test_all_points_off_image(self):
+        h, w = INTR.height, INTR.width
+        pts = np.vstack(
             [
-                [buf[max(0, r - radius) : r + radius + 1, max(0, c - radius) : c + radius + 1].min() for c in range(w)]
-                for r in range(h)
+                at_pixels([-1, -50, h, h + 30, 5, 5], [10, 10, 10, 10, -1, w], 8.0),
+                [[0.0, 0.0, -3.0], [1.0, 2.0, 0.0]],
             ]
         )
-        assert np.array_equal(_splat_min(buf, radius), want)
+        depth, owner = self.check(pts)
+        assert not depth.any() and (owner == -1).all()
+
+    def test_scene_equals_one_built_with_the_references(self, monkeypatch):
+        objects = [
+            SimObject("vehicle", (1.0, 12.0), yaw=0.3, velocity=(0.3, 0.1), yaw_rate=0.05),
+            SimObject("pedestrian", (-3.0, 9.0), velocity=(0.1, 0.2)),
+            SimObject("cyclist", (4.0, 20.0), yaw=-0.4, velocity=(-0.2, -0.3)),
+        ]
+        cfg = small_config(objects, ego=EgoMotion(heading=0.1, velocity=(0.2, 0.4), yaw_rate=0.06))
+        frames = list(make_scene(cfg, seed=13))
+        monkeypatch.setattr(simulate, "_splat_min", reference_splat_min)
+        monkeypatch.setattr(simulate, "_render_depth_with_owner", reference_render)
+        for a, b in zip(frames, make_scene(cfg, seed=13), strict=True):
+            assert_frames_equal(a, b)
 
 
 def world_points(frame, cfg):
@@ -240,17 +452,8 @@ class TestStreaming:
         cfg = self.config(4)
         first = next(make_scene(cfg, seed=7))
         listed = list(make_scene(cfg, seed=7))[0]
-        assert np.array_equal(first.cloud.points, listed.cloud.points)
-        assert first.cloud.frame == listed.cloud.frame
-        assert np.array_equal(first.depth, listed.depth)
-        assert np.array_equal(first.flow, listed.flow)
-        assert np.array_equal(first.pose.rotation, listed.pose.rotation)
-        assert np.array_equal(first.pose.translation, listed.pose.translation)
-        assert len(first.gt_boxes) == len(listed.gt_boxes) == 2
-        for a, b in zip(first.gt_boxes, listed.gt_boxes):
-            assert (a.cls, a.is_moving, a.box.yaw, a.box.frame) == (b.cls, b.is_moving, b.box.yaw, b.box.frame)
-            assert np.array_equal(a.box.centre, b.box.centre)
-            assert np.array_equal(a.box.dims, b.box.dims)
+        assert len(first.gt_boxes) == 2
+        assert_frames_equal(first, listed)
 
     def test_write_peak_does_not_grow_with_frame_count(self, tmp_path):
         peaks = {}
