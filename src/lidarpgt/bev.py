@@ -175,8 +175,6 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
     are (0, 0, 0). Max/count reductions make the result independent of the
     input point order.
     """
-    if cloud.frame != LIDAR:
-        raise ValueError("rasterize expects a lidar-frame cloud")
     image = np.zeros((spec.height, spec.width, 3))
     if len(cloud) == 0:
         return image

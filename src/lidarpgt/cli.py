@@ -23,10 +23,10 @@ import numpy as np
 from . import config as cfgmod
 from .bev import grid_centres, rasterize
 from .dataset import (
-    frame_index, frame_path, load_sequence, read_calib, read_diagnostics, write_diagnostics,
-    write_labels, write_raster,
+    frame_index, frame_path, load_sequence, read_calib, read_diagnostics, remove_frames_from,
+    write_diagnostics, write_labels, write_raster,
 )
-from .errors import LidarPgtError, MalformedFile, MissingFrameData
+from .errors import LidarPgtError, MissingFrameData
 from .evaluation import evaluate_sequence, label_record, threshold_key
 from .geometry import LIDAR, Obb3, transform_obb
 from .loss import LossBreakdown, frame_loss_terms
@@ -181,11 +181,8 @@ def cmd_generate(args) -> int:
     jobs = min(args.jobs or os.cpu_count() or 1, n_windows)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         results = list((pool.map if pool else map)(work, range(n_windows)))
-    # Frame files past this run's windows are stale, left by an earlier run into --out.
-    for path in (*(out / "label_pgt").glob("*.txt"), *(out / "diagnostics").glob("*.json")):
-        with contextlib.suppress(MalformedFile):
-            if frame_index(path) >= n_windows:
-                path.unlink()
+    remove_frames_from(out / "label_pgt", n_windows, ".txt")
+    remove_frames_from(out / "diagnostics", n_windows, ".json")
     n_plus, n_minus, conf_sum = map(sum, zip(*results))
     total = n_plus + n_minus
     mean_conf = conf_sum / total if total else 0.0

@@ -58,9 +58,6 @@ DEFAULTS = {
     },
 }
 
-# SimConfig fields the config file does not set.
-_FIXED = ("lidar_to_cam", "intensity_range")
-
 _SCALARS = {
     int: lambda v: isinstance(v, int) and not isinstance(v, bool),
     float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
@@ -71,7 +68,7 @@ _SCALARS = {
 def _keys(cls) -> dict:
     """The config keys of a dataclass, with their types."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.name not in _FIXED}
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _construct(cls, path: str, kwargs: dict):

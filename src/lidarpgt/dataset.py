@@ -17,6 +17,7 @@ directory: `frame_path` builds such a name and `frame_index` reads it back.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 
 from .bev import BoxGrid, GridSpec
 from .errors import MalformedFile, MalformedLine, ShapeMismatch
-from .geometry import AABB2, CAMERA, LIDAR, CameraIntrinsics, Obb3, PointCloud, RigidTransform
+from .geometry import AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform
 from .pipeline import PgtResult, PseudoLabel
 
 _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
@@ -56,7 +57,7 @@ def read_cloud(path) -> PointCloud:
     pts = _finite_floats(raw, path).reshape(-1, 4)
     if pts.size:
         pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
-    return PointCloud(pts, frame="lidar")
+    return PointCloud(pts)
 
 
 def write_cloud(path, cloud: PointCloud):
@@ -139,27 +140,39 @@ class Calibration:
 
 
 def read_calib(path) -> Calibration:
+    """Parse a calibration file; a key given twice, or a lidar_to_cam whose boxes
+    transform_obb cannot keep upright, is rejected naming the line."""
     entries = {}
     for where, line in _lines(path):
         if ":" not in line:
             raise MalformedLine(f"{where}: expected 'key: values'")
         key, _, rest = line.partition(":")
-        entries[key.strip()] = where, _finite_values(rest.split(), where)
+        key = key.strip()
+        if key in entries:
+            raise MalformedLine(f"{entries[key][0]} and {where}: both give {key!r}")
+        entries[key] = where, _finite_values(rest.split(), where)
     try:
         intr_at, (fx, fy, cx, cy, width, height) = entries["intrinsics"]
-        extr = entries["lidar_to_cam"][1].reshape(3, 4)
+        extr_at, extr = entries["lidar_to_cam"]
+        extr = extr.reshape(3, 4)
     except (KeyError, ValueError) as exc:
         raise MalformedLine(f"{path}: missing or malformed calibration entries") from exc
     for name, size in (("width", width), ("height", height)):
         if not (size >= 1 and size == int(size)):
             raise MalformedLine(f"{intr_at}: image {name} {size:g} is not a whole number >= 1")
     try:
-        return Calibration(
+        calib = Calibration(
             RigidTransform(extr[:, :3], extr[:, 3]),
             CameraIntrinsics(fx, fy, cx, cy, int(width), int(height)),
         )
     except ValueError as exc:
         raise MalformedLine(f"{path}: {exc}") from exc
+    upright = abs(calib.lidar_to_cam.rotation[1, 2])  # the cosine transform_obb tests
+    if upright < MIN_VERTICAL_COSINE:
+        raise MalformedLine(
+            f"{extr_at}: lidar_to_cam tilts the vertical axis: |R[1,2]| {upright:.6g} < {MIN_VERTICAL_COSINE:g}"
+        )
+    return calib
 
 
 def write_calib(path, calib: Calibration):
@@ -527,6 +540,17 @@ def frame_index(path) -> int:
     if not (stem.isascii() and stem.isdigit()):
         raise MalformedFile(f"{path}: file name is not a frame number")
     return int(stem)
+
+
+def remove_frames_from(directory, first: int, suffix: str):
+    """Delete `directory`'s frame files `<t><suffix>` with t >= first, and their
+    sidecars: frames an earlier, longer run left there. Other files stay."""
+    for path in Path(directory).iterdir():
+        t, _, rest = path.name.partition(".")
+        if "." + rest in (suffix, suffix + ".json"):
+            with contextlib.suppress(MalformedFile):
+                if frame_index(t) >= first:
+                    path.unlink()
 
 
 def load_sequence(root) -> SequenceIndex:

@@ -35,13 +35,13 @@ class Detection:
             raise ValueError("detection confidence must lie in [0, 1]")
 
 
-def project_box_2d(box: Obb3, box_to_cam: RigidTransform, intrinsics: CameraIntrinsics) -> AABB2:
-    """Tightest axis-aligned 2D box around the 8 projected vertices.
+def project_box_2d(box: Obb3, intrinsics: CameraIntrinsics) -> AABB2:
+    """Tightest axis-aligned 2D box around a camera-frame box's 8 projected vertices.
 
     All vertices must land in front of the camera; the result is clipped to
     the image bounds.
     """
-    corners = box_to_cam.apply(box.corners())
+    corners = box.corners()
     if np.any(corners[:, 2] <= 0):
         raise BehindCamera("box has vertices at non-positive camera depth")
     uv = project(corners, intrinsics)
@@ -58,7 +58,7 @@ def label_record(
     cam_box = transform_obb(box, lidar_to_cam, CAMERA)
     record = LabelRecord(cls=cls, box=cam_box, score=score)
     try:
-        record.bbox2d = project_box_2d(cam_box, RigidTransform.identity(), intrinsics)
+        record.bbox2d = project_box_2d(cam_box, intrinsics)
     except BehindCamera:
         pass
     return record
@@ -217,7 +217,7 @@ class EvalReport:
         header = ["iou", "mAP"] + classes
         rows = [header]
         for t in self.thresholds:
-            row = [f"{t:.2f}", f"{self.mean_ap[t]:.4f}"]
+            row = [threshold_key(t), f"{self.mean_ap[t]:.4f}"]
             for cls in classes:
                 acc = self.class_accuracy[t].get(cls)
                 row.append("-" if acc is None else f"{acc:.4f}")
@@ -242,17 +242,13 @@ def _record_to_aabb2(record, intrinsics):
     if intrinsics is None:
         raise ConfigInvalid("2D evaluation needs calibration to project 3D boxes")
     try:
-        return project_box_2d(record.box, RigidTransform.identity(), intrinsics)
+        return project_box_2d(record.box, intrinsics)
     except BehindCamera:
         return record.bbox2d
 
 
 def evaluate_sequence(
-    det_dir,
-    gt_dir,
-    mode: str = "bev",
-    thresholds=None,
-    intrinsics: CameraIntrinsics | None = None,
+    det_dir, gt_dir, mode: str, thresholds, intrinsics: CameraIntrinsics | None = None
 ) -> EvalReport:
     """Score per-frame KITTI label files in `det_dir` against those in `gt_dir`.
 
@@ -266,7 +262,7 @@ def evaluate_sequence(
     """
     if mode not in ("bev", "2d"):
         raise ConfigInvalid(f"unknown evaluation mode {mode!r}")
-    thresholds = list(thresholds) if thresholds is not None else [round(0.1 * i, 1) for i in range(1, 8)]
+    thresholds = list(thresholds)
     gt_dir = Path(gt_dir)
     det_dir = Path(det_dir)
     if not det_dir.is_dir():

@@ -26,6 +26,8 @@ LIDAR = "lidar"
 
 _HALF_PI = math.pi / 2.0
 
+MIN_VERTICAL_COSINE = 0.999  # cosine of the largest tilt between vertical axes (2.56 degrees) a box survives
+
 # Corner sign pattern shared by box corner generation (8, 3).
 _CORNER_SIGNS = np.array(
     [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
@@ -138,40 +140,34 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def project(points, intrinsics: CameraIntrinsics):
-    """Perspective-project camera-frame points to continuous (u, v) pixels.
+def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Perspective-project (n, 3) camera-frame points to (n, 2) continuous (u, v) pixels.
 
     Raises NonPositiveDepth if any point has z <= 0.
     """
     p = np.asarray(points, dtype=float)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
     z = p[:, 2]
     if np.any(z <= 0):
         raise NonPositiveDepth("cannot project points at depth <= 0")
-    uv = np.stack(
+    return np.stack(
         [
             intrinsics.fx * p[:, 0] / z + intrinsics.cx,
             intrinsics.fy * p[:, 1] / z + intrinsics.cy,
         ],
         axis=1,
     )
-    return uv[0] if single else uv
 
 
-def backproject(uv, depth, intrinsics: CameraIntrinsics):
-    """Lift (u, v) pixels with depths back to camera-frame 3D points.
+def backproject(uv, depth, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Lift (n, 2) (u, v) pixels with (n,) depths back to (n, 3) camera-frame points.
 
     Raises NonPositiveDepth if any depth is <= 0.
     """
     u = np.asarray(uv, dtype=float)
     d = np.asarray(depth, dtype=float)
-    single = u.ndim == 1
-    u = np.atleast_2d(u)
-    d = np.atleast_1d(d)
     if np.any(d <= 0):
         raise NonPositiveDepth("cannot backproject with depth <= 0")
-    pts = np.stack(
+    return np.stack(
         [
             (u[:, 0] - intrinsics.cx) / intrinsics.fx * d,
             (u[:, 1] - intrinsics.cy) / intrinsics.fy * d,
@@ -179,15 +175,13 @@ def backproject(uv, depth, intrinsics: CameraIntrinsics):
         ],
         axis=1,
     )
-    return pts[0] if single else pts
 
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Points as an (n, 4) array of (x, y, z, intensity), tagged with their frame."""
+    """Lidar-frame points as an (n, 4) array of (x, y, z, intensity)."""
 
     points: np.ndarray
-    frame: str
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float).reshape(-1, 4)
@@ -195,8 +189,6 @@ class PointCloud:
             raise ValueError("point cloud contains non-finite values")
         if pts.size and (pts[:, 3].min() < 0.0 or pts[:, 3].max() > 1.0):
             raise ValueError("intensities must lie in [0, 1]")
-        if self.frame not in (CAMERA, LIDAR):
-            raise ValueError(f"unknown frame {self.frame!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -368,7 +360,7 @@ def transform_obb(box: Obb3, rt: RigidTransform, target_frame: str) -> Obb3:
     new_axes = rt.rotation @ axes
     v_src = vertical_axis(box.frame)
     v_tgt = vertical_axis(target_frame)
-    if abs(new_axes[v_tgt, v_src]) < 0.999:
+    if abs(new_axes[v_tgt, v_src]) < MIN_VERTICAL_COSINE:
         raise ValueError("transform does not keep the box vertical in the target frame")
     local_x = new_axes[:, 0]
     i, j = bev_plane_axes(target_frame)

@@ -246,8 +246,6 @@ def crop_cylinder(
     the centre's by less than half the anchor height and its horizontal
     distance is below half the anchor's footprint diagonal (strict tests).
     """
-    if cloud.frame != LIDAR:
-        raise ValueError("crop_cylinder expects a lidar-frame cloud")
     if len(cloud) == 0:
         return np.zeros((0, 3))
     pts = lidar_to_cam.apply(cloud.xyz)
@@ -549,7 +547,7 @@ def generate_pseudo_labels(
     u_plus: list[PseudoLabel] = []
     u_minus: list[tuple[tuple[int, int], float]] = []
     diagnostics: list[PixelDiagnostics] = []
-    smoothed = smoothed_confidences(grid, spec, pixels, centres)
+    smoothed = smoothed_confidences(grid, spec, pixels)
     for pixel, per_pixel, confidence in zip(pixels, crops, smoothed):
         diag = PixelDiagnostics(pixel, confidence)
         scores = []

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bev import BoxGrid, GridSpec, _cell_index, in_volume_mask, pillar_centres
 from .dataset import read_box_grid
-from .geometry import LIDAR, PointCloud
+from .geometry import PointCloud
 
 # Height above the volume floor below which points count as ground.
 DEFAULT_GROUND_MARGIN = 0.3
@@ -36,8 +36,6 @@ def heuristic_grid(cloud: PointCloud, spec: GridSpec, ground_margin: float = DEF
     normalized by the busiest cell. Deterministic and independent of the
     input point order.
     """
-    if cloud.frame != LIDAR:
-        raise ValueError("heuristic_grid expects a lidar-frame cloud")
     grid = BoxGrid.zeros(spec)
     if len(cloud) == 0:
         return grid

@@ -56,15 +56,14 @@ def sample_pixels(grid: BoxGrid, spec: GridSpec, cfg: SamplerConfig) -> list[tup
     return [(int(flat // cols), int(flat % cols)) for flat in chosen]
 
 
-def smooth_confidence(grid: BoxGrid, spec: GridSpec, pixel, centres: np.ndarray | None = None) -> float:
+def smooth_confidence(grid: BoxGrid, spec: GridSpec, pixel) -> float:
     """Average a pixel's confidence with the 8 boxes whose decoded 3D centres
     are nearest to its own (Euclidean; ties broken by (row, col) order).
 
-    With fewer than 8 other boxes the mean runs over what exists. Passing a
-    precomputed `centres` array (from grid_centres) avoids re-decoding when
-    smoothing many pixels of one grid; smoothed_confidences does a batch.
+    With fewer than 8 other boxes the mean runs over what exists.
+    smoothed_confidences smooths many pixels of one grid from one decoding.
     """
-    return smoothed_confidences(grid, spec, [pixel], centres)[0]
+    return smoothed_confidences(grid, spec, [pixel])[0]
 
 
 def _sq_dist(points: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -72,7 +71,7 @@ def _sq_dist(points: np.ndarray, own: np.ndarray) -> np.ndarray:
     return sq[:, 0] + sq[:, 1] + sq[:, 2]  # the sums np.sum(sq, axis=1) makes, at a third of its cost
 
 
-def smoothed_confidences(grid: BoxGrid, spec: GridSpec, pixels, centres: np.ndarray | None = None) -> list[float]:
+def smoothed_confidences(grid: BoxGrid, spec: GridSpec, pixels) -> list[float]:
     """smooth_confidence of each pixel, bit for bit, from one centre index.
 
     The centres are sorted by x once. A pixel's 8th-nearest squared distance
@@ -86,8 +85,7 @@ def smoothed_confidences(grid: BoxGrid, spec: GridSpec, pixels, centres: np.ndar
     require_grid_shape(grid, spec)
     rows, cols = spec.out_rows, spec.out_cols
     pixels = [check_pixel(pixel, spec) for pixel in pixels]
-    if centres is None:
-        centres = grid_centres(grid, spec)
+    centres = grid_centres(grid, spec)
     conf = grid.confidence.reshape(-1)
     n_other = min(8, rows * cols - 1)
     order = np.argsort(centres[:, 0], kind="stable")

@@ -24,6 +24,7 @@ import numpy as np
 from .dataset import (
     Calibration,
     SequenceIndex,
+    remove_frames_from,
     write_calib,
     write_cloud,
     write_depth,
@@ -50,6 +51,8 @@ from .pipeline import default_anchors
 # The most points a frame may hold, the ground's and every object's together.
 # `simulate` peaks at about 430 MB of resident memory just under it.
 MAX_FRAME_POINTS = 2_000_000
+LIDAR_TO_CAM = kitti_lidar_to_camera()  # every simulated scene's extrinsics
+_INTENSITY_RANGE = (0.2, 0.9)  # point intensities are drawn uniformly from it
 _CLASS_DENSITY = {"vehicle": 150.0, "pedestrian": 400.0, "cyclist": 400.0}
 _ANCHOR_DIMS = {a.name: a.dims for a in default_anchors()}
 
@@ -125,11 +128,9 @@ class SimConfig:
     objects: list[SimObject]
     intrinsics: CameraIntrinsics
     ground_extent: tuple[float, float, float, float]  # camera-frame (x0, x1, z0, z1)
-    lidar_to_cam: RigidTransform = field(default_factory=kitti_lidar_to_camera)
     ego: EgoMotion = field(default_factory=EgoMotion)
     ground_y: float = 2.55  # camera-frame height of the ground plane (y is down)
     ground_density: float = 40.0
-    intensity_range: tuple[float, float] = (0.2, 0.9)
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -284,10 +285,9 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
 
     local_points = [_sample_shell(rng, obj.dims, obj.density) for obj in config.objects]
     n_total = n_ground + sum(len(p) for p in local_points)
-    lo, hi = config.intensity_range
-    intensities = rng.uniform(lo, hi, n_total)
+    intensities = rng.uniform(*_INTENSITY_RANGE, n_total)
 
-    cam_to_lidar = config.lidar_to_cam.invert()
+    cam_to_lidar = LIDAR_TO_CAM.invert()
     intr = config.intrinsics
 
     def camera_points(t):
@@ -300,7 +300,7 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
     cam = camera_points(0)
     for t in range(config.n_frames):
         pose = config.ego.pose_at(t)
-        cloud = PointCloud(np.column_stack([cam_to_lidar.apply(cam), intensities]), frame=LIDAR)
+        cloud = PointCloud(np.column_stack([cam_to_lidar.apply(cam), intensities]))
         depth, owner = _render_depth_with_owner(cam, intr)
 
         # Each frame's points are built once: first as frame t's flow target.
@@ -327,17 +327,16 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
 _LABEL_CLASS = {"vehicle": "Car", "pedestrian": "Pedestrian", "cyclist": "Cyclist"}
 
 
-def write_scene(
-    frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: int | None = None
-) -> list[int]:
-    """Write `config`'s scene in the on-disk sequence layout (see dataset module).
-    The poses and frame count come from `config`; each frame is written as it
-    arrives. Returns the number of points of each frame."""
-    calib = Calibration(config.lidar_to_cam, config.intrinsics)
+def write_scene(frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: int) -> list[int]:
+    """Write `config`'s scene, made with `seed`, in the on-disk sequence layout
+    (see dataset module). The poses and frame count come from `config`; each
+    frame is written as it arrives. Returns the number of points of each frame."""
+    calib = Calibration(LIDAR_TO_CAM, config.intrinsics)
     poses = [config.ego.pose_at(t) for t in range(config.n_frames)]
     seq = SequenceIndex(Path(out_dir), calib, poses, config.n_frames)
     for frame_file in (seq.cloud_path, seq.depth_path, seq.flow_path, seq.label_path):
         frame_file(0).parent.mkdir(parents=True, exist_ok=True)
+        remove_frames_from(frame_file(0).parent, config.n_frames, frame_file(0).suffix)
     write_calib(seq.root / "calib.txt", calib)
     write_poses(seq.root / "poses.txt", seq.poses)
     n_points = []
@@ -347,7 +346,7 @@ def write_scene(
         write_depth(seq.depth_path(t), frame.depth)
         write_flow(seq.flow_path(t), frame.flow)
         records = [
-            label_record(_LABEL_CLASS[gt.cls], gt.box, config.lidar_to_cam, config.intrinsics)
+            label_record(_LABEL_CLASS[gt.cls], gt.box, LIDAR_TO_CAM, config.intrinsics)
             for gt in frame.gt_boxes
         ]
         write_labels(seq.label_path(t), records)

@@ -120,9 +120,7 @@ def test_criterion_2_crop_matches_brute_force():
         )
         pts_cam = centre_cam + rng.normal(scale=1.6, size=(50, 3))
         lidar_pts = extr.invert().apply(pts_cam)
-        cloud = PointCloud(
-            np.column_stack([lidar_pts, np.full(len(lidar_pts), 0.5)]), LIDAR
-        )
+        cloud = PointCloud(np.column_stack([lidar_pts, np.full(len(lidar_pts), 0.5)]))
         centre_lidar = extr.invert().apply(centre_cam)
         for anchor in anchors:
             got = crop_cylinder(cloud, centre_lidar, anchor, extr)
@@ -165,7 +163,7 @@ def test_criterion_3_tracking_oracle():
 
     # sanity: object silhouettes stay pairwise separated in the image,
     # otherwise the depth search could legitimately jump across objects
-    lidar_to_cam = cfg.lidar_to_cam
+    lidar_to_cam = kitti_lidar_to_camera()
     for frame in frames:
         rects = []
         for gt in frame.gt_boxes:
@@ -283,7 +281,7 @@ def test_criterion_5_end_to_end_synthetic_recall():
             flows=[frames[t + i].flow for i in range(k)],
             poses=[frames[t + i].pose for i in range(k + 1)],
             intrinsics=cfg.intrinsics,
-            lidar_to_cam=cfg.lidar_to_cam,
+            lidar_to_cam=kitti_lidar_to_camera(),
         )
         result = generate_pseudo_labels(
             window, grid, spec, sampler_cfg=SamplerConfig(sample_count=240, seed=t)
@@ -559,7 +557,7 @@ def test_criterion_10_io_round_trips(tmp_path):
     pts = np.column_stack(
         [rng.normal(scale=15, size=(300, 3)), rng.random(300)]
     ).astype(np.float32)
-    cloud = PointCloud(pts.astype(float), LIDAR)
+    cloud = PointCloud(pts.astype(float))
     write_cloud(tmp_path / "c.bin", cloud)
     write_cloud(tmp_path / "c2.bin", read_cloud(tmp_path / "c.bin"))
     assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "c2.bin").read_bytes()

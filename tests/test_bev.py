@@ -18,7 +18,7 @@ from lidarpgt.proposals import heuristic_grid
 def make_cloud(xyz, intensity=0.5):
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     inten = np.full(len(xyz), intensity) if np.isscalar(intensity) else np.asarray(intensity)
-    return PointCloud(np.column_stack([xyz, inten]), LIDAR)
+    return PointCloud(np.column_stack([xyz, inten]))
 
 
 class TestGridSpec:

@@ -112,6 +112,15 @@ class TestCliRoundTrip:
         assert report["mode"] == "bev"
         assert set(report["mean_ap"]) == {"0.1", "0.3"}
 
+    def test_evaluate_rows_named_by_report_key(self, workspace, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["evaluate", "--dets", str(workspace / "pgt" / "label_pgt"), "--gt", str(workspace / "seq" / "label_2"),
+                "--iou", "0.101,0.104,0.5", "--out", str(out)]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["0.101", "0.104", "0.5"]
+        assert list(json.loads(out.read_text())["mean_ap"]) == ["0.101", "0.104", "0.5"]
+
     def test_evaluate_2d_mode(self, workspace):
         assert (
             main(
@@ -182,6 +191,19 @@ class TestCliRoundTrip:
             assert (workspace / "pgt" / name).read_bytes() == (out2 / name).read_bytes()
         # inputs are never mutated
         assert (workspace / "seq" / "velodyne" / "000000.bin").read_bytes() == before
+
+    def test_simulate_over_a_longer_scene(self, workspace, tmp_path):
+        """A 4-frame scene simulated over a 5-frame one leaves none of its frames."""
+        seq, short = tmp_path / "seq", tmp_path / "short.json"
+        short.write_text(json.dumps(dict(CONFIG, simulate=dict(CONFIG["simulate"], n_frames=4))))
+        assert main(["simulate", "--config", str(workspace / "cfg.json"), "--seed", "3", "--out", str(seq)]) == 0
+        (seq / "velodyne" / "notes.txt").write_text("kept\n")
+        assert main(["simulate", "--config", str(short), "--seed", "3", "--out", str(seq)]) == 0
+        assert main(["simulate", "--config", str(short), "--seed", "3", "--out", str(tmp_path / "fresh")]) == 0
+        (seq / "velodyne" / "notes.txt").unlink()  # a file not named as a frame stays
+        files = lambda root: {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        assert files(seq) == files(tmp_path / "fresh")
+        assert main(["generate", str(seq), "--out", str(tmp_path / "pgt"), "--config", str(short)]) == 0
 
     def test_simulate_deterministic(self, workspace, tmp_path):
         cfg = workspace / "cfg.json"
@@ -575,11 +597,12 @@ def _set_sidecar(named=None, **fields):
 
 
 def _replace_line(index, text):
-    """Replace line `index`; returns `path:line`, which the error must give."""
+    """Replace line `index`, or add it one past the last; returns `path:line`,
+    which the error must give."""
 
     def corrupt(path):
         lines = path.read_text().splitlines()
-        lines[index] = text
+        lines[index : index + 1] = [text]
         path.write_text("\n".join(lines) + "\n")
         return f"{path}:{index + 1}"
 
@@ -669,6 +692,11 @@ CORRUPTIONS = {
     "calib-nan-rotation": ("seq/calib.txt", _replace_line(1, "lidar_to_cam: nan -1 0 0 0 0 -1 0 1 0 0 0")),
     "calib-nan-focal": ("seq/calib.txt", _replace_line(0, "intrinsics: nan 500 400 150 800 320")),
     "calib-fractional-width": ("seq/calib.txt", _replace_line(0, "intrinsics: 500 500 400 150 800.7 320")),
+    "calib-repeated-key": ("seq/calib.txt", _replace_line(2, "intrinsics: 900 900 400 150 800 320")),
+    # the KITTI axis permutation tilted 3 degrees about the camera's x axis
+    "calib-tilted": (
+        "seq/calib.txt", _replace_line(1, "lidar_to_cam: 0 -1 0 0 -0.0523359562 0 -0.998629535 0 0.998629535 0 -0.0523359562 0")
+    ),
     "pose-nan": ("seq/poses.txt", _replace_line(1, " ".join(["nan"] * 12))),
     "flow-nan": ("seq/flow/000000.bin", _poison_raster(np.nan)),
     "depth-inf": ("seq/depth/000001.bin", _poison_raster(np.inf)),

@@ -31,12 +31,28 @@ from lidarpgt.errors import MalformedFile, MalformedLine, ShapeMismatch
 from lidarpgt.geometry import (
     AABB2,
     CAMERA,
+    LIDAR,
+    MIN_VERTICAL_COSINE,
     CameraIntrinsics,
     Obb3,
     PointCloud,
     RigidTransform,
     kitti_lidar_to_camera,
+    transform_obb,
 )
+
+# KITTI's lidar-to-camera extrinsics of its 2011-09-26 drives, |R[1,2]| = 0.9998902
+KITTI_LIDAR_TO_CAM = (
+    "7.533745e-03 -9.999714e-01 -6.166020e-04 -4.069766e-03 1.480249e-02 7.280733e-04 "
+    "-9.998902e-01 -7.631618e-02 9.998621e-01 7.523790e-03 1.480755e-02 -2.717806e-01"
+)
+
+
+def turned(axis, angle: float) -> RigidTransform:
+    """A rotation by `angle` radians about the unit vector `axis` (Rodrigues)."""
+    x, y, z = axis
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return RigidTransform(np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k @ k, np.zeros(3))
 
 
 class TestCloudIo:
@@ -50,14 +66,13 @@ class TestCloudIo:
         path.write_bytes(np.array([1, 2, 3, 0.5], dtype="<f4").tobytes())
         cloud = read_cloud(path)
         assert np.allclose(cloud.points, [[1, 2, 3, 0.5]])
-        assert cloud.frame == "lidar"
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = np.column_stack(
             [rng.normal(scale=20, size=(500, 3)).astype(np.float32), rng.random(500, dtype=np.float32)]
         ).astype(np.float32)
-        cloud = PointCloud(pts.astype(float), "lidar")
+        cloud = PointCloud(pts.astype(float))
         path = tmp_path / "a.bin"
         write_cloud(path, cloud)
         again = read_cloud(path)
@@ -166,6 +181,71 @@ class TestCalibIo:
         path.write_text("intrinsics: 700 700 620 187 1242 375\n")
         with pytest.raises(MalformedLine):
             read_calib(path)
+
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text(
+            "intrinsics: 700 700 620 187 1242 375\nlidar_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0\n"
+            "intrinsics: 900 900 400 150 800 320\n"
+        )
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:1 and {path}:3: both give 'intrinsics'")):
+            read_calib(path)
+
+    def test_kitti_calibration_loads(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text(f"intrinsics: 721.5377 721.5377 609.5593 172.854 1242 375\nlidar_to_cam: {KITTI_LIDAR_TO_CAM}\n")
+        assert read_calib(path).lidar_to_cam.rotation[1, 2] == -0.9998902
+
+    @pytest.mark.parametrize("degrees, loads", [(1.0, True), (-1.0, True), (2.5, True), (3.0, False), (5.0, False)])
+    def test_tilted_vertical_axis(self, tmp_path, degrees, loads):
+        """The KITTI axis permutation tilted about the camera's x axis loads up
+        to the tilt transform_obb keeps upright, about 2.56 degrees."""
+        path = tmp_path / "calib.txt"
+        lidar_to_cam = turned((1.0, 0.0, 0.0), math.radians(degrees)).compose(kitti_lidar_to_camera())
+        write_calib(path, Calibration(lidar_to_cam, CameraIntrinsics(500.0, 500.0, 400.0, 150.0, 800, 320)))
+        if loads:
+            assert np.array_equal(read_calib(path).lidar_to_cam.rotation, lidar_to_cam.rotation)
+        else:
+            with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: lidar_to_cam tilts the vertical axis")):
+                read_calib(path)
+
+    def test_tilt_limit_is_the_one_transform_obb_keeps(self, tmp_path):
+        """Near the limit, a calibration loads exactly when transform_obb moves
+        boxes both ways between its lidar and camera frames."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "calib.txt"
+        limit = math.acos(MIN_VERTICAL_COSINE)
+        intrinsics = CameraIntrinsics(500.0, 500.0, 400.0, 150.0, 800, 320)
+        outcomes = []
+        for _ in range(300):
+            # a turn about a horizontal camera axis tilts the vertical axis by its angle
+            heading = rng.uniform(-math.pi, math.pi)
+            tilt = limit * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -3.0))
+            lidar_to_cam = (
+                turned((math.cos(heading), 0.0, math.sin(heading)), tilt)
+                .compose(turned((0.0, 1.0, 0.0), rng.uniform(-math.pi, math.pi)))
+                .compose(kitti_lidar_to_camera())
+            )
+            write_calib(path, Calibration(lidar_to_cam, intrinsics))
+            try:
+                read = read_calib(path).lidar_to_cam
+            except MalformedLine:
+                read = lidar_to_cam
+                loads = False
+            else:
+                loads = True
+            for box, rt, frame in (
+                (Obb3((10.0, 1.0, -0.5), (1.8, 4.5, 1.5), rng.uniform(-2.0, 2.0), LIDAR), read, CAMERA),
+                (Obb3((1.0, 1.5, 10.0), (1.8, 1.5, 4.5), rng.uniform(-2.0, 2.0), CAMERA), read.invert(), LIDAR),
+            ):
+                try:
+                    transform_obb(box, rt, frame)
+                except ValueError:
+                    assert not loads
+                else:
+                    assert loads
+            outcomes.append(loads)
+        assert 0 < sum(outcomes) < len(outcomes)
 
     @pytest.mark.parametrize(
         "intrinsics, lidar_to_cam",
@@ -377,7 +457,6 @@ class TestRasterIo:
         assert np.array_equal(read_box_grid(path, spec).data, data)
 
     def test_heuristic_box_grid_round_trip(self, tmp_path):
-        from lidarpgt.geometry import LIDAR
         from lidarpgt.proposals import heuristic_grid
 
         spec = GridSpec()
@@ -385,7 +464,7 @@ class TestRasterIo:
         lo = (spec.x_range[0], spec.y_range[0], spec.z_range[0])
         hi = (spec.x_range[1], spec.y_range[1], spec.z_range[1])
         xyz = rng.uniform(lo, hi, size=(20000, 3))
-        grid = heuristic_grid(PointCloud(np.column_stack([xyz, rng.random(len(xyz))]), LIDAR), spec)
+        grid = heuristic_grid(PointCloud(np.column_stack([xyz, rng.random(len(xyz))])), spec)
         path = tmp_path / "grid.bin"
         write_box_grid(path, grid)
         again = read_box_grid(path, spec)
@@ -440,7 +519,7 @@ class TestSequenceIndex:
     def _make_sequence(self, root, n=3):
         (root / "velodyne").mkdir(parents=True)
         for t in range(n):
-            write_cloud(root / "velodyne" / f"{t:06d}.bin", PointCloud(np.zeros((0, 4)), "lidar"))
+            write_cloud(root / "velodyne" / f"{t:06d}.bin", PointCloud(np.zeros((0, 4))))
         write_poses(root / "poses.txt", [RigidTransform.identity()] * n)
         write_calib(
             root / "calib.txt",

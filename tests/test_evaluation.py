@@ -22,7 +22,6 @@ from lidarpgt.geometry import (
     AABB2,
     CameraIntrinsics,
     Obb3,
-    RigidTransform,
     iou_2d,
     kitti_lidar_to_camera,
     project,
@@ -35,21 +34,21 @@ INTR = CameraIntrinsics(700.0, 700.0, 620.0, 187.0, 1242, 375)
 class TestProjectBox2d:
     def test_symmetric_about_principal_point(self):
         box = Obb3((0.0, 0.0, 10.0), (2.0, 1.0, 4.0), 0.0, CAMERA)
-        aabb = project_box_2d(box, RigidTransform.identity(), INTR)
+        aabb = project_box_2d(box, INTR)
         centre = 0.5 * (aabb.min_corner + aabb.max_corner)
         assert np.allclose(centre, [620.0, 187.0], atol=1e-9)
 
     def test_perspective_shrinks_with_distance(self):
         near = Obb3((0.0, 0.0, 10.0), (2.0, 1.0, 4.0), 0.3, CAMERA)
         far = Obb3((0.0, 0.0, 20.0), (2.0, 1.0, 4.0), 0.3, CAMERA)
-        a = project_box_2d(near, RigidTransform.identity(), INTR)
-        b = project_box_2d(far, RigidTransform.identity(), INTR)
+        a = project_box_2d(near, INTR)
+        b = project_box_2d(far, INTR)
         assert b.area() < a.area()
 
     def test_matches_per_vertex_projection(self):
         box = Obb3((0.5, -0.2, 10.0), (2.0, 1.0, 4.0), 0.4, CAMERA)
         uv = project(box.corners(), INTR)
-        aabb = project_box_2d(box, RigidTransform.identity(), INTR)
+        aabb = project_box_2d(box, INTR)
         assert np.allclose(aabb.min_corner, uv.min(axis=0))
         assert np.allclose(aabb.max_corner, uv.max(axis=0))
 
@@ -59,19 +58,19 @@ class TestProjectBox2d:
         from lidarpgt.geometry import transform_obb
 
         lidar_box = transform_obb(cam_box, s.invert(), LIDAR)
-        a = project_box_2d(cam_box, RigidTransform.identity(), INTR)
-        b = project_box_2d(lidar_box, s, INTR)
+        a = project_box_2d(cam_box, INTR)
+        b = project_box_2d(transform_obb(lidar_box, s, CAMERA), INTR)
         assert np.allclose(a.min_corner, b.min_corner, atol=1e-9)
         assert np.allclose(a.max_corner, b.max_corner, atol=1e-9)
 
     def test_behind_camera(self):
         box = Obb3((0.0, 0.0, 1.0), (1.0, 1.0, 4.0), 0.0, CAMERA)
         with pytest.raises(BehindCamera):
-            project_box_2d(box, RigidTransform.identity(), INTR)
+            project_box_2d(box, INTR)
 
     def test_clipped_to_image(self):
         box = Obb3((30.0, 0.0, 10.0), (2.0, 1.0, 4.0), 0.0, CAMERA)
-        aabb = project_box_2d(box, RigidTransform.identity(), INTR)
+        aabb = project_box_2d(box, INTR)
         assert aabb.max_corner[0] <= INTR.width
         assert aabb.min_corner[0] >= 0
 
@@ -237,7 +236,7 @@ class TestEvaluateSequence:
             # mode: (IoU function name, label record -> box, box -> (lo, hi) bounds)
             "bev": ("rotated_iou_bev", lambda r: r.box,
                     lambda box: (box.footprint().min(axis=0), box.footprint().max(axis=0))),
-            "2d": ("iou_2d", lambda r: project_box_2d(r.box, RigidTransform.identity(), INTR),
+            "2d": ("iou_2d", lambda r: project_box_2d(r.box, INTR),
                    lambda box: (box.min_corner, box.max_corner)),
         }
         for mode, (name, to_box, bounds) in modes.items():
@@ -276,7 +275,7 @@ class TestEvaluateSequence:
         front = Obb3((1.0, 1.0, 15.0), (1.6, 1.5, 3.9), 0.2, CAMERA)
         behind = Obb3((2.0, 1.8, 0.5), (1.6, 1.5, 3.9), 0.0, CAMERA)
         with pytest.raises(BehindCamera):
-            project_box_2d(behind, RigidTransform.identity(), INTR)
+            project_box_2d(behind, INTR)
         det_dir, gt_dir = tmp_path / "dets", tmp_path / "gt"
         det_dir.mkdir()
         gt_dir.mkdir()

@@ -113,35 +113,35 @@ class TestProjection:
             CameraIntrinsics(*values, 1242, 375)
 
     def test_optical_axis(self):
-        uv = project(np.array([0.0, 0.0, 5.0]), self.k)
-        assert np.allclose(uv, [620.0, 187.0])
+        uv = project(np.array([[0.0, 0.0, 5.0]]), self.k)
+        assert np.allclose(uv, [[620.0, 187.0]])
 
     def test_unit_geometry(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 200, 200)
-        assert np.allclose(project(np.array([1.0, 0.0, 1.0]), k), [150.0, 50.0])
+        assert np.allclose(project(np.array([[1.0, 0.0, 1.0]]), k), [[150.0, 50.0]])
 
     def test_direct_arithmetic(self):
         # fx*x/z + cx = 700*0.5/2 + 620, fy*y/z + cy = 700*(-0.25)/2 + 187
-        uv = project(np.array([0.5, -0.25, 2.0]), self.k)
-        assert np.allclose(uv, [795.0, 99.5], atol=1e-12)
+        uv = project(np.array([[0.5, -0.25, 2.0]]), self.k)
+        assert np.allclose(uv, [[795.0, 99.5]], atol=1e-12)
 
     def test_rejects_non_positive_depth(self):
         with pytest.raises(NonPositiveDepth):
-            project(np.array([0.0, 0.0, 0.0]), self.k)
+            project(np.array([[0.0, 0.0, 0.0]]), self.k)
         with pytest.raises(NonPositiveDepth):
-            project(np.array([1.0, 1.0, -2.0]), self.k)
+            project(np.array([[1.0, 1.0, -2.0]]), self.k)
 
     def test_backproject_optical_axis(self):
-        p = backproject(np.array([620.0, 187.0]), 3.5, self.k)
-        assert np.allclose(p, [0.0, 0.0, 3.5])
+        p = backproject(np.array([[620.0, 187.0]]), np.array([3.5]), self.k)
+        assert np.allclose(p, [[0.0, 0.0, 3.5]])
 
     def test_backproject_direct(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 200, 200)
-        assert np.allclose(backproject(np.array([150.0, 50.0]), 2.0, k), [2.0, 0.0, 2.0])
+        assert np.allclose(backproject(np.array([[150.0, 50.0]]), np.array([2.0]), k), [[2.0, 0.0, 2.0]])
 
     def test_backproject_rejects_bad_depth(self):
         with pytest.raises(NonPositiveDepth):
-            backproject(np.array([10.0, 10.0]), 0.0, self.k)
+            backproject(np.array([[10.0, 10.0]]), np.array([0.0]), self.k)
 
     def test_mutual_inverse(self):
         rng = np.random.default_rng(4)
@@ -313,12 +313,12 @@ class TestTransformObb:
 class TestPointCloud:
     def test_rejects_bad_intensity(self):
         with pytest.raises(ValueError):
-            PointCloud(np.array([[0.0, 0.0, 0.0, 1.5]]), LIDAR)
+            PointCloud(np.array([[0.0, 0.0, 0.0, 1.5]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PointCloud(np.array([[np.nan, 0.0, 0.0, 0.5]]), LIDAR)
+            PointCloud(np.array([[np.nan, 0.0, 0.0, 0.5]]))
 
     def test_empty_is_fine(self):
-        cloud = PointCloud(np.zeros((0, 4)), LIDAR)
+        cloud = PointCloud(np.zeros((0, 4)))
         assert len(cloud) == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lidarpgt.errors import DegenerateInput, MissingFrameData
 from lidarpgt.geometry import (
     CAMERA,
-    LIDAR,
     CameraIntrinsics,
     Obb3,
     PointCloud,
@@ -44,7 +43,7 @@ INTR = CameraIntrinsics(500.0, 500.0, 400.0, 150.0, 800, 320)
 def lidar_cloud(points_cam):
     """Build a lidar cloud from camera-frame points for crop tests."""
     pts = EXTR.invert().apply(np.atleast_2d(points_cam))
-    return PointCloud(np.column_stack([pts, np.full(len(pts), 0.5)]), LIDAR)
+    return PointCloud(np.column_stack([pts, np.full(len(pts), 0.5)]))
 
 
 class TestAnchors:
@@ -396,7 +395,7 @@ class TestTrackerWindowSearch:
             ego=EgoMotion(velocity=(0.0, 0.1)),
         )
         frames = list(make_scene(cfg, seed=12))
-        cam = cfg.lidar_to_cam.apply(frames[0].cloud.xyz)
+        cam = EXTR.apply(frames[0].cloud.xyz)
         cam = cam[cam[:, 2] > 0]
         u = INTR.fx * cam[:, 0] / cam[:, 2] + INTR.cx
         v = INTR.fy * cam[:, 1] / cam[:, 2] + INTR.cy
@@ -677,7 +676,7 @@ class TestGeneratePseudoLabels:
             flows=[f.flow for f in frames[:k]],
             poses=[f.pose for f in frames[: k + 1]],
             intrinsics=cfg.intrinsics,
-            lidar_to_cam=cfg.lidar_to_cam,
+            lidar_to_cam=EXTR,
         )
 
     def test_ground_only_scene_is_all_u_minus_with_zero_targets(self):
@@ -744,8 +743,8 @@ class TestGeneratePseudoLabels:
     def test_union_tracking_equals_per_crop_tracking(self):
         cfg, frames = self._vehicle_scene()
         window = self._window(frames, cfg, 3)
-        cloud_cam = cfg.lidar_to_cam.apply(window.cloud.xyz)
-        vehicle = cfg.lidar_to_cam.apply(frames[0].gt_boxes[0].box.centre)
+        cloud_cam = EXTR.apply(window.cloud.xyz)
+        vehicle = EXTR.apply(frames[0].gt_boxes[0].box.centre)
         crops = []
         for dx, dz, radius in [(0, 0, 2.5), (0.5, -0.5, 1.0), (6, 3, 2.0), (-1, 0, 4.0), (0, 8, 0.3)]:
             dist = np.hypot(cloud_cam[:, 0] - vehicle[0] - dx, cloud_cam[:, 2] - vehicle[2] - dz)
@@ -889,7 +888,7 @@ class TestGeneratePseudoLabels:
 
         cfg, frames = self._vehicle_scene()
         window = self._window(frames, cfg, 3)
-        window = replace(window, cloud=PointCloud(np.zeros((0, 4)), LIDAR))
+        window = replace(window, cloud=PointCloud(np.zeros((0, 4))))
         setattr(window, short, getattr(window, short)[:-1])
         spec = GridSpec()
         with pytest.raises(MissingFrameData):

@@ -4,7 +4,7 @@ import pytest
 from lidarpgt.bev import GridSpec
 from lidarpgt.dataset import write_box_grid
 from lidarpgt.errors import ShapeMismatch
-from lidarpgt.geometry import LIDAR, PointCloud
+from lidarpgt.geometry import PointCloud
 from lidarpgt.proposals import grid_from_file, heuristic_grid
 
 SPEC = GridSpec()
@@ -12,7 +12,7 @@ SPEC = GridSpec()
 
 def make_cloud(xyz):
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    return PointCloud(np.column_stack([xyz, np.full(len(xyz), 0.5)]), LIDAR)
+    return PointCloud(np.column_stack([xyz, np.full(len(xyz), 0.5)]))
 
 
 class TestHeuristicGrid:

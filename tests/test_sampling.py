@@ -203,10 +203,9 @@ def _duplicate_grid(spec):
 )
 def test_smoothing_equals_full_sort_on_every_pixel(spec, make_grid):
     grid = make_grid(spec)
-    centres = grid_centres(grid, spec)
     pixels = [(r, c) for r in range(spec.out_rows) for c in range(spec.out_cols)]
     expected = [lexsort_smooth(grid, spec, pixel) for pixel in pixels]
-    assert [smooth_confidence(grid, spec, pixel, centres) for pixel in pixels] == expected
+    assert [smooth_confidence(grid, spec, pixel) for pixel in pixels] == expected
     assert smoothed_confidences(grid, spec, pixels) == expected
 
 

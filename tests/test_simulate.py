@@ -80,7 +80,6 @@ def reference_render(xyz_cam, intrinsics):
 
 def assert_frames_equal(a, b):
     assert np.array_equal(a.cloud.points, b.cloud.points)
-    assert a.cloud.frame == b.cloud.frame
     assert np.array_equal(a.depth, b.depth)
     assert np.array_equal(a.flow, b.flow)
     assert np.array_equal(a.pose.rotation, b.pose.rotation)
@@ -241,7 +240,7 @@ class TestRenderDepth:
         nz = np.argwhere(depth > 0)
         assert len(nz) == 1
         r, c = nz[0]
-        back = backproject(np.array([float(c), float(r)]), depth[r, c], INTR)
+        (back,) = backproject(np.array([[float(c), float(r)]]), np.array([depth[r, c]]), INTR)
         # half-pixel quantization at this depth
         assert np.linalg.norm(back - cam_point) < 0.5 * 9.0 / 500.0 * 1.5
 
@@ -393,7 +392,7 @@ class TestRenderEqualsReference:
 
 def world_points(frame, cfg):
     """A frame's cloud back in the world frame."""
-    return frame.pose.apply(cfg.lidar_to_cam.apply(frame.cloud.xyz))
+    return frame.pose.apply(simulate.LIDAR_TO_CAM.apply(frame.cloud.xyz))
 
 
 class TestObjectRigidMotion:
@@ -416,7 +415,7 @@ class TestObjectRigidMotion:
         assert np.allclose(motion.apply(centre), centre, atol=1e-12)
         for frame in frames[:2]:
             box = frame.gt_boxes[0].box
-            assert np.allclose(frame.pose.apply(cfg.lidar_to_cam.apply(box.centre)), centre, atol=1e-9)
+            assert np.allclose(frame.pose.apply(simulate.LIDAR_TO_CAM.apply(box.centre)), centre, atol=1e-9)
             local = (frame.cloud.xyz - box.centre) @ yaw_matrix(LIDAR, box.yaw)
             assert np.all(np.abs(local) <= box.dims / 2 + 1e-9)
 
