@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import BoxGrid, GridSpec
-from .errors import MalformedFile, MalformedLine, ShapeMismatch
+from .errors import MalformedFile, MalformedLine, MissingFrameData, ShapeMismatch
 from .geometry import AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform
 from .pipeline import PgtResult, PseudoLabel
 
@@ -39,13 +39,12 @@ _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
 # point clouds
 
 
-def _finite_floats(raw: bytes, path) -> np.ndarray:
-    """float32-LE bytes as float64, rejecting NaN and inf before the cast
-    (which warns on a signalling NaN)."""
-    values = np.frombuffer(raw, dtype="<f4")
+def _finite_floats(values: np.ndarray, path) -> np.ndarray:
+    """`values` if none is NaN or inf; check before widening them, since the
+    cast warns on a signalling NaN."""
     if not np.isfinite(values).all():
         raise MalformedFile(f"{path}: non-finite value")
-    return values.astype(float)
+    return values
 
 
 def read_cloud(path) -> PointCloud:
@@ -54,7 +53,7 @@ def read_cloud(path) -> PointCloud:
         raise MalformedFile(
             f"{path}: size {len(raw)} is not a multiple of {_POINT_RECORD_BYTES}"
         )
-    pts = _finite_floats(raw, path).reshape(-1, 4)
+    pts = _finite_floats(np.frombuffer(raw, dtype="<f4"), path).astype(float).reshape(-1, 4)
     if pts.size:
         pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
     return PointCloud(pts)
@@ -321,7 +320,8 @@ def write_raster(path, array):
 
 
 def read_raster(path):
-    """Read a raster written by write_raster; sidecar keys it does not use are ignored."""
+    """Read a raster written by write_raster as the writable float32 array it
+    stores; sidecar keys it does not use are ignored."""
     meta_path = _sidecar_path(path)
     if not meta_path.exists():
         raise MalformedFile(f"{path}: missing sidecar {meta_path}")
@@ -339,11 +339,11 @@ def read_raster(path):
         if meta.get(key) != value:
             raise MalformedFile(f"{meta_path}: {key!r} must be {value!r}")
     rows, cols, channels = meta["rows"], meta["cols"], meta["channels"]
-    raw = Path(path).read_bytes()
+    size = Path(path).stat().st_size
     expected = rows * cols * channels * 4
-    if len(raw) != expected:
-        raise MalformedFile(f"{path}: size {len(raw)}, sidecar implies {expected}")
-    arr = _finite_floats(raw, path).reshape(rows, cols, channels)
+    if size != expected:
+        raise MalformedFile(f"{path}: size {size}, sidecar implies {expected}")
+    arr = _finite_floats(np.fromfile(path, dtype="<f4"), path).reshape(rows, cols, channels)
     if channels == 1:
         arr = arr[:, :, 0]
     return arr
@@ -493,17 +493,23 @@ class SequenceIndex:
     poses: list[RigidTransform]
     n_frames: int
 
+    def _frame_file(self, directory: str, t: int, suffix: str) -> Path:
+        """Frame t's file in `directory`; a frame outside the sequence raises MissingFrameData."""
+        if not 0 <= t < self.n_frames:
+            raise MissingFrameData(f"{self.root}: frame {t} outside sequence of {self.n_frames} frames")
+        return frame_path(self.root / directory, t, suffix)
+
     def cloud_path(self, t) -> Path:
-        return frame_path(self.root / "velodyne", t, ".bin")
+        return self._frame_file("velodyne", t, ".bin")
 
     def depth_path(self, t) -> Path:
-        return frame_path(self.root / "depth", t, ".bin")
+        return self._frame_file("depth", t, ".bin")
 
     def flow_path(self, t) -> Path:
-        return frame_path(self.root / "flow", t, ".bin")
+        return self._frame_file("flow", t, ".bin")
 
     def label_path(self, t) -> Path:
-        return frame_path(self.root / "label_2", t, ".txt")
+        return self._frame_file("label_2", t, ".txt")
 
     def read_cloud(self, t) -> PointCloud:
         return read_cloud(self.cloud_path(t))

@@ -30,7 +30,7 @@ class ShapeMismatch(LidarPgtError):
 
 
 class MissingFrameData(LidarPgtError):
-    """Tracking was asked to run past the available frames."""
+    """A frame or tracking window lies outside the sequence's frames."""
 
 
 class DegenerateInput(LidarPgtError):

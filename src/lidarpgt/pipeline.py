@@ -293,7 +293,7 @@ def _sample_flow(flow: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarr
     c0 = np.floor(u).astype(int)
     r0 = np.floor(v).astype(int)
     rows, cols, _, usable = _nearest_valid(valid, u, v, r0, c0, np.arange(2))
-    out = flow[rows, cols]
+    out = flow[rows, cols].astype(float)  # float32 rasters take the float64 blend below
     idx = np.flatnonzero(usable.all(axis=1))
     r, c = r0[idx], c0[idx]
     fu = u[idx] - c

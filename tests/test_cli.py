@@ -467,6 +467,27 @@ class TestCliErrors:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_render_frame_outside_the_sequence(self, workspace, tmp_path, capsys):
+        seq, out = workspace / "seq", tmp_path / "f.ppm"
+        assert main(["render", str(seq), "--frame", "99", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {seq}: frame 99 outside sequence of 5 frames\n"
+        assert not out.exists()
+
+    def test_evaluate_loss_diagnostics_of_a_frame_outside_the_sequence(
+        self, workspace, tmp_path, capsys
+    ):
+        import shutil
+
+        seq, diagnostics = workspace / "seq", tmp_path / "pgt" / "diagnostics"
+        shutil.copytree(workspace / "pgt" / "diagnostics", diagnostics)
+        shutil.copy(diagnostics / "000000.json", diagnostics / "000099.json")
+        argv = ["evaluate-loss", str(seq), "--pgt", str(tmp_path / "pgt"),
+                "--config", str(workspace / "cfg.json")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("frame 0000: ") and "total:" not in out, out
+        assert err == f"error: {seq}: frame 99 outside sequence of 5 frames\n"
+
     @pytest.mark.parametrize("overlays, bad", [("gt,psuedo", "'psuedo'"), ("gt,,pseudo", "''")])
     def test_unknown_overlay(self, workspace, tmp_path, capsys, overlays, bad):
         out = tmp_path / "f.ppm"

@@ -27,7 +27,7 @@ from lidarpgt.dataset import (
     write_poses,
     write_raster,
 )
-from lidarpgt.errors import MalformedFile, MalformedLine, ShapeMismatch
+from lidarpgt.errors import MalformedFile, MalformedLine, MissingFrameData, ShapeMismatch
 from lidarpgt.geometry import (
     AABB2,
     CAMERA,
@@ -374,15 +374,29 @@ class TestRasterIo:
         depth = (rng.random((30, 40)) * 50).astype(np.float32).astype(float)
         path = tmp_path / "d.bin"
         write_depth(path, depth)
-        again = read_depth(path)
-        assert np.array_equal(again.astype(np.float32), depth.astype(np.float32))
+        again = read_depth(path)  # the stored float32 values, which callers may edit
+        assert again.dtype == np.float32 and again.flags.writeable
+        assert np.array_equal(again, depth)
 
     def test_flow_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         flow = rng.normal(size=(20, 25, 2)).astype(np.float32).astype(float)
         path = tmp_path / "f.bin"
         write_flow(path, flow)
-        assert np.array_equal(read_flow(path).astype(np.float32), flow.astype(np.float32))
+        again = read_flow(path)
+        assert again.dtype == np.float32 and again.flags.writeable
+        assert np.array_equal(again, flow)
+
+    def test_cloud_and_box_grid_read_as_float64(self, tmp_path):
+        spec = GridSpec(height=16, width=16, stride=4)
+        data = np.zeros((spec.out_rows, spec.out_cols, 8))
+        data[1, 2] = (0.1, -0.2, 0.3, 1.7, 1.5, 4.1, 0.25, 0.9)
+        write_box_grid(tmp_path / "g.bin", BoxGrid(data))
+        write_cloud(tmp_path / "c.bin", PointCloud(np.full((5, 4), 0.3)))
+        grid = read_box_grid(tmp_path / "g.bin", spec)
+        assert grid.data.dtype == np.float64
+        assert np.array_equal(grid.data, data.astype(np.float32))
+        assert read_cloud(tmp_path / "c.bin").points.dtype == np.float64
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -571,3 +585,12 @@ class TestSequenceIndex:
             seq.read_depth(1)
         with pytest.raises(MalformedFile, match=re.escape(f"{seq.flow_path(2)}: raster is")):
             seq.read_flow(2)
+
+    @pytest.mark.parametrize("reader", ["read_cloud", "read_depth", "read_flow", "read_labels"])
+    @pytest.mark.parametrize("t", [3, 99, -1])
+    def test_frame_outside_the_sequence(self, tmp_path, reader, t):
+        self._make_sequence(tmp_path / "seq")
+        seq = load_sequence(tmp_path / "seq")
+        message = f"{tmp_path / 'seq'}: frame {t} outside sequence of 3 frames"
+        with pytest.raises(MissingFrameData, match=re.escape(message)):
+            getattr(seq, reader)(t)

@@ -430,13 +430,15 @@ class TestTrackerWindowSearch:
         from lidarpgt.pipeline import _sample_flow
 
         frames, u, v = scene
-        flow = frames[0].flow
-        for name, valid in self.valid_masks(frames[0].depth).items():
-            out, ok = _sample_flow(flow, valid, u, v)
-            ref_out, ref_ok = reference_sample_flow(flow, valid, u, v)
-            assert np.array_equal(ok, ref_ok), name
-            assert np.array_equal(out[ok], ref_out[ok]), name
-            assert ok.any() and not ok.all(), name
+        # float32 is how flow is stored and read; the reference blends in float64
+        for flow in (frames[0].flow, frames[0].flow.astype(np.float32)):
+            for name, valid in self.valid_masks(frames[0].depth).items():
+                out, ok = _sample_flow(flow, valid, u, v)
+                ref_out, ref_ok = reference_sample_flow(flow, valid, u, v)
+                assert out.dtype == np.float64, name
+                assert np.array_equal(ok, ref_ok), name
+                assert np.array_equal(out[ok], ref_out[ok]), name
+                assert ok.any() and not ok.all(), name
         # the scene's mask exercises both the bilinear and the nearest branch
         valid = frames[0].depth > 0
         c0, r0 = np.floor(u).astype(int), np.floor(v).astype(int)
@@ -461,6 +463,51 @@ class TestTrackerWindowSearch:
             # some points resolve in the 3x3 pre-pass, some only in the full window
             assert (ok & (d2 < 2.25)).any() and (ok & (d2 >= 2.25)).any(), name
             assert (~ok).any() or name == "checkerboard", name
+
+
+class TestFloat32Rasters:
+    """Depth and flow are read as the float32 they are stored in; the tracker
+    gives the same numbers on them as on their float64 copies."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        from lidarpgt.simulate import EgoMotion, SimConfig, SimObject, make_scene
+
+        cfg = SimConfig(
+            n_frames=4,
+            objects=[SimObject("vehicle", (2.0, 14.0), yaw=0.5, velocity=(0.3, 0.8))],
+            intrinsics=INTR,
+            ground_extent=(-10.0, 10.0, 4.0, 40.0),
+            ego=EgoMotion(velocity=(0.0, 0.1)),
+        )
+        return cfg, list(make_scene(cfg, seed=12))
+
+    def test_window_holds_float32_rasters(self, frames, tmp_path):
+        from lidarpgt.dataset import load_sequence
+        from lidarpgt.pipeline import FrameWindow
+        from lidarpgt.simulate import write_scene
+
+        cfg, scene = frames
+        write_scene(scene, cfg, tmp_path / "seq", seed=12)
+        window = FrameWindow.from_sequence(load_sequence(tmp_path / "seq"), 0, 3)
+        pixels = INTR.height * INTR.width
+        assert sum(d.nbytes for d in window.depths) == 4 * pixels * 1 * 4
+        assert sum(f.nbytes for f in window.flows) == 4 * pixels * 2 * 3
+        assert all(a.dtype == np.float32 for a in window.depths + window.flows)
+        assert window.cloud.points.dtype == np.float64
+
+    def test_tracking_on_float32_equals_float64(self, frames):
+        _, scene = frames
+        depths32 = [f.depth.astype(np.float32) for f in scene]
+        flows32 = [f.flow.astype(np.float32) for f in scene[:3]]
+        poses = [f.pose for f in scene]
+        cam = EXTR.apply(scene[0].cloud.xyz)
+        got = track_points(cam, flows32, depths32, poses, 3, INTR)
+        ref = track_points(
+            cam, [f.astype(float) for f in flows32], [d.astype(float) for d in depths32], poses, 3, INTR
+        )
+        assert (got.alive == ref.alive).all() and (got.positions == ref.positions).all()
+        assert got.alive[3].any() and not got.alive[3].all()
 
 
 def cuboid_corners(dims, yaw=0.0, centre=(0.0, 0.0, 0.0)):
