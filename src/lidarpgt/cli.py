@@ -3,7 +3,8 @@
 Commands: simulate a synthetic sequence, generate pseudo-ground-truth labels,
 evaluate detections, inspect the training loss, and render BEV overlays.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error or a killed worker,
+3 internal error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +247,9 @@ def cmd_evaluate_loss(args) -> int:
     if not frames:
         print(f"{diag_dir}: no diagnostics files", file=sys.stderr)
         return 2
+    last, path = frames[-1]
+    if last >= seq.n_frames:
+        raise MissingFrameData(f"{path}: frame {last} outside {seq.root}, a sequence of {seq.n_frames} frames")
     totals = LossBreakdown()
     for t, path in frames:
         grid = _load_grid(args.proposals, seq, t, cfg)
@@ -300,6 +305,12 @@ def main(argv=None) -> int:
     except (LidarPgtError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool:
+        print("error: a worker stopped abruptly (killed, or out of memory); the output is incomplete", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("interrupted; the output is incomplete", file=sys.stderr)
+        return 130
     except Exception as exc:  # pragma: no cover - internal invariant violations
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

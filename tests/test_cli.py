@@ -476,17 +476,30 @@ class TestCliErrors:
     def test_evaluate_loss_diagnostics_of_a_frame_outside_the_sequence(
         self, workspace, tmp_path, capsys
     ):
+        """A stray diagnostics frame exits 2 before any frame line, whatever the
+        proposal source and whether or not a grid file exists for it."""
         import shutil
 
-        seq, diagnostics = workspace / "seq", tmp_path / "pgt" / "diagnostics"
+        from lidarpgt.dataset import write_box_grid
+        from lidarpgt.proposals import heuristic_grid
+
+        seq, diagnostics, grids = workspace / "seq", tmp_path / "pgt" / "diagnostics", tmp_path / "grids"
         shutil.copytree(workspace / "pgt" / "diagnostics", diagnostics)
         shutil.copy(diagnostics / "000000.json", diagnostics / "000099.json")
-        argv = ["evaluate-loss", str(seq), "--pgt", str(tmp_path / "pgt"),
-                "--config", str(workspace / "cfg.json")]
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out.startswith("frame 0000: ") and "total:" not in out, out
-        assert err == f"error: {seq}: frame 99 outside sequence of 5 frames\n"
+        grids.mkdir()
+        grid = heuristic_grid(read_cloud(seq / "velodyne" / "000000.bin"), GridSpec())
+        for t in (0, 1, 99):
+            write_box_grid(grids / f"{t:06d}.bin", grid)
+        argv = ["evaluate-loss", str(seq), "--pgt", str(tmp_path / "pgt"), "--config", str(workspace / "cfg.json")]
+        from_file = ["--proposals", f"file:{grids}"]
+        cases = {"heuristic": [], "grid of frame 99": from_file, "no grid of frame 99": from_file}
+        for case, proposals in cases.items():
+            if case == "no grid of frame 99":
+                (grids / "000099.bin").unlink()
+            assert main(argv + proposals) == 2, case
+            out, err = capsys.readouterr()
+            assert out == "", (case, out)
+            assert err == f"error: {diagnostics / '000099.json'}: frame 99 outside {seq}, a sequence of 5 frames\n", case
 
     @pytest.mark.parametrize("overlays, bad", [("gt,psuedo", "'psuedo'"), ("gt,,pseudo", "''")])
     def test_unknown_overlay(self, workspace, tmp_path, capsys, overlays, bad):
@@ -840,6 +853,58 @@ def test_corrupted_input_exits_2_naming_the_file(workspace, tmp_path, capsys, na
     assert str(tmp_path / relative.replace(".bin.json", ".bin")) in err, err
     assert entry is None or entry in err, err
     assert len(err.splitlines()) == 1 and len(err) < 400, err
+
+
+@pytest.mark.parametrize("relative, value", [("depth/000004.bin", np.inf), ("flow/000003.bin", np.nan)])
+def test_corrupt_raster_of_a_window_with_no_crops_exits_2(workspace, tmp_path, capsys, relative, value):
+    """Tracking reads every raster of the window even when no point is tracked."""
+    import shutil
+
+    seq, cfg = tmp_path / "seq", tmp_path / "cfg.json"
+    shutil.copytree(workspace / "seq", seq)
+    (seq / "velodyne" / "000000.bin").write_bytes(b"")  # an empty cloud: no crop holds a point
+    cfg.write_text(json.dumps({**CONFIG, "scorer": {"k_frames": 4}}))  # one window, frames 0..4
+    argv = ["generate", str(seq), "--out", str(tmp_path / "out"), "--config", str(cfg), "--jobs", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("U+: 0 ")
+    _poison_raster(value)(seq / relative)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(seq / relative) in err and len(err.splitlines()) == 1, err
+
+
+def _killed_at_window_3(seq, cfg, grids, out, t):
+    """A stand-in for `_generate_frame` whose worker is killed at window 3."""
+    import os
+    import signal
+
+    if t == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return 0, 0, 0.0
+
+
+def _interrupted(seq, cfg, grids, out, t):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "stand_in, jobs, code, message",
+    [
+        (_killed_at_window_3, "2", 2,
+         "error: a worker stopped abruptly (killed, or out of memory); the output is incomplete\n"),
+        (_interrupted, "1", 130, "interrupted; the output is incomplete\n"),
+    ],
+    ids=["killed-worker", "ctrl-c"],
+)
+def test_generate_stopped_from_outside(workspace, tmp_path, capsys, monkeypatch, stand_in, jobs, code, message):
+    import lidarpgt.cli as cli
+
+    monkeypatch.setattr(cli, "_generate_frame", stand_in)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "scorer": {"k_frames": 1}}))  # windows 0..3
+    argv = ["generate", str(workspace / "seq"), "--out", str(tmp_path / "out"), "--config", str(cfg), "--jobs", jobs]
+    assert main(argv) == code
+    assert capsys.readouterr().err == message
 
 
 def test_evaluate_loss_checks_every_frame_name_before_printing(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,8 +431,8 @@ class TestTrackerWindowSearch:
         from lidarpgt.pipeline import _sample_flow
 
         frames, u, v = scene
-        # float32 is how flow is stored and read; the reference blends in float64
-        for flow in (frames[0].flow, frames[0].flow.astype(np.float32)):
+        # float32 is how flow is built, stored and read; the reference blends in float64
+        for flow in (frames[0].flow, frames[0].flow.astype(float)):
             for name, valid in self.valid_masks(frames[0].depth).items():
                 out, ok = _sample_flow(flow, valid, u, v)
                 ref_out, ref_ok = reference_sample_flow(flow, valid, u, v)
@@ -466,8 +467,9 @@ class TestTrackerWindowSearch:
 
 
 class TestFloat32Rasters:
-    """Depth and flow are read as the float32 they are stored in; the tracker
-    gives the same numbers on them as on their float64 copies."""
+    """Depth and flow are read as the float32 they are stored in, each when
+    tracking reaches its step; the tracker gives the same numbers on them as
+    on their float64 copies."""
 
     @pytest.fixture(scope="class")
     def frames(self):
@@ -482,24 +484,56 @@ class TestFloat32Rasters:
         )
         return cfg, list(make_scene(cfg, seed=12))
 
-    def test_window_holds_float32_rasters(self, frames, tmp_path):
+    @pytest.fixture
+    def window_and_reads(self, frames, tmp_path, monkeypatch):
+        """A window read from the scene written to disk, and the raster files
+        read since it was made, in order."""
+        import lidarpgt.dataset as dataset
         from lidarpgt.dataset import load_sequence
         from lidarpgt.pipeline import FrameWindow
         from lidarpgt.simulate import write_scene
 
         cfg, scene = frames
         write_scene(scene, cfg, tmp_path / "seq", seed=12)
-        window = FrameWindow.from_sequence(load_sequence(tmp_path / "seq"), 0, 3)
-        pixels = INTR.height * INTR.width
-        assert sum(d.nbytes for d in window.depths) == 4 * pixels * 1 * 4
-        assert sum(f.nbytes for f in window.flows) == 4 * pixels * 2 * 3
-        assert all(a.dtype == np.float32 for a in window.depths + window.flows)
+        reads = []
+        read_raster = dataset.read_raster
+
+        def recording(path):
+            reads.append(Path(path).relative_to(tmp_path / "seq").as_posix())
+            return read_raster(path)
+
+        monkeypatch.setattr(dataset, "read_raster", recording)
+        return FrameWindow.from_sequence(load_sequence(tmp_path / "seq"), 0, 3), reads
+
+    def test_tracking_reads_each_raster_once_in_step_order(self, window_and_reads):
+        window, reads = window_and_reads
+        assert reads == []  # the window holds its cloud, and no raster yet
         assert window.cloud.points.dtype == np.float64
+        assert all(a.dtype == np.float32 for a in [*window.depths, *window.flows])
+        reads.clear()
+        for cam in (EXTR.apply(window.cloud.xyz), np.zeros((0, 3))):  # no points: the rasters are still read
+            track_points(cam, window.flows, window.depths, window.poses, 3, window.intrinsics)
+            assert reads == [
+                "depth/000000.bin", "flow/000000.bin", "depth/000001.bin", "flow/000001.bin",
+                "depth/000002.bin", "flow/000002.bin", "depth/000003.bin",
+            ]
+            reads.clear()
+
+    def test_tracking_a_window_read_from_disk_equals_tracking_lists(self, frames, window_and_reads):
+        _, scene = frames
+        window, _ = window_and_reads
+        cam = EXTR.apply(window.cloud.xyz)
+        got = track_points(cam, window.flows, window.depths, window.poses, 3, window.intrinsics)
+        ref = track_points(
+            cam, [f.flow for f in scene[:3]], [f.depth for f in scene], window.poses, 3, window.intrinsics
+        )
+        assert (got.alive == ref.alive).all() and (got.positions == ref.positions).all()
+        assert got.alive[3].any() and not got.alive[3].all()
 
     def test_tracking_on_float32_equals_float64(self, frames):
         _, scene = frames
-        depths32 = [f.depth.astype(np.float32) for f in scene]
-        flows32 = [f.flow.astype(np.float32) for f in scene[:3]]
+        depths32 = [f.depth for f in scene]  # make_scene builds them as float32
+        flows32 = [f.flow for f in scene[:3]]
         poses = [f.pose for f in scene]
         cam = EXTR.apply(scene[0].cloud.xyz)
         got = track_points(cam, flows32, depths32, poses, 3, INTR)

@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -80,8 +82,8 @@ def reference_render(xyz_cam, intrinsics):
 
 def assert_frames_equal(a, b):
     assert np.array_equal(a.cloud.points, b.cloud.points)
-    assert np.array_equal(a.depth, b.depth)
-    assert np.array_equal(a.flow, b.flow)
+    assert np.array_equal(a.depth, b.depth) and a.depth.dtype == b.depth.dtype
+    assert np.array_equal(a.flow, b.flow) and a.flow.dtype == b.flow.dtype
     assert np.array_equal(a.pose.rotation, b.pose.rotation)
     assert np.array_equal(a.pose.translation, b.pose.translation)
     assert len(a.gt_boxes) == len(b.gt_boxes)
@@ -216,6 +218,12 @@ class TestPointLimit:
         small_config([], ground_extent=extent, ground_density=1.00000024)
         with pytest.raises(ConfigInvalid, match="ground_density"):
             small_config([], ground_extent=extent, ground_density=1.00000026)
+
+    def test_limit_fits_the_int32_owner_map(self):
+        # the render's owner map holds point indices below the limit as int32
+        assert MAX_FRAME_POINTS < 2**31
+        depth, owner = _render_depth_with_owner(np.array([[0.0, 0.0, 5.0]]), INTR)
+        assert (depth.dtype, owner.dtype) == (np.float32, np.int32)
 
     def test_objects_count_towards_the_frame(self):
         vehicle = SimObject("vehicle", (0.0, 12.0))
@@ -387,6 +395,8 @@ class TestRenderEqualsReference:
         monkeypatch.setattr(simulate, "_splat_min", reference_splat_min)
         monkeypatch.setattr(simulate, "_render_depth_with_owner", reference_render)
         for a, b in zip(frames, make_scene(cfg, seed=13), strict=True):
+            # the reference renders float64 depth; compare at the stored float32 width
+            b.depth = b.depth.astype(np.float32)
             assert_frames_equal(a, b)
 
 
@@ -436,6 +446,18 @@ class TestWriteScene:
         assert len(seq.poses) == 4
 
 
+    def test_frames_hold_the_rasters_as_stored(self, tmp_path):
+        cfg = small_config([SimObject("vehicle", (1.0, 12.0), velocity=(0.3, 0.1), yaw_rate=0.05)])
+        frames = list(make_scene(cfg, seed=8))
+        write_scene(frames, cfg, tmp_path / "seq", seed=8)
+        seq = load_sequence(tmp_path / "seq")
+        for t, frame in enumerate(frames):
+            assert frame.depth.dtype == frame.flow.dtype == np.float32
+            for stored, held in ((seq.read_depth(t), frame.depth), (seq.read_flow(t), frame.flow)):
+                assert stored.dtype == held.dtype and np.array_equal(stored, held)
+        assert frames[0].flow.any()
+
+
 class TestStreaming:
     """make_scene yields one frame at a time; write_scene writes each as it arrives."""
 
@@ -453,6 +475,36 @@ class TestStreaming:
         listed = list(make_scene(cfg, seed=7))[0]
         assert len(first.gt_boxes) == 2
         assert_frames_equal(first, listed)
+
+    def test_a_yielded_frame_is_not_held_while_the_next_is_built(self, monkeypatch):
+        frames = make_scene(self.config(3), seed=7)
+        first = next(frames)
+        held = [weakref.ref(first.depth), weakref.ref(first.flow)]
+        del first
+        render = simulate._render_depth_with_owner
+
+        def checked(*args):
+            assert all(ref() is None for ref in held)
+            return render(*args)
+
+        monkeypatch.setattr(simulate, "_render_depth_with_owner", checked)
+        next(frames)
+
+    def test_write_scene_holds_no_frame_it_wrote(self, tmp_path):
+        cfg = self.config(3)
+        built = list(make_scene(cfg, seed=7))
+        held = []
+
+        def fresh_frames():
+            for frame in built:
+                # held only by write_scene once handed over
+                assert all(ref() is None for ref in held)
+                copy = dataclasses.replace(frame, depth=frame.depth.copy(), flow=frame.flow.copy())
+                held[:] = [weakref.ref(copy.depth), weakref.ref(copy.flow)]
+                yield copy
+                del copy
+
+        write_scene(fresh_frames(), cfg, tmp_path / "seq", seed=7)
 
     def test_write_peak_does_not_grow_with_frame_count(self, tmp_path):
         peaks = {}
