@@ -187,22 +187,24 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
     rows, cols = _cell_index(xyz, spec, 1)
     flat = rows * spec.width + cols
 
+    # the channels are written into the image in place, from one reused scratch vector
     n_pix = spec.height * spec.width
-    top_z = np.full(n_pix, -np.inf)
-    top_i = np.full(n_pix, -np.inf)
     count = np.zeros(n_pix)
-    np.maximum.at(top_z, flat, xyz[:, 2])
-    np.maximum.at(top_i, flat, intensity)
     np.add.at(count, flat, 1.0)
-
-    occupied = count > 0
+    occupied = (count > 0).reshape(spec.height, spec.width)
+    top = np.full(n_pix, -np.inf)
+    np.maximum.at(top, flat, xyz[:, 2])
     z0, z1 = spec.z_range
-    ch0 = np.where(occupied, (top_z - z0) / (z1 - z0), 0.0)
-    ch1 = np.where(occupied, top_i, 0.0)
-    ch2 = np.minimum(1.0, np.log1p(count) / math.log1p(_DENSITY_SATURATION))
-    image[:, :, 0] = ch0.reshape(spec.height, spec.width)
-    image[:, :, 1] = ch1.reshape(spec.height, spec.width)
-    image[:, :, 2] = ch2.reshape(spec.height, spec.width)
+    top -= z0
+    top /= z1 - z0
+    np.copyto(image[:, :, 0], top.reshape(spec.height, spec.width), where=occupied)
+    top.fill(-np.inf)
+    np.maximum.at(top, flat, intensity)
+    np.copyto(image[:, :, 1], top.reshape(spec.height, spec.width), where=occupied)
+    density = image[:, :, 2]
+    np.log1p(count.reshape(spec.height, spec.width), out=density)
+    density /= math.log1p(_DENSITY_SATURATION)
+    np.minimum(density, 1.0, out=density)
     return image
 
 

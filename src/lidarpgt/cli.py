@@ -144,8 +144,10 @@ def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
     # Per-frame seeds keep frames decorrelated but reproducible.
     sampler = dataclasses.replace(cfg.sampler, seed=cfg.sampler.seed + t)
     window = FrameWindow.from_sequence(seq, t, cfg.scorer.k_frames)
-    grid = _load_grid(grids, seq, t, cfg, window.cloud)
-    result = generate_pseudo_labels(window, grid, cfg.grid, cfg.anchors, sampler, cfg.scorer)
+    # no local name holds the grid, so the pipeline can free it before tracking
+    result = generate_pseudo_labels(
+        window, _load_grid(grids, seq, t, cfg, window.cloud), cfg.grid, cfg.anchors, sampler, cfg.scorer
+    )
     calib = seq.calibration
     records = [
         label_record(_PGT_CLASS, label.box, calib.lidar_to_cam, calib.intrinsics, label.confidence)

@@ -164,6 +164,10 @@ def load_config(path=None) -> Config:
                 raise ConfigInvalid(f"unknown config section {name!r}")
         cfg = _merge(DEFAULTS, user)
         built = {name: _check(hint, name, cfg[name]) for name, hint in _SECTIONS.items()}
+        names = [a.name for a in built["anchors"]]
+        for i, name in enumerate(names):
+            if name in names[:i]:  # results are kept per anchor name
+                raise ConfigInvalid(f"anchors[{i}].name: {name!r} repeats anchors[{names.index(name)}].name")
         scene = built["simulate"]
         seed = scene.pop("seed")
         if seed < 0:

@@ -462,7 +462,8 @@ def _diagnostics_entry(entry, spec: GridSpec):
 
 def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
     """Read a diagnostics file back into its (u_plus, u_minus) targets on `spec`'s grid;
-    a missing, mistyped or invalid value raises MalformedFile naming the first bad entry."""
+    a missing, mistyped or invalid value, or a pixel listed twice, raises MalformedFile
+    naming the first bad entry."""
     try:  # NaN and Infinity load as floats, which the entry checks reject
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSON or text decoding
@@ -470,13 +471,17 @@ def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
     entries = payload.get("pixels") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         raise MalformedFile(f"{path}: expected a JSON object with a 'pixels' list")
-    u_plus, u_minus = [], []
+    u_plus, u_minus, seen = [], [], {}
     for i, entry in enumerate(entries):
         try:
             target = _diagnostics_entry(entry, spec)
         except ValueError as exc:
             raise MalformedFile(f"{path}: pixels[{i}]: {exc}") from exc
-        (u_plus if isinstance(target, PseudoLabel) else u_minus).append(target)
+        boxed = isinstance(target, PseudoLabel)
+        pixel = target.pixel if boxed else target[0]
+        if seen.setdefault(pixel, i) != i:
+            raise MalformedFile(f"{path}: pixels[{i}] repeats the pixel of pixels[{seen[pixel]}]")
+        (u_plus if boxed else u_minus).append(target)
     return u_plus, u_minus
 
 

@@ -293,36 +293,45 @@ def _nearest_valid(valid: np.ndarray, u, v, rows, cols, span: np.ndarray):
     cc = np.clip(win_c, 0, w - 1)
     in_r = (win_r >= 0) & (win_r < h)
     in_c = (win_c >= 0) & (win_c < w)
-    usable = in_r[:, :, None] & in_c[:, None, :] & valid[rr[:, :, None], cc[:, None, :]]
+    usable = (in_r[:, :, None] & in_c[:, None, :] & valid[rr[:, :, None], cc[:, None, :]]).reshape(n, s * s)
     dr2, dc2 = (win_r - v[:, None]) ** 2, (win_c - u[:, None]) ** 2
-    d2 = np.where(usable, dr2[:, :, None] + dc2[:, None, :], np.inf).reshape(n, s * s)
+    d2 = (dr2[:, :, None] + dc2[:, None, :]).reshape(n, s * s)
+    d2[~usable] = np.inf  # in place: one (n, s*s) float array at a time
     pick = np.argmin(d2, axis=1)
     ar = np.arange(n)
-    return rr[ar, pick // s], cc[ar, pick % s], d2[ar, pick], usable.reshape(n, s * s)
+    return rr[ar, pick // s], cc[ar, pick % s], d2[ar, pick], usable
 
 
 def _sample_flow(flow: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Flow values at continuous (u, v) positions.
 
-    Bilinear over the 4 surrounding pixels when all are valid; otherwise the
-    value at the nearest valid one of the 4 (ties by (row, col) order); no
-    valid neighbour kills the track.
+    Bilinear over the 4 surrounding pixels when all are in the image and
+    valid; otherwise the value at the nearest valid one of the 4 (ties by
+    (row, col) order); no valid neighbour kills the track. Only the points
+    without all 4 go through the window search.
     """
+    h, w = valid.shape
     c0 = np.floor(u).astype(int)
     r0 = np.floor(v).astype(int)
-    rows, cols, _, usable = _nearest_valid(valid, u, v, r0, c0, np.arange(2))
-    out = flow[rows, cols].astype(float)  # float32 rasters take the float64 blend below
-    idx = np.flatnonzero(usable.all(axis=1))
+    four = (r0 >= 0) & (r0 < h - 1) & (c0 >= 0) & (c0 < w - 1)
+    r, c = r0[four], c0[four]
+    four[four] = valid[r, c] & valid[r, c + 1] & valid[r + 1, c] & valid[r + 1, c + 1]
+    idx, rest = np.flatnonzero(four), np.flatnonzero(~four)
     r, c = r0[idx], c0[idx]
     fu = u[idx] - c
     fv = v[idx] - r
+    out = np.empty((len(u), 2))  # float32 rasters take the float64 blend
     out[idx] = (
         flow[r, c] * ((1 - fu) * (1 - fv))[:, None]
         + flow[r, c + 1] * (fu * (1 - fv))[:, None]
         + flow[r + 1, c] * ((1 - fu) * fv)[:, None]
         + flow[r + 1, c + 1] * (fu * fv)[:, None]
     )
-    return out, usable.any(axis=1)
+    rows, cols, _, usable = _nearest_valid(valid, u[rest], v[rest], r0[rest], c0[rest], np.arange(2))
+    out[rest] = flow[rows, cols]
+    ok = np.ones(len(u), dtype=bool)
+    ok[rest] = usable.any(axis=1)
+    return out, ok
 
 
 def _nearest_valid_depth(depth: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarray):
@@ -331,18 +340,25 @@ def _nearest_valid_depth(depth: np.ndarray, valid: np.ndarray, u: np.ndarray, v:
     Distance is Euclidean to the continuous position; exact ties resolve to
     the lexicographically first (row, col). Returns (rows, cols, depths, ok).
 
-    A 3x3 pre-pass resolves most points exactly: any pixel outside it is at
-    least 1.5 px away, so an inside candidate nearer than that cannot be
-    beaten by the full window.
+    The rounded pixel is taken directly when it is in the image and valid
+    and both offsets are strictly below 0.5: every other pixel is more than
+    0.5 away on some axis. For the other points a 3x3 pre-pass resolves most
+    exactly: any pixel outside it is at least 1.5 px away, so an inside
+    candidate nearer than that cannot be beaten by the full window.
     """
+    h, w = valid.shape
     rows = np.floor(v + 0.5).astype(int)
     cols = np.floor(u + 0.5).astype(int)
-    best_r, best_c, best_d2, _ = _nearest_valid(valid, u, v, rows, cols, np.arange(-1, 2))
-    idx = np.flatnonzero(~(best_d2 < 2.25))
-    span = np.arange(-_DEPTH_SEARCH_RADIUS, _DEPTH_SEARCH_RADIUS + 1)
-    best_r[idx], best_c[idx], best_d2[idx], _ = _nearest_valid(
-        valid, u[idx], v[idx], rows[idx], cols[idx], span
-    )
+    best_r, best_c, best_d2 = rows.copy(), cols.copy(), np.full(len(u), np.inf)
+    hit = np.flatnonzero((rows >= 0) & (rows < h) & (cols >= 0) & (cols < w))
+    dr, dc = rows[hit] - v[hit], cols[hit] - u[hit]
+    exact = valid[rows[hit], cols[hit]] & (np.abs(dr) < 0.5) & (np.abs(dc) < 0.5)
+    best_d2[hit[exact]] = dr[exact] ** 2 + dc[exact] ** 2
+    for span in (np.arange(-1, 2), np.arange(-_DEPTH_SEARCH_RADIUS, _DEPTH_SEARCH_RADIUS + 1)):
+        idx = np.flatnonzero(~(best_d2 < 2.25))
+        best_r[idx], best_c[idx], best_d2[idx], _ = _nearest_valid(
+            valid, u[idx], v[idx], rows[idx], cols[idx], span
+        )
     return best_r, best_c, depth[best_r, best_c], np.isfinite(best_d2)
 
 
@@ -527,7 +543,7 @@ def generate_pseudo_labels(
     sampler_cfg: SamplerConfig | None = None,
     scorer_cfg: ScorerConfig | None = None,
 ) -> PgtResult:
-    """Run the crop, track, fit/score and select passes over sampled pixels.
+    """Run the sample, smooth, crop, track, fit/score and select passes.
 
     Each point of a crop with >= 3 points is tracked once per frame. Pixels
     with a surviving anchor yield a PseudoLabel whose box is the fit of the
@@ -542,12 +558,14 @@ def generate_pseudo_labels(
     require_grid_shape(grid, spec)
 
     cam_to_lidar = window.lidar_to_cam.invert()
-    centres = grid_centres(grid, spec)
     pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
-    cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
+    smoothed = smoothed_confidences(grid, spec, pixels)
+    centres = grid_centres(grid, spec)
+    centres_cam = [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
+    del grid, centres  # every pass that reads the grid is done: free it before tracking
 
     # crop: cloud row indices per (pixel, anchor), around each pixel's decoded centre
-    centres_cam = [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
+    cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
     crops = _crop_rows(cloud_cam, centres_cam, anchors)
 
     # track: the sorted union of the usable crops, one call per frame; a crop's
@@ -568,7 +586,6 @@ def generate_pseudo_labels(
     u_plus: list[PseudoLabel] = []
     u_minus: list[tuple[tuple[int, int], float]] = []
     diagnostics: list[PixelDiagnostics] = []
-    smoothed = smoothed_confidences(grid, spec, pixels)
     for pixel, per_pixel, confidence in zip(pixels, crops, smoothed):
         diag = PixelDiagnostics(pixel, confidence)
         scores = []

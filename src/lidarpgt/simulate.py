@@ -245,8 +245,6 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     points, so the cull is tested once per pixel.
     """
     h, w = intrinsics.height, intrinsics.width
-    depth = np.zeros((h, w), dtype=np.float32)
-    owner = np.full((h, w), -1, dtype=np.int32)
     idx = np.flatnonzero(xyz_cam[:, 2] > 0)
     uv = project(xyz_cam[idx], intrinsics)
     cols = np.floor(uv[:, 0] + 0.5).astype(int)
@@ -254,7 +252,7 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     in_img = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
     idx, rows, cols = idx[in_img], rows[in_img], cols[in_img]
     if not len(idx):
-        return depth, owner
+        return np.zeros((h, w), dtype=np.float32), np.full((h, w), -1, dtype=np.int32)
     z = xyz_cam[idx, 2]
 
     # The buffers cover the bounding box of the points' pixels: outside it every
@@ -265,12 +263,18 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     zbuf = np.full(box[0] * box[1], np.inf)
     np.minimum.at(zbuf, flat, z)
     near = _splat_min(zbuf.reshape(box), _OCCLUSION_SPLAT_RADIUS).reshape(-1)
-    shown = zbuf <= near + _OCCLUSION_MARGIN
+    near += _OCCLUSION_MARGIN
+    shown = zbuf <= near
+    del near
     nearest = np.flatnonzero((z == zbuf[flat]) & shown[flat])
-    first = np.full(len(zbuf), len(z))
-    np.minimum.at(first, flat[nearest], nearest)
+    del shown
+    first = np.full(len(zbuf), len(z), dtype=np.int32)
+    np.minimum.at(first, flat[nearest], nearest.astype(np.int32))  # ufunc.at is slow across dtypes
     cells = np.flatnonzero(first < len(z))
     r, c = np.unravel_index(cells, box)
+    # the outputs are allocated only now, after the cull's buffers are gone
+    depth = np.zeros((h, w), dtype=np.float32)
+    owner = np.full((h, w), -1, dtype=np.int32)
     depth[r + r0, c + c0] = z[first[cells]]
     owner[r + r0, c + c0] = idx[first[cells]]
     return depth, owner

@@ -7,6 +7,7 @@ from lidarpgt.bev import (
     GridSpec,
     decode_box,
     encode_box,
+    in_volume_mask,
     pillar_centre,
     rasterize,
 )
@@ -112,6 +113,64 @@ class TestRasterize:
         )
         img = rasterize(make_cloud(xyz, rng.uniform(0, 1, 2000)), GridSpec())
         assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def reference_rasterize(cloud, spec):
+    """`rasterize` as it was written with a temporary per channel: the oracle
+    of the in-place version, which must match it bit for bit."""
+    from lidarpgt.bev import _cell_index, in_volume_mask
+
+    image = np.zeros((spec.height, spec.width, 3))
+    keep = in_volume_mask(cloud.xyz, spec)
+    if not keep.any():
+        return image
+    xyz, intensity = cloud.xyz[keep], cloud.intensity[keep]
+    rows, cols = _cell_index(xyz, spec, 1)
+    flat = rows * spec.width + cols
+    top_z = np.full(spec.height * spec.width, -np.inf)
+    top_i = np.full(spec.height * spec.width, -np.inf)
+    count = np.zeros(spec.height * spec.width)
+    np.maximum.at(top_z, flat, xyz[:, 2])
+    np.maximum.at(top_i, flat, intensity)
+    np.add.at(count, flat, 1.0)
+    occupied = count > 0
+    z0, z1 = spec.z_range
+    ch0 = np.where(occupied, (top_z - z0) / (z1 - z0), 0.0)
+    ch1 = np.where(occupied, top_i, 0.0)
+    ch2 = np.minimum(1.0, np.log1p(count) / np.log1p(64))
+    for k, ch in enumerate((ch0, ch1, ch2)):
+        image[:, :, k] = ch.reshape(spec.height, spec.width)
+    return image
+
+
+class TestRasterizeEqualsReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        # a height range of 4.1 m, whose division no multiplication reproduces
+        spec = GridSpec(z_range=(-3.0, 1.1), height=96, width=80, stride=4) if seed % 2 else GridSpec()
+        n = int(rng.integers(1, 20000))
+        # in and around the volume, with some pillars holding many points
+        xyz = np.column_stack([rng.uniform(0, 45, n), rng.uniform(-20, 20, n), rng.uniform(-3.5, 2.0, n)])
+        xyz[: n // 4] = xyz[rng.integers(0, 8, n // 4)]
+        cloud = make_cloud(xyz, rng.uniform(0.0, 1.0, n))
+        image = rasterize(cloud, spec)
+        assert image.tobytes() == reference_rasterize(cloud, spec).tobytes()
+        assert image[:, :, 0].any() and (image[:, :, 2] == 1.0).any()
+
+    def test_points_at_and_past_the_volume_bounds(self):
+        spec = GridSpec()
+        (x0, x1), (y0, y1), (z0, z1) = spec.x_range, spec.y_range, spec.z_range
+        xs = [x0, np.nextafter(x0, -np.inf), np.nextafter(x1, -np.inf), x1, 0.5 * (x0 + x1)]
+        ys = [y0, np.nextafter(y0, -np.inf), np.nextafter(y1, -np.inf), y1, 0.0]
+        zs = [z0, np.nextafter(z0, -np.inf), np.nextafter(z1, -np.inf), z1, 0.0]
+        xyz = np.array(np.meshgrid(xs, ys, zs)).reshape(3, -1).T
+        cloud = make_cloud(xyz, np.linspace(0.0, 1.0, len(xyz)))
+        image = rasterize(cloud, spec)
+        assert image.tobytes() == reference_rasterize(cloud, spec).tobytes()
+        assert image.any()
+        outside = make_cloud(xyz[~in_volume_mask(xyz, spec)])
+        assert rasterize(outside, spec).tobytes() == np.zeros((spec.height, spec.width, 3)).tobytes()
 
 
 class TestPillarCentre:

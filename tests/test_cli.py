@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -720,6 +721,33 @@ def _edit_entry(edit, boxed=False):
     return corrupt
 
 
+def _edit_config(edit):
+    """Apply `edit` to the config file's JSON object; returns what `edit`
+    returns, which the error must give."""
+
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        entry = edit(payload)
+        path.write_text(json.dumps(payload))
+        return entry
+
+    return corrupt
+
+
+def _anchors_named_vehicle(cfg):
+    """Vehicle and pedestrian anchors, both named "vehicle"."""
+    cfg["anchors"] = [{"name": "vehicle", "dims": [1.88, 1.63, 4.58]}, {"name": "vehicle", "dims": [0.45, 1.70, 0.27]}]
+    return "anchors[1].name"
+
+
+def _repeat_first_entry(path):
+    """Append a copy of the first diagnostics entry; returns the message naming both."""
+    payload = json.loads(path.read_text())
+    payload["pixels"].append(payload["pixels"][0])
+    path.write_text(json.dumps(payload))
+    return f"pixels[{len(payload['pixels']) - 1}] repeats the pixel of pixels[0]"
+
+
 # name: (corrupted file, relative to a copy of the workspace, and how); every
 # command that reads the file is run on it
 CORRUPTIONS = {
@@ -773,6 +801,9 @@ CORRUPTIONS = {
         "pgt/diagnostics/000001.json", _edit_entry(lambda e: e["box_lidar"].update(dims=[-1.0, 1.0, 1.0]), True)
     ),
     "diagnostics-no-anchor": ("pgt/diagnostics/000001.json", _edit_entry(lambda e: e.pop("anchor"), True)),
+    "diagnostics-repeated-pixel": ("pgt/diagnostics/000000.json", _repeat_first_entry),
+    # per-anchor results are kept by name, so a repeated name would mix two anchors' results
+    "config-repeated-anchor-name": ("cfg.json", _edit_config(_anchors_named_vehicle)),
     "config-not-utf8": ("cfg.json", _prepend_byte(b"\xff")),
     "calib-not-utf8": ("seq/calib.txt", _prepend_byte(b"\xff")),
     "pose-not-utf8": ("seq/poses.txt", _prepend_byte(b"\xff")),
@@ -871,6 +902,33 @@ def test_corrupt_raster_of_a_window_with_no_crops_exits_2(workspace, tmp_path, c
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(seq / relative) in err and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="before 3.11 the caller's stack holds a call's arguments until it returns"
+)
+def test_generate_frees_the_box_grid_before_tracking(workspace, tmp_path, monkeypatch):
+    import gc
+
+    import lidarpgt.pipeline as pipeline
+    from lidarpgt.bev import BoxGrid
+
+    def grids():
+        return [o for o in gc.get_objects() if isinstance(o, BoxGrid)]
+
+    before = grids()
+    alive = []
+
+    def tracking(*args, **kwargs):
+        alive.append([g for g in grids() if not any(g is b for b in before)])
+        return track_points(*args, **kwargs)
+
+    track_points = pipeline.track_points
+    monkeypatch.setattr(pipeline, "track_points", tracking)
+    argv = ["generate", str(workspace / "seq"), "--out", str(tmp_path / "out"),
+            "--config", str(workspace / "cfg.json"), "--jobs", "1"]
+    assert main(argv) == 0
+    assert alive == [[], []]  # one tracking call per window, none with a grid alive
 
 
 def _killed_at_window_3(seq, cfg, grids, out, t):

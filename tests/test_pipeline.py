@@ -412,8 +412,20 @@ class TestTrackerWindowSearch:
         edge_c, edge_r = np.meshgrid(np.r_[near, w - 1 - near], np.r_[near, h - 1 - near])
         edge_rows = np.r_[edge_r.ravel(), rng.uniform(-10, h + 10, 300), rng.uniform(0, h, 300)]
         edge_cols = np.r_[edge_c.ravel(), rng.uniform(0, w, 300), rng.uniform(-10, w + 10, 300)]
-        u = np.concatenate([u, u + flow[:, 0], ties_c, edge_cols])
-        v = np.concatenate([v, v + flow[:, 1], ties_r, edge_rows])
+        # 1 ulp either side of half-pixel ties (the depth snap's direct test)
+        # and of whole pixels (the flow's), near zero and across the image,
+        # then magnitudes far off the image
+        base_r = np.r_[0.0, 1.0, rng.integers(0, h, 200)] + np.r_[0.5, 0.5, rng.choice([0.0, 0.5], 200)]
+        base_c = np.r_[0.0, 1.0, rng.integers(0, w, 200)] + np.r_[0.5, 0.5, rng.choice([0.0, 0.5], 200)]
+        ulp_r = np.r_[np.nextafter(base_r, -np.inf), np.nextafter(base_r, np.inf), base_r, base_r]
+        ulp_c = np.r_[np.nextafter(base_c, -np.inf), base_c, np.nextafter(base_c, np.inf), base_c]
+        ulp_r = np.r_[ulp_r, np.nextafter(ulp_r, np.inf)]
+        ulp_c = np.r_[ulp_c, np.nextafter(np.nextafter(ulp_c, -np.inf), -np.inf)]
+        far = np.array([-1e12, -1e6, -1e6 + 0.5, 1e6 - 0.5, 1e6, 1e12])
+        far_r = np.r_[far, rng.uniform(0, h, 6), far]
+        far_c = np.r_[rng.uniform(0, w, 6), far, far[::-1]]
+        u = np.concatenate([u, u + flow[:, 0], ties_c, edge_cols, ulp_c, far_c])
+        v = np.concatenate([v, v + flow[:, 1], ties_r, edge_rows, ulp_r, far_r])
         return frames, u, v
 
     def valid_masks(self, depth):
