@@ -176,12 +176,8 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
     input point order.
     """
     image = np.zeros((spec.height, spec.width, 3))
-    if len(cloud) == 0:
-        return image
     xyz = cloud.xyz
     keep = in_volume_mask(xyz, spec)
-    if not keep.any():
-        return image
     xyz = xyz[keep]
     intensity = cloud.intensity[keep]
     rows, cols = _cell_index(xyz, spec, 1)
@@ -189,8 +185,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
 
     # the channels are written into the image in place, from one reused scratch vector
     n_pix = spec.height * spec.width
-    count = np.zeros(n_pix)
-    np.add.at(count, flat, 1.0)
+    count = np.bincount(flat, minlength=n_pix)
     occupied = (count > 0).reshape(spec.height, spec.width)
     top = np.full(n_pix, -np.inf)
     np.maximum.at(top, flat, xyz[:, 2])

@@ -25,11 +25,11 @@ import numpy as np
 from . import config as cfgmod
 from .bev import grid_centres, rasterize
 from .dataset import (
-    frame_index, frame_path, load_sequence, read_calib, read_diagnostics, remove_frames_from,
-    write_diagnostics, write_labels, write_raster,
+    frame_index, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
+    remove_frames_from, write_diagnostics, write_labels, write_raster,
 )
-from .errors import LidarPgtError, MissingFrameData
-from .evaluation import evaluate_sequence, label_record, threshold_key
+from .errors import LidarPgtError, MalformedFile, MissingFrameData
+from .evaluation import evaluate_sequence, threshold_key
 from .geometry import LIDAR, Obb3, transform_obb
 from .loss import LossBreakdown, frame_loss_terms
 from .pipeline import FrameWindow, generate_pseudo_labels
@@ -146,7 +146,7 @@ def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
     window = FrameWindow.from_sequence(seq, t, cfg.scorer.k_frames)
     # no local name holds the grid, so the pipeline can free it before tracking
     result = generate_pseudo_labels(
-        window, _load_grid(grids, seq, t, cfg, window.cloud), cfg.grid, cfg.anchors, sampler, cfg.scorer
+        window, _load_grid(grids, seq, t, cfg, window.cloud), cfg.grid, sampler, cfg.anchors, cfg.scorer
     )
     calib = seq.calibration
     records = [
@@ -247,8 +247,7 @@ def cmd_evaluate_loss(args) -> int:
     diag_dir = Path(args.pgt) / "diagnostics"
     frames = sorted((frame_index(path), path) for path in diag_dir.glob("*.json"))
     if not frames:
-        print(f"{diag_dir}: no diagnostics files", file=sys.stderr)
-        return 2
+        raise MalformedFile(f"{diag_dir}: no diagnostics files")
     last, path = frames[-1]
     if last >= seq.n_frames:
         raise MissingFrameData(f"{path}: frame {last} outside {seq.root}, a sequence of {seq.n_frames} frames")

@@ -8,7 +8,6 @@ the keys it overrides; it is the only way to override a default.
 from __future__ import annotations
 
 import json
-import math
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import GridSpec
+from .dataset import finite_number
 from .errors import ConfigInvalid
 from .loss import LossConfig
 from .pipeline import Anchor, ScorerConfig, default_anchors
@@ -60,7 +60,7 @@ DEFAULTS = {
 
 _SCALARS = {
     int: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    float: finite_number,
     str: lambda v: isinstance(v, str),
 }
 
@@ -164,6 +164,8 @@ def load_config(path=None) -> Config:
                 raise ConfigInvalid(f"unknown config section {name!r}")
         cfg = _merge(DEFAULTS, user)
         built = {name: _check(hint, name, cfg[name]) for name, hint in _SECTIONS.items()}
+        if not built["anchors"]:  # no pixel could get a box
+            raise ConfigInvalid("anchors: expected at least one anchor")
         names = [a.name for a in built["anchors"]]
         for i, name in enumerate(names):
             if name in names[:i]:  # results are kept per anchor name

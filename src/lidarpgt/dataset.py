@@ -28,8 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .bev import BoxGrid, GridSpec
-from .errors import MalformedFile, MalformedLine, MissingFrameData, ShapeMismatch
-from .geometry import AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform
+from .errors import BehindCamera, MalformedFile, MalformedLine, MissingFrameData, ShapeMismatch
+from .geometry import (
+    AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform, project_box_2d,
+    transform_obb,
+)
 from .pipeline import PgtResult, PseudoLabel
 
 _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
@@ -54,8 +57,7 @@ def read_cloud(path) -> PointCloud:
             f"{path}: size {len(raw)} is not a multiple of {_POINT_RECORD_BYTES}"
         )
     pts = _finite_floats(np.frombuffer(raw, dtype="<f4"), path).astype(float).reshape(-1, 4)
-    if pts.size:
-        pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
+    pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
     return PointCloud(pts)
 
 
@@ -289,6 +291,20 @@ def label_line(record: LabelRecord) -> str:
     return " ".join(fields)
 
 
+def label_record(
+    cls: str, box: Obb3, lidar_to_cam: RigidTransform, intrinsics: CameraIntrinsics, score=None
+) -> LabelRecord:
+    """KITTI label row for a lidar-frame box; the 2D box stays empty when a
+    vertex lies behind the camera."""
+    cam_box = transform_obb(box, lidar_to_cam, CAMERA)
+    record = LabelRecord(cls=cls, box=cam_box, score=score)
+    try:
+        record.bbox2d = project_box_2d(cam_box, intrinsics)
+    except BehindCamera:
+        pass
+    return record
+
+
 def write_labels(path, records):
     Path(path).write_text("".join(label_line(r) + "\n" for r in records))
 
@@ -429,11 +445,15 @@ def write_diagnostics(path, result: PgtResult):
     Path(path).write_text(json.dumps({"pixels": pixels}, indent=1) + "\n")
 
 
+def finite_number(v) -> bool:
+    """Whether a parsed JSON value is a number, not a bool, that a float holds finitely."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max  # an int compares without overflow
+
+
 def _json_floats(obj: dict, key, count=0) -> list[float]:
     """obj[key] as finite floats: one number when count is 0, else a list of count."""
     values = [obj.get(key)] if count == 0 else obj.get(key)
-    if not (isinstance(values, list) and len(values) == max(count, 1)
-            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)):
+    if not (isinstance(values, list) and len(values) == max(count, 1) and all(map(finite_number, values))):
         what = f"{count} finite numbers" if count else "a finite number"
         raise ValueError(f"{key!r} must be {what}")
     return [float(v) for v in values]

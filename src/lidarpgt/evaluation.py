@@ -1,5 +1,5 @@
-"""Detection metrics (BEV / 2D IoU matching, class-agnostic AP, per-class
-accuracy) and the KITTI label rows they score."""
+"""Detection metrics over KITTI label rows: BEV / 2D IoU matching,
+class-agnostic AP and per-class accuracy."""
 
 from __future__ import annotations
 
@@ -8,19 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabelRecord, read_labels
+from .dataset import read_labels
 from .errors import BehindCamera, ConfigInvalid, MalformedFile
-from .geometry import (
-    AABB2,
-    CAMERA,
-    CameraIntrinsics,
-    Obb3,
-    RigidTransform,
-    iou_2d,
-    project,
-    rotated_iou_bev,
-    transform_obb,
-)
+from .geometry import CameraIntrinsics, Obb3, iou_2d, project_box_2d, rotated_iou_bev
 
 
 @dataclass(frozen=True)
@@ -33,35 +23,6 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("detection confidence must lie in [0, 1]")
-
-
-def project_box_2d(box: Obb3, intrinsics: CameraIntrinsics) -> AABB2:
-    """Tightest axis-aligned 2D box around a camera-frame box's 8 projected vertices.
-
-    All vertices must land in front of the camera; the result is clipped to
-    the image bounds.
-    """
-    corners = box.corners()
-    if np.any(corners[:, 2] <= 0):
-        raise BehindCamera("box has vertices at non-positive camera depth")
-    uv = project(corners, intrinsics)
-    lo = np.clip(uv.min(axis=0), (0.0, 0.0), (intrinsics.width, intrinsics.height))
-    hi = np.clip(uv.max(axis=0), (0.0, 0.0), (intrinsics.width, intrinsics.height))
-    return AABB2(lo, hi)
-
-
-def label_record(
-    cls: str, box: Obb3, lidar_to_cam: RigidTransform, intrinsics: CameraIntrinsics, score=None
-) -> LabelRecord:
-    """KITTI label row for a lidar-frame box; the 2D box stays empty when a
-    vertex lies behind the camera."""
-    cam_box = transform_obb(box, lidar_to_cam, CAMERA)
-    record = LabelRecord(cls=cls, box=cam_box, score=score)
-    try:
-        record.bbox2d = project_box_2d(cam_box, intrinsics)
-    except BehindCamera:
-        pass
-    return record
 
 
 # A gap this wide between two boxes' bounds outweighs any rounding in them.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDepth
+from .errors import BehindCamera, NonPositiveDepth
 
 CAMERA = "camera"
 LIDAR = "lidar"
@@ -156,6 +156,21 @@ def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:
         ],
         axis=1,
     )
+
+
+def project_box_2d(box: Obb3, intrinsics: CameraIntrinsics) -> AABB2:
+    """Tightest axis-aligned 2D box around a camera-frame box's 8 projected vertices.
+
+    All vertices must land in front of the camera; the result is clipped to
+    the image bounds.
+    """
+    corners = box.corners()
+    if np.any(corners[:, 2] <= 0):
+        raise BehindCamera("box has vertices at non-positive camera depth")
+    uv = project(corners, intrinsics)
+    lo = np.clip(uv.min(axis=0), (0.0, 0.0), (intrinsics.width, intrinsics.height))
+    hi = np.clip(uv.max(axis=0), (0.0, 0.0), (intrinsics.width, intrinsics.height))
+    return AABB2(lo, hi)
 
 
 def backproject(uv, depth, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, grid_centres, require_grid_shape
+from .bev import BoxGrid, GridSpec, grid_centres
 from .errors import DegenerateInput, MissingFrameData
 from .geometry import (
     CAMERA,
@@ -52,9 +52,9 @@ class Anchor:
     dims: np.ndarray
 
     def __post_init__(self):
-        dims = np.array(self.dims, dtype=float).reshape(3)
-        if not np.all(dims > 0):
-            raise ValueError("anchor dims must be positive")
+        dims = np.array(self.dims, dtype=float).reshape(-1)
+        if len(dims) != 3 or not np.all(dims > 0):
+            raise ValueError(f"dims: expected three positive numbers, got {dims.tolist()}")
         dims.flags.writeable = False
         object.__setattr__(self, "dims", dims)
 
@@ -105,10 +105,6 @@ class TrackedPointSets:
     def point_set(self, k: int) -> np.ndarray:
         """Live positions at step k."""
         return self.positions[k][self.alive[k]]
-
-    @property
-    def steps(self) -> int:
-        return self.positions.shape[0] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +260,6 @@ def crop_cylinder(
     the centre's by less than half the anchor height and its horizontal
     distance is below half the anchor's footprint diagonal (strict tests).
     """
-    if len(cloud) == 0:
-        return np.zeros((0, 3))
     pts = lidar_to_cam.apply(cloud.xyz)
     centre = lidar_to_cam.apply(np.asarray(centre_lidar, dtype=float))
     return pts[_cylinder_mask(pts, centre, anchor)]
@@ -539,8 +533,8 @@ def generate_pseudo_labels(
     window: FrameWindow,
     grid: BoxGrid,
     spec: GridSpec,
+    sampler_cfg: SamplerConfig,
     anchors=None,
-    sampler_cfg: SamplerConfig | None = None,
     scorer_cfg: ScorerConfig | None = None,
 ) -> PgtResult:
     """Run the sample, smooth, crop, track, fit/score and select passes.
@@ -553,9 +547,7 @@ def generate_pseudo_labels(
     score -inf and clamp to 0). Results are ordered by pixel.
     """
     anchors = list(anchors) if anchors is not None else default_anchors()
-    sampler_cfg = sampler_cfg or SamplerConfig()
     scorer_cfg = scorer_cfg or ScorerConfig()
-    require_grid_shape(grid, spec)
 
     cam_to_lidar = window.lidar_to_cam.invert()
     pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
@@ -596,7 +588,7 @@ def generate_pseudo_labels(
                 at = rank[rows]
                 fits = [
                     _fit(tracked.positions[k].take(at[tracked.alive[k].take(at)], axis=0))
-                    for k in range(tracked.steps + 1)
+                    for k in range(len(tracked.positions))
                 ]
                 if None not in fits:
                     score.moving = moving_score(fits)

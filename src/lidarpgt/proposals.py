@@ -37,19 +37,14 @@ def heuristic_grid(cloud: PointCloud, spec: GridSpec, ground_margin: float = DEF
     input point order.
     """
     grid = BoxGrid.zeros(spec)
-    if len(cloud) == 0:
-        return grid
     xyz = cloud.xyz
     keep = in_volume_mask(xyz, spec) & (xyz[:, 2] >= spec.z_range[0] + ground_margin)
-    if not keep.any():
-        return grid
     xyz = xyz[keep]
     rows, cols = _cell_index(xyz, spec, spec.stride)
     flat = rows * spec.out_cols + cols
 
     n_cells = spec.out_rows * spec.out_cols
-    count = np.zeros(n_cells)
-    np.add.at(count, flat, 1.0)
+    count = np.bincount(flat, minlength=n_cells)
     sums = np.zeros((n_cells, 3))
     lo = np.full((n_cells, 3), np.inf)
     hi = np.full((n_cells, 3), -np.inf)

@@ -24,6 +24,7 @@ import numpy as np
 from .dataset import (
     Calibration,
     SequenceIndex,
+    label_record,
     remove_frames_from,
     write_calib,
     write_cloud,
@@ -33,7 +34,6 @@ from .dataset import (
     write_poses,
 )
 from .errors import ConfigInvalid
-from .evaluation import label_record
 from .geometry import (
     CAMERA,
     LIDAR,

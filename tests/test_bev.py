@@ -40,9 +40,12 @@ class TestGridSpec:
 
 class TestRasterize:
     def test_empty_cloud(self):
-        img = rasterize(make_cloud(np.zeros((0, 3))), GridSpec())
-        assert img.shape == (608, 608, 3)
-        assert not img.any()
+        # no points, and points all outside the volume: behind, beside, below and above it
+        outside = [[1.0, 0.0, 0.0], [10.0, 20.0, 0.0], [10.0, 0.0, -3.0], [10.0, 0.0, 1.27]]
+        for xyz in (np.zeros((0, 3)), outside):
+            img = rasterize(make_cloud(xyz), GridSpec())
+            assert img.shape == (608, 608, 3)
+            assert not img.any()
 
     def test_single_point(self):
         spec = GridSpec()

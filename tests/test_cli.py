@@ -535,6 +535,12 @@ class TestCliErrors:
                 {"simulate": {"objects": [{"cls": "vehicle", "position": [0.0, 12.0], "density": 1e9}]}},
                 ["simulate: objects[0].density:", "MAX_FRAME_POINTS"],
             ),
+            # a float key given as an integer no float can hold
+            ("generate", {"loss": {"alpha": 10**400}}, ["loss.alpha", "expected float"]),
+            ("simulate", {"simulate": {"ground_density": 10**400}}, ["simulate.ground_density", "expected float"]),
+            # no anchor, or anchor dims that are not three numbers
+            ("generate", {"anchors": []}, ["anchors:", "at least one anchor"]),
+            ("generate", {"anchors": [{"name": "x", "dims": [1.0, 2.0]}]}, ["anchors[0]", "dims"]),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -963,6 +969,17 @@ def test_generate_stopped_from_outside(workspace, tmp_path, capsys, monkeypatch,
     argv = ["generate", str(workspace / "seq"), "--out", str(tmp_path / "out"), "--config", str(cfg), "--jobs", jobs]
     assert main(argv) == code
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("made", [True, False])
+def test_evaluate_loss_without_diagnostics_exits_2(workspace, tmp_path, capsys, made):
+    diagnostics = tmp_path / "pgt" / "diagnostics"
+    if made:
+        diagnostics.mkdir(parents=True)
+    argv = ["evaluate-loss", str(workspace / "seq"), "--pgt", str(tmp_path / "pgt"),
+            "--config", str(workspace / "cfg.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {diagnostics}: no diagnostics files\n")
 
 
 def test_evaluate_loss_checks_every_frame_name_before_printing(workspace, tmp_path, capsys):

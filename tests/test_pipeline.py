@@ -83,6 +83,10 @@ class TestCropCylinder:
         out = crop_cylinder(cloud, EXTR.invert().apply(centre_cam), ANCHORS["vehicle"], EXTR)
         assert len(out) == 1
 
+    def test_empty_cloud(self):
+        out = crop_cylinder(PointCloud(np.zeros((0, 4))), [10.0, 0.0, 0.0], ANCHORS["vehicle"], EXTR)
+        assert out.shape == (0, 3) and out.dtype == np.float64
+
     def test_height_band_strict(self):
         centre_cam = np.array([0.0, 0.0, 10.0])
         half_h = ANCHORS["vehicle"].dims[1] / 2
@@ -989,3 +993,13 @@ class TestGeneratePseudoLabels:
                 window, heuristic_grid(window.cloud, spec), spec,
                 sampler_cfg=SamplerConfig(sample_count=10, seed=0),
             )
+
+    def test_wrong_grid_shape_rejected(self):
+        from lidarpgt.bev import BoxGrid, GridSpec
+        from lidarpgt.errors import ShapeMismatch
+        from lidarpgt.pipeline import FrameWindow, generate_pseudo_labels
+        from lidarpgt.sampling import SamplerConfig
+
+        window = FrameWindow(PointCloud(np.zeros((0, 4))), [], [], [], INTR, EXTR)
+        with pytest.raises(ShapeMismatch, match="grid is 10x12, expected 152x152"):
+            generate_pseudo_labels(window, BoxGrid(np.zeros((10, 12, 8))), GridSpec(), SamplerConfig())

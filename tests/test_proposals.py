@@ -17,8 +17,12 @@ def make_cloud(xyz):
 
 class TestHeuristicGrid:
     def test_empty_cloud(self):
-        grid = heuristic_grid(make_cloud(np.zeros((0, 3))), SPEC)
-        assert not grid.data.any()
+        # no points, points all outside the volume, and ground points only
+        outside = [[1.0, 0.0, 0.0], [10.0, 20.0, 0.0], [10.0, 0.0, -3.0], [10.0, 0.0, 1.27]]
+        ground = [[10.0, 0.0, SPEC.z_range[0]], [20.0, -5.0, SPEC.z_range[0] + 0.29]]
+        for xyz in (np.zeros((0, 3)), outside, ground):
+            grid = heuristic_grid(make_cloud(xyz), SPEC)
+            assert not grid.data.any()
 
     def test_ground_removed(self):
         ground_z = SPEC.z_range[0] + 0.1
