@@ -22,6 +22,10 @@ from .geometry import LIDAR, Obb3, PointCloud
 # Point count at which the density channel saturates.
 _DENSITY_SATURATION = 64
 
+# Largest height * width a grid may have: at 4096 x 4096, `render --bev-raster`
+# peaks at about 730 MB of RSS on a 10k-point scene, against 50 MB at 608 x 608.
+MAX_GRID_PIXELS = 4096 * 4096
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -40,6 +44,8 @@ class GridSpec:
                 raise ValueError("volume ranges must be non-empty")
         if self.height <= 0 or self.width <= 0 or self.stride <= 0:
             raise ValueError("grid sizes must be positive")
+        if self.height * self.width > MAX_GRID_PIXELS:
+            raise ValueError(f"height * width exceeds MAX_GRID_PIXELS = {MAX_GRID_PIXELS}")
         if self.height % self.stride or self.width % self.stride:
             raise ValueError("height and width must be divisible by the stride")
 

@@ -8,6 +8,7 @@ the keys it overrides; it is the only way to override a default.
 from __future__ import annotations
 
 import json
+import reprlib
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass
@@ -88,10 +89,10 @@ def _check(hint, path: str, value):
     if isinstance(hint, dict) or is_dataclass(hint):
         keys = hint if isinstance(hint, dict) else _keys(hint)
         if not isinstance(value, dict):
-            raise ConfigInvalid(f"{path}: expected an object, got {value!r}")
+            raise ConfigInvalid(f"{path}: expected an object, got {reprlib.repr(value)}")
         for key in value:
             if key not in keys:
-                raise ConfigInvalid(f"{path}: unknown key {key!r}")
+                raise ConfigInvalid(f"{path}: unknown key {reprlib.repr(key)}")
         checked = {key: _check(keys[key], f"{path}.{key}", v) for key, v in value.items()}
         return checked if isinstance(hint, dict) else _construct(hint, path, checked)
     if origin in (typing.Union, types.UnionType):  # `X | None`
@@ -101,12 +102,12 @@ def _check(hint, path: str, value):
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)) or origin is tuple and len(value) != len(args):
             size = f" of {len(args)}" if origin is tuple else ""
-            raise ConfigInvalid(f"{path}: expected a list{size}, got {value!r}")
+            raise ConfigInvalid(f"{path}: expected a list{size}, got {reprlib.repr(value)}")
         hints = args if origin is tuple else args * len(value)
         items = [_check(h, f"{path}[{i}]", v) for i, (h, v) in enumerate(zip(hints, value))]
         return tuple(items) if origin is tuple else items
     if not _SCALARS[hint](value):
-        raise ConfigInvalid(f"{path}: expected {hint.__name__}, got {value!r}")
+        raise ConfigInvalid(f"{path}: expected {hint.__name__}, got {reprlib.repr(value)}")
     return value
 
 
@@ -161,7 +162,7 @@ def load_config(path=None) -> Config:
     try:
         for name in user:
             if name not in _SECTIONS:
-                raise ConfigInvalid(f"unknown config section {name!r}")
+                raise ConfigInvalid(f"unknown config section {reprlib.repr(name)}")
         cfg = _merge(DEFAULTS, user)
         built = {name: _check(hint, name, cfg[name]) for name, hint in _SECTIONS.items()}
         if not built["anchors"]:  # no pixel could get a box
@@ -169,11 +170,12 @@ def load_config(path=None) -> Config:
         names = [a.name for a in built["anchors"]]
         for i, name in enumerate(names):
             if name in names[:i]:  # results are kept per anchor name
-                raise ConfigInvalid(f"anchors[{i}].name: {name!r} repeats anchors[{names.index(name)}].name")
+                first = names.index(name)
+                raise ConfigInvalid(f"anchors[{i}].name: {reprlib.repr(name)} repeats anchors[{first}].name")
         scene = built["simulate"]
         seed = scene.pop("seed")
         if seed < 0:
-            raise ConfigInvalid(f"simulate.seed: expected an integer >= 0, got {seed}")
+            raise ConfigInvalid(f"simulate.seed: expected an integer >= 0, got {reprlib.repr(seed)}")
         return Config(
             built["grid"], built["sampler"], built["scorer"], built["loss"], built["anchors"],
             built["heuristic"]["ground_margin"], _construct(SimConfig, "simulate", scene), seed,

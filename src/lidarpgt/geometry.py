@@ -246,9 +246,6 @@ class Obb3:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "yaw", canonical_yaw(self.yaw))
 
-    def volume(self) -> float:
-        return float(self.dims[0] * self.dims[1] * self.dims[2])
-
     def corners(self) -> np.ndarray:
         """The 8 box corners, (8, 3), in the box's own frame."""
         axes = yaw_matrix(self.frame, self.yaw)

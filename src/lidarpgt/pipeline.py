@@ -12,6 +12,7 @@ dimensions drifted. Pixels with a surviving anchor become full box targets
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -54,7 +55,7 @@ class Anchor:
     def __post_init__(self):
         dims = np.array(self.dims, dtype=float).reshape(-1)
         if len(dims) != 3 or not np.all(dims > 0):
-            raise ValueError(f"dims: expected three positive numbers, got {dims.tolist()}")
+            raise ValueError(f"dims: expected three positive numbers, got {reprlib.repr(dims.tolist())}")
         dims.flags.writeable = False
         object.__setattr__(self, "dims", dims)
 
@@ -212,39 +213,21 @@ def _cylinder_mask(pts_cam: np.ndarray, centre_cam: np.ndarray, anchor: Anchor) 
 def _crop_rows(cloud_cam: np.ndarray, centres_cam, anchors) -> list[list[np.ndarray]]:
     """Cloud row indices, in cloud order, of each (centre, anchor) crop.
 
-    The rows are the ones `_cylinder_mask` keeps over the whole cloud, but
-    each centre tests only the points of its 3x3 neighbourhood of square
-    (x, z) buckets of side w. The points are sorted by bucket key once, so
-    each bucket row of the neighbourhood is one bisected key range. A point
-    inside any crop lies within r_max of the centre on x and z; w exceeds
-    r_max by a tiny relative pad that absorbs the rounding of x / w, so such
-    a point's bucket is a neighbour of the centre's. The pad is at least 1e-9
-    of the cloud's extent, so bucket indices stay within +-1e9 and the int64
-    keys cannot overflow.
+    The rows are the ones `_cylinder_mask` keeps over the whole cloud. Each
+    centre bisects its slab |x - cx| <= r_max (padded for rounding) of the
+    x-sorted cloud; a point in any crop has |z - cz| <= dh < r_max and |y - cy|
+    below the tallest anchor's half-height, so only such slab rows are tested.
     """
     r_max = max((a.crop_radius() for a in anchors), default=0.0)
-    extent = float(np.abs(cloud_cam[:, [0, 2]]).max(initial=0.0))
-    width = r_max + 1e-9 * (1.0 + extent + r_max)
-    bx = np.floor(cloud_cam[:, 0] / width).astype(np.int64)
-    bz = np.floor(cloud_cam[:, 2] / width).astype(np.int64)
-    x0, z0 = int(bx.min(initial=0)), int(bz.min(initial=0))
-    nx, nz = int(bx.max(initial=0)) - x0 + 1, int(bz.max(initial=0)) - z0 + 1
-    keys = (bx - x0) * nz + (bz - z0)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    h_max = max((0.5 * a.dims[1] for a in anchors), default=0.0)
+    order = np.argsort(cloud_cam[:, 0])
+    xs, ys, zs = cloud_cam.T[:, order]
     crops = []
     for centre in centres_cam:
-        cx = math.floor(centre[0] / width) - x0
-        # clamped so that a far-off centre's keys stay small; its columns
-        # are then all outside the grid and its key ranges empty
-        cz = min(max(math.floor(centre[2] / width) - z0, -2), nz + 1)
-        # key range of bucket row kx, columns cz-1..cz+1 clipped to the grid
-        spans = [
-            (kx * nz + max(cz - 1, 0), kx * nz + min(cz + 2, nz))
-            for kx in range(max(cx - 1, 0), min(cx + 2, nx))
-        ]
-        bounds = np.searchsorted(keys, np.array(spans, dtype=np.int64).reshape(-1)).reshape(-1, 2)
-        rows = np.sort(np.concatenate([order[0:0], *(order[lo:hi] for lo, hi in bounds)]))
+        pad = 1e-9 * (1.0 + abs(centre[0]) + r_max)
+        lo, hi = np.searchsorted(xs, (centre[0] - r_max - pad, centre[0] + r_max + pad))
+        near = (np.abs(zs[lo:hi] - centre[2]) < r_max) & (np.abs(ys[lo:hi] - centre[1]) < h_max)
+        rows = np.sort(order[lo:hi][near])
         dy, dh = _cylinder_distances(cloud_cam[rows], centre)
         crops.append([rows[_inside(dy, dh, a)] for a in anchors])
     return crops

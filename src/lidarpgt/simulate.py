@@ -15,6 +15,7 @@ the pixel. That makes the scenes usable as tracking oracles.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,7 +72,7 @@ class SimObject:
 
     def __post_init__(self):
         if self.cls not in _ANCHOR_DIMS:
-            raise ConfigInvalid(f"unknown object class {self.cls!r}")
+            raise ConfigInvalid(f"unknown object class {reprlib.repr(self.cls)}")
         anchor = _ANCHOR_DIMS[self.cls]
         if self.dims is None:
             self.dims = tuple(anchor)

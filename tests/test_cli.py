@@ -541,6 +541,13 @@ class TestCliErrors:
             # no anchor, or anchor dims that are not three numbers
             ("generate", {"anchors": []}, ["anchors:", "at least one anchor"]),
             ("generate", {"anchors": [{"name": "x", "dims": [1.0, 2.0]}]}, ["anchors[0]", "dims"]),
+            # offending values too long to echo whole are abridged
+            ("generate", {"sampler": {"confidence_threshold": [0.5] * 1000}}, ["sampler.confidence_threshold", "..."]),
+            ("generate", {"grid": {"x_range": [0.0] * 2000}}, ["grid.x_range", "expected a list of 2", "..."]),
+            ("generate", {"anchors": [{"name": "x", "dims": [1.0] * 1000}]}, ["anchors[0]", "dims", "..."]),
+            ("simulate", {"simulate": {"seed": -10**400}}, ["simulate.seed", "..."]),
+            # a grid too large to allocate: refused before any array or output exists
+            ("generate", {"grid": {"height": 200000, "width": 200000}}, ["grid:", "MAX_GRID_PIXELS"]),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -554,6 +561,7 @@ class TestCliErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
+        assert len(err.splitlines()) == 1 and len(err) < 400, err
         assert not Path(out).exists()
 
     @pytest.mark.parametrize(

@@ -119,7 +119,7 @@ class TestCropCylinder:
 
 
 class TestCropRows:
-    """The bucket crop index keeps exactly the rows a full-cloud scan keeps."""
+    """The x-sorted slab crop keeps exactly the rows a full-cloud scan keeps."""
 
     def check(self, cloud_cam, centres, anchors=None):
         anchors = anchors or default_anchors()
@@ -149,6 +149,14 @@ class TestCropRows:
                     for x in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
                         pts.append((x, 0.5, 10.0))
                         pts.append((x, rng.uniform(-0.5, 1.5), 10.0 + rng.uniform(-1e-6, 1e-6)))
+                # height and depth edges, where the slab's prefilters cut: by
+                # default the tallest anchor (cyclist) is not the widest (vehicle)
+                for side in (-1.0, 1.0):
+                    y_edge, z_edge = 0.5 + side * 0.5 * anchor.dims[1], 10.0 + side * anchor.crop_radius()
+                    for y in (y_edge, np.nextafter(y_edge, -np.inf), np.nextafter(y_edge, np.inf)):
+                        pts.append((cx, y, 10.0))
+                    for z in (z_edge, np.nextafter(z_edge, -np.inf), np.nextafter(z_edge, np.inf)):
+                        pts.append((cx, 0.5, z))
         cloud_cam = np.array(pts)[rng.permutation(len(pts))]
         crops = self.check(cloud_cam, centres, anchors)
         # the boundary is exercised: some edge points are in, some are out
@@ -174,15 +182,15 @@ class TestCropRows:
         crops = self.check(np.zeros((0, 3)), [np.array([0.0, 0.5, 10.0]), np.array([3.0, 0.0, 5.0])])
         assert all(len(rows) == 0 for per_anchor in crops for rows in per_anchor)
 
-    def test_points_on_bucket_boundaries(self):
-        # the bucket side as _crop_rows derives it; two far points fix the extent
+    def test_points_on_slab_edges(self):
+        # a lattice whose side is the slab's reach as _crop_rows derives it
+        # for a centre at x = 0, so neighbouring lattice points lie on its edges
         anchors = default_anchors()
         r_max = max(a.crop_radius() for a in anchors)
-        extent = 40.0
-        width = r_max + 1e-9 * (1.0 + extent + r_max)
+        reach = r_max + 1e-9 * (1.0 + r_max)
         rng = np.random.default_rng(10)
-        pts = [(extent, 0.5, extent), (-extent, 0.5, -extent)]
-        edges = [i * width for i in range(-6, 7)]
+        pts = []
+        edges = [i * reach for i in range(-6, 7)]
         for x in edges:
             for z in edges:
                 for dx in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
@@ -190,7 +198,7 @@ class TestCropRows:
                         pts.append((dx, rng.uniform(-0.5, 1.5), dz))
         cloud_cam = np.array(pts)[rng.permutation(len(pts))]
         centres = [np.array([x, 0.5, z]) for x in edges[::2] for z in edges[1::3]]
-        # centres whose crop edge falls on a bucket edge, or one ulp beside it
+        # centres whose crop edge falls on a lattice edge, or one ulp beside it
         for a in anchors:
             for edge in edges[4:9]:
                 for cx in (edge + a.crop_radius(), edge - a.crop_radius()):
