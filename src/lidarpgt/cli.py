@@ -25,7 +25,7 @@ import numpy as np
 from . import config as cfgmod
 from .bev import grid_centres, rasterize
 from .dataset import (
-    frame_index, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
+    frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
     remove_frames_from, write_diagnostics, write_labels, write_raster,
 )
 from .errors import LidarPgtError, MalformedFile, MissingFrameData
@@ -245,7 +245,7 @@ def cmd_evaluate_loss(args) -> int:
     cfg = cfgmod.load_config(args.config)
     seq = load_sequence(args.sequence)
     diag_dir = Path(args.pgt) / "diagnostics"
-    frames = sorted((frame_index(path), path) for path in diag_dir.glob("*.json"))
+    frames = sorted(frame_files(diag_dir, ".json").items())
     if not frames:
         raise MalformedFile(f"{diag_dir}: no diagnostics files")
     last, path = frames[-1]

@@ -573,6 +573,17 @@ def frame_index(path) -> int:
     return int(stem)
 
 
+def frame_files(directory, suffix: str) -> dict[int, Path]:
+    """`directory`'s `*<suffix>` files by frame; a bad name or a repeated frame raises MalformedFile."""
+    frames = {}
+    for path in sorted(Path(directory).glob("*" + suffix)):
+        t = frame_index(path)
+        if t in frames:
+            raise MalformedFile(f"{frames[t]} and {path}: both are frame {t}")
+        frames[t] = path
+    return frames
+
+
 def remove_frames_from(directory, first: int, suffix: str):
     """Delete `directory`'s frame files `<t><suffix>` with t >= first, and their
     sidecars: frames an earlier, longer run left there. Other files stay."""
@@ -591,21 +602,13 @@ def load_sequence(root) -> SequenceIndex:
     velo = root / "velodyne"
     if not velo.is_dir():
         raise MalformedFile(f"{root}: missing velodyne/ directory")
-    frames = {}
-    for path in sorted(velo.glob("*.bin")):
-        t = frame_index(path)
-        if t in frames:
-            raise MalformedFile(f"{frames[t]} and {path}: both are frame {t}")
-        frames[t] = path
-    indices = sorted(frames)
+    indices = sorted(frame_files(velo, ".bin"))
     if indices != list(range(len(indices))):
         raise MalformedFile(f"{root}: frame indices are not contiguous from 0")
     calib = read_calib(root / "calib.txt")
     poses = read_poses(root / "poses.txt")
     if len(poses) < len(indices):
-        raise MalformedFile(
-            f"{root}: {len(poses)} poses for {len(indices)} frames"
-        )
+        raise MalformedFile(f"{root}: {len(poses)} poses for {len(indices)} frames")
     index = SequenceIndex(root, calib, poses, len(indices))
     for sub, frame_path in (("depth", index.depth_path), ("flow", index.flow_path)):
         if (root / sub).is_dir():

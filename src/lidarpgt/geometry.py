@@ -26,6 +26,9 @@ LIDAR = "lidar"
 
 _HALF_PI = math.pi / 2.0
 
+# Per frame: the two coordinates spanning its BEV plane, then its vertical one.
+_AXES = {CAMERA: (0, 2, 1), LIDAR: (0, 1, 2)}
+
 MIN_VERTICAL_COSINE = 0.999  # cosine of the largest tilt between vertical axes (2.56 degrees) a box survives
 
 # Corner sign pattern shared by box corner generation (8, 3).
@@ -54,19 +57,6 @@ def yaw_matrix(frame: str, angle: float) -> np.ndarray:
     if frame == LIDAR:
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     raise ValueError(f"unknown frame {frame!r}")
-
-
-def vertical_axis(frame: str) -> int:
-    if frame == CAMERA:
-        return 1
-    if frame == LIDAR:
-        return 2
-    raise ValueError(f"unknown frame {frame!r}")
-
-
-def bev_plane_axes(frame: str) -> tuple[int, int]:
-    """Indices of the two horizontal coordinates spanning the frame's BEV plane."""
-    return (0, 2) if frame == CAMERA else (0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +228,7 @@ class Obb3:
         dims = np.array(self.dims, dtype=float).reshape(3)
         if not np.all(dims > 0):
             raise ValueError("box dims must be positive")
-        if self.frame not in (CAMERA, LIDAR):
+        if self.frame not in _AXES:
             raise ValueError(f"unknown frame {self.frame!r}")
         centre.flags.writeable = False
         dims.flags.writeable = False
@@ -254,9 +244,8 @@ class Obb3:
 
     def footprint(self) -> np.ndarray:
         """The 4 BEV-plane corners of the box, (4, 2), counter-clockwise."""
-        i, j = bev_plane_axes(self.frame)
-        half_u = 0.5 * self.dims[0]
-        half_v = 0.5 * (self.dims[2] if self.frame == CAMERA else self.dims[1])
+        i, j, _ = _AXES[self.frame]
+        half_u, half_v = 0.5 * self.dims[0], 0.5 * self.dims[j]
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         rot = np.array([[c, -s], [s, c]])
         local = np.array(
@@ -370,18 +359,11 @@ def transform_obb(box: Obb3, rt: RigidTransform, target_frame: str) -> Obb3:
     """
     axes = yaw_matrix(box.frame, box.yaw)
     new_axes = rt.rotation @ axes
-    v_src = vertical_axis(box.frame)
-    v_tgt = vertical_axis(target_frame)
-    if abs(new_axes[v_tgt, v_src]) < MIN_VERTICAL_COSINE:
+    i, j, v = _AXES[target_frame]
+    _, j_src, v_src = _AXES[box.frame]
+    if abs(new_axes[v, v_src]) < MIN_VERTICAL_COSINE:
         raise ValueError("transform does not keep the box vertical in the target frame")
-    local_x = new_axes[:, 0]
-    i, j = bev_plane_axes(target_frame)
-    new_yaw = math.atan2(local_x[j], local_x[i])
-    d = box.dims
-    vert_extent = d[v_src]
-    other_extent = d[2] if box.frame == CAMERA else d[1]
-    if target_frame == CAMERA:
-        new_dims = (d[0], vert_extent, other_extent)
-    else:
-        new_dims = (d[0], other_extent, vert_extent)
+    new_yaw = math.atan2(new_axes[j, 0], new_axes[i, 0])
+    new_dims = np.empty(3)
+    new_dims[[0, j, v]] = box.dims[[0, j_src, v_src]]
     return Obb3(rt.apply(box.centre), new_dims, new_yaw, target_frame)

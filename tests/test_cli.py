@@ -502,6 +502,20 @@ class TestCliErrors:
             assert out == "", (case, out)
             assert err == f"error: {diagnostics / '000099.json'}: frame 99 outside {seq}, a sequence of 5 frames\n", case
 
+    def test_evaluate_loss_two_diagnostics_files_of_one_frame(self, workspace, tmp_path, capsys):
+        """Two files naming one frame exit 2 naming both, before any frame line."""
+        import shutil
+
+        diagnostics = tmp_path / "pgt" / "diagnostics"
+        shutil.copytree(workspace / "pgt" / "diagnostics", diagnostics)
+        shutil.copy(diagnostics / "000001.json", diagnostics / "1.json")
+        argv = ["evaluate-loss", str(workspace / "seq"), "--pgt", str(tmp_path / "pgt"),
+                "--config", str(workspace / "cfg.json")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {diagnostics / '000001.json'} and {diagnostics / '1.json'}: both are frame 1\n"
+
     @pytest.mark.parametrize("overlays, bad", [("gt,psuedo", "'psuedo'"), ("gt,,pseudo", "''")])
     def test_unknown_overlay(self, workspace, tmp_path, capsys, overlays, bad):
         out = tmp_path / "f.ppm"
@@ -548,6 +562,8 @@ class TestCliErrors:
             ("simulate", {"simulate": {"seed": -10**400}}, ["simulate.seed", "..."]),
             # a grid too large to allocate: refused before any array or output exists
             ("generate", {"grid": {"height": 200000, "width": 200000}}, ["grid:", "MAX_GRID_PIXELS"]),
+            # within MAX_GRID_PIXELS, but a box grid of 4096 x 4096 cells at stride 1
+            ("generate", {"grid": {"height": 4096, "width": 4096, "stride": 1}}, ["grid:", "MAX_GRID_CELLS"]),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -825,6 +841,7 @@ CORRUPTIONS = {
     "velodyne-stray-name": ("seq/velodyne/foo.bin", _copy_of("000000.bin")),
     "velodyne-duplicate-frame": ("seq/velodyne/4.bin", _second_name_of("000004.bin")),
     "diagnostics-stray-name": ("pgt/diagnostics/foo.json", _copy_of("000000.json")),
+    "diagnostics-duplicate-frame": ("pgt/diagnostics/1.json", _second_name_of("000001.json")),
     # detection files are paired with ground-truth files by name
     "dets-past-last-frame": ("dets/000099.txt", _copy_of("000000.txt")),
     "dets-stray-name": ("dets/notes.txt", _write_text("scored by hand\n")),
@@ -843,6 +860,7 @@ READERS = {
     "seq/velodyne/": ("generate", "evaluate-loss", "render"),
     "seq/": ("generate",),
     "pgt/diagnostics/foo.json": ("evaluate-loss",),
+    "pgt/diagnostics/1.json": ("evaluate-loss",),
     "pgt/diagnostics/": ("evaluate-loss", "render"),
 }
 

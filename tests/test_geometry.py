@@ -291,15 +291,24 @@ class TestTransformObb:
             assert back.yaw == pytest.approx(box.yaw, abs=1e-9)
 
     def test_corners_map_consistently(self):
-        s = kitti_lidar_to_camera().invert()
-        box = Obb3((1.0, 0.5, 9.0), (1.8, 1.6, 4.5), 0.7, CAMERA)
-        lidar_box = transform_obb(box, s, LIDAR)
-        mapped = s.apply(box.corners())
-        got = lidar_box.corners()
-        # corner order may differ; compare as sets via sorted lexicographic order
-        mapped = mapped[np.lexsort(mapped.T)]
-        got = got[np.lexsort(got.T)]
-        assert np.abs(mapped - got).max() < 1e-9
+        """Every (source, target) frame pair; distinct extents pin which source
+        extent lands on which target axis."""
+        cases = [
+            (CAMERA, LIDAR, kitti_lidar_to_camera().invert()),
+            (LIDAR, CAMERA, kitti_lidar_to_camera()),
+            (CAMERA, CAMERA, RigidTransform(yaw_matrix(CAMERA, 0.4), (2.0, -1.0, 3.0))),
+            (LIDAR, LIDAR, RigidTransform(yaw_matrix(LIDAR, -1.1), (-3.0, 2.0, 0.5))),
+        ]
+        for source, target, rt in cases:
+            box = Obb3((1.0, 0.5, 9.0), (1.8, 1.6, 4.5), 0.7, source)
+            moved = transform_obb(box, rt, target)
+            assert moved.frame == target
+            mapped = rt.apply(box.corners())
+            got = moved.corners()
+            # corner order may differ; compare as sets via sorted lexicographic order
+            mapped = mapped[np.lexsort(mapped.T)]
+            got = got[np.lexsort(got.T)]
+            assert np.abs(mapped - got).max() < 1e-9, (source, target)
 
     def test_rejects_tilting_transform(self):
         tilt = RigidTransform(
