@@ -270,7 +270,7 @@ def cmd_render(args) -> int:
     cloud = seq.read_cloud(t)
     overlays = []
     cam_to_lidar = seq.calibration.lidar_to_cam.invert()
-    if "gt" in args.overlays and seq.label_path(t).exists():
+    if "gt" in args.overlays and seq.path("label", t).exists():
         boxes = [transform_obb(r.box, cam_to_lidar, LIDAR) for r in seq.read_labels(t)]
         overlays.append((GT_COLOR, boxes))
     if "pseudo" in args.overlays:

@@ -11,7 +11,8 @@ Directory layout of a sequence:
       label_2/000000.txt ...    KITTI-format labels (optional)
 
 All binary payloads are little-endian float32 with a JSON sidecar recording
-shape, dtype and order. Every frame file is named `<t:06d><suffix>` in its
+shape, dtype and order. `FRAME_FILES` holds the directory and suffix of the
+four per-frame kinds. Every frame file is named `<t:06d><suffix>` in its
 directory: `frame_path` builds such a name and `frame_index` reads it back.
 """
 
@@ -365,20 +366,11 @@ def read_raster(path):
     return arr
 
 
-def write_depth(path, depth):
-    """Depth raster; entries <= 0 mark invalid pixels."""
-    write_raster(path, depth)
-
-
 def read_depth(path) -> np.ndarray:
     arr = read_raster(path)
     if arr.ndim != 2:
         raise MalformedFile(f"{path}: depth raster must have a single channel")
     return arr
-
-
-def write_flow(path, flow):
-    write_raster(path, flow)
 
 
 def read_flow(path) -> np.ndarray:
@@ -508,6 +500,10 @@ def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
 # ---------------------------------------------------------------------------
 # sequences
 
+# Each per-frame kind's directory and file suffix in a sequence
+FRAME_FILES = {"cloud": ("velodyne", ".bin"), "depth": ("depth", ".bin"), "flow": ("flow", ".bin"),
+               "label": ("label_2", ".txt")}
+
 
 @dataclass
 class SequenceIndex:
@@ -518,32 +514,21 @@ class SequenceIndex:
     poses: list[RigidTransform]
     n_frames: int
 
-    def _frame_file(self, directory: str, t: int, suffix: str) -> Path:
-        """Frame t's file in `directory`; a frame outside the sequence raises MissingFrameData."""
+    def path(self, kind: str, t: int) -> Path:
+        """Frame t's file of `kind`, a FRAME_FILES key; a frame outside the sequence raises MissingFrameData."""
         if not 0 <= t < self.n_frames:
             raise MissingFrameData(f"{self.root}: frame {t} outside sequence of {self.n_frames} frames")
+        directory, suffix = FRAME_FILES[kind]
         return frame_path(self.root / directory, t, suffix)
 
-    def cloud_path(self, t) -> Path:
-        return self._frame_file("velodyne", t, ".bin")
-
-    def depth_path(self, t) -> Path:
-        return self._frame_file("depth", t, ".bin")
-
-    def flow_path(self, t) -> Path:
-        return self._frame_file("flow", t, ".bin")
-
-    def label_path(self, t) -> Path:
-        return self._frame_file("label_2", t, ".txt")
-
     def read_cloud(self, t) -> PointCloud:
-        return read_cloud(self.cloud_path(t))
+        return read_cloud(self.path("cloud", t))
 
     def read_depth(self, t) -> np.ndarray:
-        return self._image_sized(read_depth, self.depth_path(t))
+        return self._image_sized(read_depth, self.path("depth", t))
 
     def read_flow(self, t) -> np.ndarray:
-        return self._image_sized(read_flow, self.flow_path(t))
+        return self._image_sized(read_flow, self.path("flow", t))
 
     def _image_sized(self, reader, path) -> np.ndarray:
         """A raster read by `reader`, checked to cover the calibrated image."""
@@ -557,7 +542,7 @@ class SequenceIndex:
         return arr
 
     def read_labels(self, t) -> list[LabelRecord]:
-        return read_labels(self.label_path(t))
+        return read_labels(self.path("label", t))
 
 
 def frame_path(directory, t: int, suffix: str) -> Path:
@@ -599,10 +584,10 @@ def load_sequence(root) -> SequenceIndex:
     """Index a sequence directory, checking the frame files are contiguous from 0
     and that no two files name the same frame."""
     root = Path(root)
-    velo = root / "velodyne"
-    if not velo.is_dir():
-        raise MalformedFile(f"{root}: missing velodyne/ directory")
-    indices = sorted(frame_files(velo, ".bin"))
+    velo, suffix = FRAME_FILES["cloud"]
+    if not (root / velo).is_dir():
+        raise MalformedFile(f"{root}: missing {velo}/ directory")
+    indices = sorted(frame_files(root / velo, suffix))
     if indices != list(range(len(indices))):
         raise MalformedFile(f"{root}: frame indices are not contiguous from 0")
     calib = read_calib(root / "calib.txt")
@@ -610,9 +595,9 @@ def load_sequence(root) -> SequenceIndex:
     if len(poses) < len(indices):
         raise MalformedFile(f"{root}: {len(poses)} poses for {len(indices)} frames")
     index = SequenceIndex(root, calib, poses, len(indices))
-    for sub, frame_path in (("depth", index.depth_path), ("flow", index.flow_path)):
-        if (root / sub).is_dir():
-            for p in map(frame_path, range(index.n_frames)):
+    for kind in ("depth", "flow"):
+        if (root / FRAME_FILES[kind][0]).is_dir():
+            for p in (index.path(kind, t) for t in range(index.n_frames)):
                 if not p.exists():
                     raise MalformedFile(f"{root}: missing {p.relative_to(root)}")
     return index

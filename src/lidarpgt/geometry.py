@@ -112,6 +112,11 @@ def kitti_lidar_to_camera() -> RigidTransform:
     )
 
 
+# Largest width * height a camera image may have: at 4096 x 4096, `simulate` of a
+# 2-frame scene of the default objects peaks at about 145 MB of RSS.
+MAX_IMAGE_PIXELS = 4096 * 4096
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics; (cx, cy) is the principal point in (column, row) pixels."""
@@ -128,6 +133,8 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
+        if self.width * self.height > MAX_IMAGE_PIXELS:
+            raise ValueError(f"width * height exceeds MAX_IMAGE_PIXELS = {MAX_IMAGE_PIXELS}")
 
 
 def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:

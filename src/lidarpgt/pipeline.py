@@ -257,10 +257,10 @@ def _nearest_valid(valid: np.ndarray, u, v, rows, cols, span: np.ndarray):
 
     Point i's window is rows[i] + span by cols[i] + span; a pixel is usable
     when it lies in the image and `valid` marks it. Returns its row and column
-    (clipped to the image), the squared distance (inf when no pixel is usable)
-    and the (n, len(span)**2) usable mask. The window is scanned row-major, so
-    argmin's first minimum breaks exact ties by (row, col) order. Per-axis
-    terms are (n, len(span)) and broadcast only to gather and sum.
+    (clipped to the image) and the squared distance (inf when no pixel is
+    usable). The window is scanned row-major, so argmin's first minimum breaks
+    exact ties by (row, col) order. Per-axis terms are (n, len(span)) and
+    broadcast only to gather and sum.
     """
     h, w = valid.shape
     n, s = len(u), len(span)
@@ -276,7 +276,7 @@ def _nearest_valid(valid: np.ndarray, u, v, rows, cols, span: np.ndarray):
     d2[~usable] = np.inf  # in place: one (n, s*s) float array at a time
     pick = np.argmin(d2, axis=1)
     ar = np.arange(n)
-    return rr[ar, pick // s], cc[ar, pick % s], d2[ar, pick], usable
+    return rr[ar, pick // s], cc[ar, pick % s], d2[ar, pick]
 
 
 def _sample_flow(flow: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarray):
@@ -304,10 +304,10 @@ def _sample_flow(flow: np.ndarray, valid: np.ndarray, u: np.ndarray, v: np.ndarr
         + flow[r + 1, c] * ((1 - fu) * fv)[:, None]
         + flow[r + 1, c + 1] * (fu * fv)[:, None]
     )
-    rows, cols, _, usable = _nearest_valid(valid, u[rest], v[rest], r0[rest], c0[rest], np.arange(2))
+    rows, cols, d2 = _nearest_valid(valid, u[rest], v[rest], r0[rest], c0[rest], np.arange(2))
     out[rest] = flow[rows, cols]
     ok = np.ones(len(u), dtype=bool)
-    ok[rest] = usable.any(axis=1)
+    ok[rest] = d2 < np.inf
     return out, ok
 
 
@@ -333,9 +333,7 @@ def _nearest_valid_depth(depth: np.ndarray, valid: np.ndarray, u: np.ndarray, v:
     best_d2[hit[exact]] = dr[exact] ** 2 + dc[exact] ** 2
     for span in (np.arange(-1, 2), np.arange(-_DEPTH_SEARCH_RADIUS, _DEPTH_SEARCH_RADIUS + 1)):
         idx = np.flatnonzero(~(best_d2 < 2.25))
-        best_r[idx], best_c[idx], best_d2[idx], _ = _nearest_valid(
-            valid, u[idx], v[idx], rows[idx], cols[idx], span
-        )
+        best_r[idx], best_c[idx], best_d2[idx] = _nearest_valid(valid, u[idx], v[idx], rows[idx], cols[idx], span)
     return best_r, best_c, depth[best_r, best_c], np.isfinite(best_d2)
 
 

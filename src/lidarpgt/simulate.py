@@ -23,16 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
+    FRAME_FILES,
     Calibration,
     SequenceIndex,
     label_record,
     remove_frames_from,
     write_calib,
     write_cloud,
-    write_depth,
-    write_flow,
     write_labels,
     write_poses,
+    write_raster,
 )
 from .errors import ConfigInvalid
 from .geometry import (
@@ -352,23 +352,23 @@ def write_scene(frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: 
     calib = Calibration(LIDAR_TO_CAM, config.intrinsics)
     poses = [config.ego.pose_at(t) for t in range(config.n_frames)]
     seq = SequenceIndex(Path(out_dir), calib, poses, config.n_frames)
-    for frame_file in (seq.cloud_path, seq.depth_path, seq.flow_path, seq.label_path):
-        frame_file(0).parent.mkdir(parents=True, exist_ok=True)
-        remove_frames_from(frame_file(0).parent, config.n_frames, frame_file(0).suffix)
+    for directory, suffix in FRAME_FILES.values():
+        (seq.root / directory).mkdir(parents=True, exist_ok=True)
+        remove_frames_from(seq.root / directory, config.n_frames, suffix)
     write_calib(seq.root / "calib.txt", calib)
     write_poses(seq.root / "poses.txt", seq.poses)
     n_points = []
     for frame in frames:  # enumerate's cached result tuple would hold the last frame
         t = len(n_points)
         n_points.append(len(frame.cloud))
-        write_cloud(seq.cloud_path(t), frame.cloud)
-        write_depth(seq.depth_path(t), frame.depth)
-        write_flow(seq.flow_path(t), frame.flow)
+        write_cloud(seq.path("cloud", t), frame.cloud)
+        write_raster(seq.path("depth", t), frame.depth)
+        write_raster(seq.path("flow", t), frame.flow)
         records = [
             label_record(_LABEL_CLASS[gt.cls], gt.box, LIDAR_TO_CAM, config.intrinsics)
             for gt in frame.gt_boxes
         ]
-        write_labels(seq.label_path(t), records)
+        write_labels(seq.path("label", t), records)
         del frame  # so the next frame is not built beside this one
     meta = {
         "seed": seed,

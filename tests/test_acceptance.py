@@ -22,10 +22,9 @@ from lidarpgt.dataset import (
     read_poses,
     write_calib,
     write_cloud,
-    write_depth,
-    write_flow,
     write_labels,
     write_poses,
+    write_raster,
 )
 from lidarpgt.evaluation import Detection, average_precision, project_box_2d
 from lidarpgt.geometry import (
@@ -579,13 +578,13 @@ def test_criterion_10_io_round_trips(tmp_path):
     assert (tmp_path / "calib.txt").read_bytes() == (tmp_path / "calib2.txt").read_bytes()
 
     depth = (rng.random((40, 60)) * 40).astype(np.float32).astype(float)
-    write_depth(tmp_path / "d.bin", depth)
-    write_depth(tmp_path / "d2.bin", read_depth(tmp_path / "d.bin"))
+    write_raster(tmp_path / "d.bin", depth)
+    write_raster(tmp_path / "d2.bin", read_depth(tmp_path / "d.bin"))
     assert (tmp_path / "d.bin").read_bytes() == (tmp_path / "d2.bin").read_bytes()
 
     flow = rng.normal(size=(40, 60, 2)).astype(np.float32).astype(float)
-    write_flow(tmp_path / "f.bin", flow)
-    write_flow(tmp_path / "f2.bin", read_flow(tmp_path / "f.bin"))
+    write_raster(tmp_path / "f.bin", flow)
+    write_raster(tmp_path / "f2.bin", read_flow(tmp_path / "f.bin"))
     assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "f2.bin").read_bytes()
 
     records = []

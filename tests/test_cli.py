@@ -564,6 +564,13 @@ class TestCliErrors:
             ("generate", {"grid": {"height": 200000, "width": 200000}}, ["grid:", "MAX_GRID_PIXELS"]),
             # within MAX_GRID_PIXELS, but a box grid of 4096 x 4096 cells at stride 1
             ("generate", {"grid": {"height": 4096, "width": 4096, "stride": 1}}, ["grid:", "MAX_GRID_CELLS"]),
+            # a camera image too large to allocate: refused before any output exists
+            (
+                "simulate",
+                {"simulate": {"n_frames": 2, "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 800.0, "cy": 187.0,
+                                                            "width": 200000, "height": 200000}}},
+                ["simulate.intrinsics:", "MAX_IMAGE_PIXELS"],
+            ),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):

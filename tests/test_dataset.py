@@ -7,6 +7,7 @@ import pytest
 
 from lidarpgt.bev import BoxGrid, GridSpec
 from lidarpgt.dataset import (
+    FRAME_FILES,
     Calibration,
     LabelRecord,
     load_sequence,
@@ -21,8 +22,6 @@ from lidarpgt.dataset import (
     write_box_grid,
     write_calib,
     write_cloud,
-    write_depth,
-    write_flow,
     write_labels,
     write_poses,
     write_raster,
@@ -258,6 +257,8 @@ class TestCalibIo:
             ("700 700 620 187 inf 375", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
             ("-700 700 620 187 1242 375", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
             ("700 700 620 187 1242 nope", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
+            # an image over MAX_IMAGE_PIXELS, too large to allocate
+            ("500 500 800 187 200000 200000", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
         ],
     )
     def test_non_finite_or_invalid_value_rejected(self, tmp_path, intrinsics, lidar_to_cam):
@@ -373,7 +374,7 @@ class TestRasterIo:
         rng = np.random.default_rng(3)
         depth = (rng.random((30, 40)) * 50).astype(np.float32).astype(float)
         path = tmp_path / "d.bin"
-        write_depth(path, depth)
+        write_raster(path, depth)
         again = read_depth(path)  # the stored float32 values, which callers may edit
         assert again.dtype == np.float32 and again.flags.writeable
         assert np.array_equal(again, depth)
@@ -382,7 +383,7 @@ class TestRasterIo:
         rng = np.random.default_rng(4)
         flow = rng.normal(size=(20, 25, 2)).astype(np.float32).astype(float)
         path = tmp_path / "f.bin"
-        write_flow(path, flow)
+        write_raster(path, flow)
         again = read_flow(path)
         assert again.dtype == np.float32 and again.flags.writeable
         assert np.array_equal(again, flow)
@@ -406,7 +407,7 @@ class TestRasterIo:
 
     def test_size_mismatch(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_depth(path, np.zeros((4, 4)))
+        write_raster(path, np.zeros((4, 4)))
         path.write_bytes(b"\x00" * 12)  # truncate payload
         with pytest.raises(MalformedFile):
             read_depth(path)
@@ -503,7 +504,7 @@ class TestRasterIo:
     )
     def test_malformed_sidecar_rejected(self, tmp_path, sidecar, field):
         path = tmp_path / "d.bin"
-        write_depth(path, np.zeros((4, 4)))
+        write_raster(path, np.zeros((4, 4)))
         sidecar_path = tmp_path / "d.bin.json"
         sidecar_path.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
         with pytest.raises(MalformedFile, match=f"{re.escape(str(sidecar_path))}.*{field}"):
@@ -545,6 +546,8 @@ class TestSequenceIndex:
         seq = load_sequence(tmp_path / "seq")
         assert seq.n_frames == 3
         assert seq.calibration.intrinsics.width == 800
+        for kind, (directory, suffix) in FRAME_FILES.items():
+            assert seq.path(kind, 2) == tmp_path / "seq" / directory / f"000002{suffix}"
 
     def test_rejects_gap_in_frame_indices(self, tmp_path):
         self._make_sequence(tmp_path / "seq")
@@ -576,14 +579,14 @@ class TestSequenceIndex:
         (root / "flow").mkdir()
         for t in range(3):
             rows, cols = (320, 800) if t == 0 else shape
-            write_depth(root / "depth" / f"{t:06d}.bin", np.ones((rows, cols)))
-            write_flow(root / "flow" / f"{t:06d}.bin", np.zeros((rows, cols, 2)))
+            write_raster(root / "depth" / f"{t:06d}.bin", np.ones((rows, cols)))
+            write_raster(root / "flow" / f"{t:06d}.bin", np.zeros((rows, cols, 2)))
         seq = load_sequence(root)
         assert seq.read_depth(0).shape == (320, 800)
         assert seq.read_flow(0).shape == (320, 800, 2)
-        with pytest.raises(MalformedFile, match=re.escape(f"{seq.depth_path(1)}: raster is")):
+        with pytest.raises(MalformedFile, match=re.escape(f"{seq.path('depth', 1)}: raster is")):
             seq.read_depth(1)
-        with pytest.raises(MalformedFile, match=re.escape(f"{seq.flow_path(2)}: raster is")):
+        with pytest.raises(MalformedFile, match=re.escape(f"{seq.path('flow', 2)}: raster is")):
             seq.read_flow(2)
 
     @pytest.mark.parametrize("reader", ["read_cloud", "read_depth", "read_flow", "read_labels"])

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 from lidarpgt.cli import build_parser
+from lidarpgt.dataset import FRAME_FILES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +20,10 @@ def test_command_line_block_parses():
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_sequence_layout_block_names_every_frame_kind():
+    section = README.read_text().split("## Sequence directory layout", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    for directory, suffix in FRAME_FILES.values():
+        assert f"  {directory}/000000{suffix}" in block, (directory, suffix)
