@@ -66,7 +66,7 @@ def build_parser() -> _Parser:
         "--proposals", type=_proposals, default="heuristic",
         help="'heuristic' or 'file:<dir>' with per-frame box-grid files",
     )
-    p.add_argument("--jobs", type=_count, default=0, help="frame-level workers (0 = all cores)")
+    p.add_argument("--jobs", type=_count, default=0, help="frame-level workers (0 = every usable CPU)")
     p.add_argument("--config", help="JSON config file overriding the defaults")
     p.set_defaults(func=cmd_generate)
 
@@ -182,7 +182,9 @@ def cmd_generate(args) -> int:
     work = functools.partial(_generate_frame, seq, cfg, args.proposals, out)
     (out / "label_pgt").mkdir(parents=True, exist_ok=True)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    jobs = min(args.jobs or os.cpu_count() or 1, n_windows)
+    # --jobs 0: the CPUs this process may run on, where the platform can say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(args.jobs or cpus or 1, n_windows)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         results = list((pool.map if pool else map)(work, range(n_windows)))
     remove_frames_from(out / "label_pgt", n_windows, ".txt")

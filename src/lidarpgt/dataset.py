@@ -10,10 +10,12 @@ Directory layout of a sequence:
       calib.txt                 intrinsics + lidar->camera extrinsics
       label_2/000000.txt ...    KITTI-format labels (optional)
 
-All binary payloads are little-endian float32 with a JSON sidecar recording
-shape, dtype and order. `FRAME_FILES` holds the directory and suffix of the
-four per-frame kinds. Every frame file is named `<t:06d><suffix>` in its
-directory: `frame_path` builds such a name and `frame_index` reads it back.
+All binary payloads are little-endian float32. A raster's JSON sidecar records
+its shape, dtype and order; its reader passes the shape it expects, and a
+sidecar that declares another is rejected before the payload is read.
+`FRAME_FILES` holds the directory and suffix of the four per-frame kinds.
+Every frame file is named `<t:06d><suffix>` in its directory: `frame_path`
+builds such a name and `frame_index` reads it back.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -336,9 +339,10 @@ def write_raster(path, array):
     _sidecar_path(path).write_text(json.dumps(meta) + "\n")
 
 
-def read_raster(path):
+def read_raster(path, shape) -> np.ndarray:
     """Read a raster written by write_raster as the writable float32 array it
-    stores; sidecar keys it does not use are ignored."""
+    stores, of `shape`: (rows, cols) for one channel, else (rows, cols, channels).
+    The sidecar must declare that shape; keys it does not use are ignored."""
     meta_path = _sidecar_path(path)
     if not meta_path.exists():
         raise MalformedFile(f"{path}: missing sidecar {meta_path}")
@@ -348,36 +352,17 @@ def read_raster(path):
         raise MalformedFile(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise MalformedFile(f"{meta_path}: sidecar must be a JSON object")
-    for key in ("rows", "cols", "channels"):
-        value = meta.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise MalformedFile(f"{meta_path}: {key!r} must be an integer >= 1")
+    for key, want in zip(("rows", "cols", "channels"), (*shape, 1)):  # a 2-tuple has one channel
+        if type(meta.get(key)) is not int or meta[key] != want:
+            raise ShapeMismatch(f"{meta_path}: {key!r} is {reprlib.repr(meta.get(key))}, expected {want}")
     for key, value in (("dtype", "<f4"), ("order", "row-major")):
         if meta.get(key) != value:
             raise MalformedFile(f"{meta_path}: {key!r} must be {value!r}")
-    rows, cols, channels = meta["rows"], meta["cols"], meta["channels"]
     size = Path(path).stat().st_size
-    expected = rows * cols * channels * 4
+    expected = math.prod(shape) * 4
     if size != expected:
         raise MalformedFile(f"{path}: size {size}, sidecar implies {expected}")
-    arr = _finite_floats(np.fromfile(path, dtype="<f4"), path).reshape(rows, cols, channels)
-    if channels == 1:
-        arr = arr[:, :, 0]
-    return arr
-
-
-def read_depth(path) -> np.ndarray:
-    arr = read_raster(path)
-    if arr.ndim != 2:
-        raise MalformedFile(f"{path}: depth raster must have a single channel")
-    return arr
-
-
-def read_flow(path) -> np.ndarray:
-    arr = read_raster(path)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise MalformedFile(f"{path}: flow raster must have two channels")
-    return arr
+    return _finite_floats(np.fromfile(path, dtype="<f4"), path).reshape(shape)
 
 
 def write_box_grid(path, grid: BoxGrid):
@@ -385,13 +370,10 @@ def write_box_grid(path, grid: BoxGrid):
 
 
 def read_box_grid(path, spec: GridSpec) -> BoxGrid:
-    """Read a box grid, checking its shape and every cell's code: no centre
+    """Read a box grid of `spec`'s shape, checking every cell's code: no centre
     offset beyond the grid's extent on its axis, no negative size and a
     confidence in [0, 1]."""
-    data = read_raster(path)
-    expected = (spec.out_rows, spec.out_cols, 8)
-    if data.shape != expected:
-        raise ShapeMismatch(f"{path}: box grid has shape {data.shape}, expected {expected}")
+    data = read_raster(path, (spec.out_rows, spec.out_cols, 8))
     span = [hi - lo for lo, hi in (spec.x_range, spec.y_range, spec.z_range)]
     faults = (
         ("box offset", "exceeds the grid span", (np.abs(data[:, :, 0:3]) > span).any(axis=2)),
@@ -525,21 +507,12 @@ class SequenceIndex:
         return read_cloud(self.path("cloud", t))
 
     def read_depth(self, t) -> np.ndarray:
-        return self._image_sized(read_depth, self.path("depth", t))
+        intr = self.calibration.intrinsics
+        return read_raster(self.path("depth", t), (intr.height, intr.width))
 
     def read_flow(self, t) -> np.ndarray:
-        return self._image_sized(read_flow, self.path("flow", t))
-
-    def _image_sized(self, reader, path) -> np.ndarray:
-        """A raster read by `reader`, checked to cover the calibrated image."""
-        arr = reader(path)
         intr = self.calibration.intrinsics
-        if arr.shape[:2] != (intr.height, intr.width):
-            raise MalformedFile(
-                f"{path}: raster is {arr.shape[0]}x{arr.shape[1]}, "
-                f"the calibrated image is {intr.height}x{intr.width}"
-            )
-        return arr
+        return read_raster(self.path("flow", t), (intr.height, intr.width, 2))
 
     def read_labels(self, t) -> list[LabelRecord]:
         return read_labels(self.path("label", t))

@@ -25,7 +25,7 @@ class MalformedLine(LidarPgtError):
     """A text file line does not parse."""
 
 
-class ShapeMismatch(LidarPgtError):
+class ShapeMismatch(MalformedFile):
     """A stored grid does not match the expected shape."""
 
 

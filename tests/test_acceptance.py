@@ -16,10 +16,9 @@ from lidarpgt.dataset import (
     LabelRecord,
     read_calib,
     read_cloud,
-    read_depth,
-    read_flow,
     read_labels,
     read_poses,
+    read_raster,
     write_calib,
     write_cloud,
     write_labels,
@@ -579,12 +578,12 @@ def test_criterion_10_io_round_trips(tmp_path):
 
     depth = (rng.random((40, 60)) * 40).astype(np.float32).astype(float)
     write_raster(tmp_path / "d.bin", depth)
-    write_raster(tmp_path / "d2.bin", read_depth(tmp_path / "d.bin"))
+    write_raster(tmp_path / "d2.bin", read_raster(tmp_path / "d.bin", depth.shape))
     assert (tmp_path / "d.bin").read_bytes() == (tmp_path / "d2.bin").read_bytes()
 
     flow = rng.normal(size=(40, 60, 2)).astype(np.float32).astype(float)
     write_raster(tmp_path / "f.bin", flow)
-    write_raster(tmp_path / "f2.bin", read_flow(tmp_path / "f.bin"))
+    write_raster(tmp_path / "f2.bin", read_raster(tmp_path / "f.bin", flow.shape))
     assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "f2.bin").read_bytes()
 
     records = []

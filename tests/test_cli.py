@@ -243,8 +243,16 @@ class TestCliRoundTrip:
         assert main(["evaluate-loss", str(workspace / "seq"), "--pgt", str(out), "--config", str(cfg)]) == 0
         assert [line[:10] for line in capsys.readouterr().out.splitlines()[:-1]] == ["frame 0000", "frame 0001"]
 
-    @pytest.mark.parametrize("jobs", ["5000", "0"])
-    def test_workers_capped_at_window_count(self, workspace, tmp_path, monkeypatch, jobs):
+    @pytest.mark.parametrize(
+        "jobs, usable_cpus, pools",
+        [
+            pytest.param("5000", range(64), [2], id="5000"),
+            pytest.param("0", range(64), [2], id="0"),
+            pytest.param("0", {0}, [], id="0-one-usable-cpu"),
+        ],
+    )
+    def test_workers_capped_at_window_count(self, workspace, tmp_path, monkeypatch, jobs, usable_cpus, pools):
+        """--jobs 0 counts the CPUs this process may run on, not every CPU of the machine."""
         import lidarpgt.cli as cli
 
         started = []
@@ -266,10 +274,11 @@ class TestCliRoundTrip:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(usable_cpus), raising=False)
         out = tmp_path / "pgt"
         argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(workspace / "cfg.json")]
         assert main(argv + ["--jobs", jobs]) == 0
-        assert started == [2]  # 5 frames, horizon 3: two windows
+        assert started == pools  # 5 frames, horizon 3: two windows; one usable CPU starts no pool
         for name in ("label_pgt/000001.txt", "diagnostics/000001.json"):
             assert (workspace / "pgt" / name).read_bytes() == (out / name).read_bytes()
 
@@ -382,8 +391,7 @@ class TestCliRoundTrip:
             ]
         )
         assert code == 0
-        arr = read_raster(raster)
-        assert arr.shape == (608, 608, 3)
+        arr = read_raster(raster, (608, 608, 3))
         assert arr.min() >= 0.0 and arr.max() <= 1.0
 
 
@@ -623,11 +631,19 @@ class TestCliErrors:
 
 
 
+def _stored_raster(path):
+    """The raster at `path`, (rows, cols, channels) as its sidecar declares."""
+    from lidarpgt.dataset import read_raster
+
+    meta = json.loads(Path(str(path) + ".json").read_text())
+    return read_raster(path, (meta["rows"], meta["cols"], meta["channels"]))
+
+
 def _poison_raster(value):
     def corrupt(path):
-        from lidarpgt.dataset import read_raster, write_raster
+        from lidarpgt.dataset import write_raster
 
-        arr = read_raster(path)
+        arr = _stored_raster(path)
         arr.reshape(-1)[-1] = value  # for a box grid: the last pixel's confidence
         write_raster(path, arr)
 
@@ -636,9 +652,9 @@ def _poison_raster(value):
 
 def _offset_occupied_cells(value):
     def corrupt(path):
-        from lidarpgt.dataset import read_raster, write_raster
+        from lidarpgt.dataset import write_raster
 
-        arr = read_raster(path)
+        arr = _stored_raster(path)
         arr[arr[:, :, 7] > 0, 0:3] = value
         write_raster(path, arr)
 
@@ -647,13 +663,23 @@ def _offset_occupied_cells(value):
 
 def _set_grid_channel(channel, value, cells=(slice(None), slice(None))):
     def corrupt(path):
-        from lidarpgt.dataset import read_raster, write_raster
+        from lidarpgt.dataset import write_raster
 
-        arr = read_raster(path)
+        arr = _stored_raster(path)
         arr[(*cells, channel)] = value
         write_raster(path, arr)
 
     return corrupt
+
+
+def _halve_rows(path):
+    """Rewrite a raster with its first half of rows, payload and sidecar alike;
+    returns the sidecar, which the error must name."""
+    from lidarpgt.dataset import write_raster
+
+    arr = _stored_raster(path)
+    write_raster(path, arr[: len(arr) // 2])
+    return str(path) + ".json"
 
 
 def _set_sidecar(named=None, **fields):
@@ -808,6 +834,8 @@ CORRUPTIONS = {
     # same byte count as the 320x800 camera's rasters, wrong image shape
     "depth-shape-160x1600": ("seq/depth/000001.bin.json", _set_sidecar(rows=160, cols=1600)),
     "flow-shape-160x1600": ("seq/flow/000000.bin.json", _set_sidecar(rows=160, cols=1600)),
+    # a self-consistent raster of half the image's rows: rejected by its sidecar, before the payload is read
+    "depth-half-rows": ("seq/depth/000000.bin", _halve_rows),
     # the reader reads only the float32 row-major layout that write_raster writes
     "depth-sidecar-f8-column-major": (
         "seq/depth/000001.bin.json", _set_sidecar("'dtype'", dtype="<f8", order="column-major")

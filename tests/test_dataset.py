@@ -14,8 +14,6 @@ from lidarpgt.dataset import (
     read_box_grid,
     read_calib,
     read_cloud,
-    read_depth,
-    read_flow,
     read_labels,
     read_poses,
     read_raster,
@@ -375,7 +373,7 @@ class TestRasterIo:
         depth = (rng.random((30, 40)) * 50).astype(np.float32).astype(float)
         path = tmp_path / "d.bin"
         write_raster(path, depth)
-        again = read_depth(path)  # the stored float32 values, which callers may edit
+        again = read_raster(path, (30, 40))  # the stored float32 values, which callers may edit
         assert again.dtype == np.float32 and again.flags.writeable
         assert np.array_equal(again, depth)
 
@@ -384,7 +382,7 @@ class TestRasterIo:
         flow = rng.normal(size=(20, 25, 2)).astype(np.float32).astype(float)
         path = tmp_path / "f.bin"
         write_raster(path, flow)
-        again = read_flow(path)
+        again = read_raster(path, (20, 25, 2))
         assert again.dtype == np.float32 and again.flags.writeable
         assert np.array_equal(again, flow)
 
@@ -403,14 +401,14 @@ class TestRasterIo:
         path = tmp_path / "d.bin"
         path.write_bytes(b"\x00" * 16)
         with pytest.raises(MalformedFile):
-            read_raster(path)
+            read_raster(path, (2, 2))
 
     def test_size_mismatch(self, tmp_path):
         path = tmp_path / "d.bin"
         write_raster(path, np.zeros((4, 4)))
         path.write_bytes(b"\x00" * 12)  # truncate payload
         with pytest.raises(MalformedFile):
-            read_depth(path)
+            read_raster(path, (4, 4))
 
     def test_box_grid_round_trip_and_shape_check(self, tmp_path):
         spec = GridSpec(height=32, width=32, stride=4)
@@ -508,7 +506,7 @@ class TestRasterIo:
         sidecar_path = tmp_path / "d.bin.json"
         sidecar_path.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
         with pytest.raises(MalformedFile, match=f"{re.escape(str(sidecar_path))}.*{field}"):
-            read_raster(path)
+            read_raster(path, (4, 4))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 2), (8, 8, 8)])
@@ -518,7 +516,7 @@ class TestRasterIo:
         path = tmp_path / "r.bin"
         write_raster(path, data)
         with pytest.raises(MalformedFile, match=re.escape(f"{path}: non-finite")):
-            read_raster(path)
+            read_raster(path, shape)
 
     def test_old_sidecar_with_sentinel_loads(self, tmp_path):
         path, sidecar = tmp_path / "r.bin", tmp_path / "r.bin.json"
@@ -527,7 +525,7 @@ class TestRasterIo:
         assert sorted(meta) == ["channels", "cols", "dtype", "order", "rows"]
         # earlier versions also wrote the invalid-value sentinel, which no reader used
         sidecar.write_text(json.dumps(dict(meta, sentinel=-1.0)) + "\n")
-        assert np.array_equal(read_raster(path), np.ones((3, 3)))
+        assert np.array_equal(read_raster(path, (3, 3)), np.ones((3, 3)))
 
 
 class TestSequenceIndex:
@@ -584,10 +582,44 @@ class TestSequenceIndex:
         seq = load_sequence(root)
         assert seq.read_depth(0).shape == (320, 800)
         assert seq.read_flow(0).shape == (320, 800, 2)
-        with pytest.raises(MalformedFile, match=re.escape(f"{seq.path('depth', 1)}: raster is")):
+        # the sidecar names the first axis that differs from the calibrated image
+        key, stored, expected = next(a for a in zip(("rows", "cols"), shape, (320, 800)) if a[1] != a[2])
+        fault = f"{key!r} is {stored}, expected {expected}"
+        with pytest.raises(MalformedFile, match=re.escape(f"{seq.path('depth', 1)}.json: {fault}")):
             seq.read_depth(1)
-        with pytest.raises(MalformedFile, match=re.escape(f"{seq.path('flow', 2)}: raster is")):
+        with pytest.raises(MalformedFile, match=re.escape(f"{seq.path('flow', 2)}.json: {fault}")):
             seq.read_flow(2)
+
+    @pytest.mark.parametrize(
+        "kind, stored, fault",
+        [
+            ("depth", (160, 1600), "'rows' is 160, expected 320"),
+            ("depth", (320, 400, 2), "'cols' is 400, expected 800"),
+            ("flow", (320, 800, 1), "'channels' is 1, expected 2"),
+            ("flow", (640, 400, 2), "'rows' is 640, expected 320"),
+            ("grid", (16, 4, 8), "'rows' is 16, expected 8"),
+            ("grid", (8, 8, 16), "'channels' is 16, expected 8"),
+        ],
+    )
+    def test_shape_checked_before_the_payload_is_read(self, tmp_path, monkeypatch, kind, stored, fault):
+        """A sidecar that declares another shape than the reader's, with a payload
+        of the size it declares, is rejected naming the sidecar and the key."""
+        import lidarpgt.dataset as dataset
+
+        self._make_sequence(tmp_path / "seq", n=1)
+        seq = load_sequence(tmp_path / "seq")
+        spec = GridSpec(height=32, width=32, stride=4)  # 8x8 cells
+        path = tmp_path / "grid.bin" if kind == "grid" else seq.path(kind, 0)
+        path.parent.mkdir(exist_ok=True)
+        write_raster(path, np.ones(stored))
+        read = {"depth": seq.read_depth, "flow": seq.read_flow, "grid": lambda t: read_box_grid(path, spec)}[kind]
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(dataset.np, "fromfile", unread)
+        with pytest.raises(ShapeMismatch, match=re.escape(f"{path}.json: {fault}")):
+            read(0)
 
     @pytest.mark.parametrize("reader", ["read_cloud", "read_depth", "read_flow", "read_labels"])
     @pytest.mark.parametrize("t", [3, 99, -1])

@@ -522,9 +522,9 @@ class TestFloat32Rasters:
         reads = []
         read_raster = dataset.read_raster
 
-        def recording(path):
+        def recording(path, shape):
             reads.append(Path(path).relative_to(tmp_path / "seq").as_posix())
-            return read_raster(path)
+            return read_raster(path, shape)
 
         monkeypatch.setattr(dataset, "read_raster", recording)
         return FrameWindow.from_sequence(load_sequence(tmp_path / "seq"), 0, 3), reads
