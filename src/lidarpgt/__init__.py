@@ -8,7 +8,7 @@ receive full box supervision. A synthetic scene simulator and a detection
 evaluation harness round out the toolkit.
 """
 
-from .bev import BoxCode, BoxGrid, GridSpec, decode_box, encode_box, pillar_centre, rasterize
+from .bev import BoxGrid, GridSpec, encode_box, pillar_centre, rasterize
 from .evaluation import average_precision, per_class_accuracy
 from .geometry import (
     AABB2,

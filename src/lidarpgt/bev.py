@@ -44,8 +44,8 @@ class GridSpec:
 
     def __post_init__(self):
         for lo, hi in (self.x_range, self.y_range, self.z_range):
-            if not hi > lo:
-                raise ValueError("volume ranges must be non-empty")
+            if not (hi > lo and math.isfinite(hi - lo) and math.isfinite(hi + lo)):
+                raise ValueError("volume ranges must be non-empty, with a finite width and midpoint")
         if self.height <= 0 or self.width <= 0 or self.stride <= 0:
             raise ValueError("grid sizes must be positive")
         if self.height * self.width > MAX_GRID_PIXELS:
@@ -82,31 +82,6 @@ class GridSpec:
         return self.y_res * self.stride
 
 
-@dataclass(frozen=True, eq=False)
-class BoxCode:
-    """One output pixel's 8-tuple: centre offset, dims, yaw and confidence."""
-
-    delta: np.ndarray
-    dims: np.ndarray
-    yaw: float
-    confidence: float
-
-    def __post_init__(self):
-        delta = np.array(self.delta, dtype=float).reshape(3)
-        dims = np.array(self.dims, dtype=float).reshape(3)
-        if np.any(dims < 0):
-            raise ValueError("box code dims must be >= 0")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-        delta.flags.writeable = False
-        dims.flags.writeable = False
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "dims", dims)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.delta, self.dims, [self.yaw, self.confidence]])
-
-
 class BoxGrid:
     """Dense (rows, cols, 8) image of box codes."""
 
@@ -132,9 +107,12 @@ class BoxGrid:
     def confidence(self) -> np.ndarray:
         return self.data[:, :, 7]
 
-    def set_code(self, pixel, code: BoxCode):
-        r, c = pixel
-        self.data[r, c] = code.as_array()
+    def set_code(self, pixel, code):
+        """Write a pixel's code, [dx, dy, dz, size_x, size_y, size_z, yaw, confidence]."""
+        code = np.asarray(code, dtype=float)
+        if code.shape != (8,) or np.any(code[3:6] < 0) or not 0.0 <= code[7] <= 1.0:
+            raise ValueError("a box code is 8 values with sizes >= 0 and a confidence in [0, 1]")
+        self.data[pixel[0], pixel[1]] = code
 
 
 def require_grid_shape(grid: BoxGrid, spec: GridSpec):
@@ -237,13 +215,8 @@ def grid_centres(grid: BoxGrid, spec: GridSpec) -> np.ndarray:
     return (base + grid.data[:, :, 0:3]).reshape(-1, 3)
 
 
-def decode_box(pixel, code: BoxCode, spec: GridSpec) -> Obb3:
-    """Lidar-frame box of a pixel's code: pillar centre plus offset (requires positive dims)."""
-    return Obb3(pillar_centre(pixel, spec) + code.delta, code.dims, code.yaw, LIDAR)
-
-
 def encode_box(box: Obb3, spec: GridSpec, confidence: float = 1.0):
-    """Inverse of decode_box: the grid pixel containing the centre, plus its code."""
+    """The grid pixel holding a lidar-frame box's centre, and the 8-float code that `grid_centres` decodes."""
     if box.frame != LIDAR:
         raise ValueError("encode_box expects a lidar-frame box")
     c = box.centre
@@ -251,5 +224,4 @@ def encode_box(box: Obb3, spec: GridSpec, confidence: float = 1.0):
         raise OutOfVolume(f"box centre {c.tolist()} outside the rasterized volume")
     row, col = _cell_index(c, spec, spec.stride)
     pixel = (int(row), int(col))
-    delta = c - pillar_centre(pixel, spec)
-    return pixel, BoxCode(delta, box.dims, box.yaw, confidence)
+    return pixel, np.concatenate([c - pillar_centre(pixel, spec), box.dims, [box.yaw, confidence]])

@@ -208,7 +208,7 @@ def _thresholds(text: str) -> list[float]:
         else:
             start, stop, step = (float(v) for v in text.split(":"))
             values = []
-            while step >= _MIN_IOU_STEP and start <= stop + 1e-9:
+            while 0 < start <= stop + 1e-9 and stop <= 1 and step >= _MIN_IOU_STEP:  # at most 10**6 + 1 values
                 values.append(round(start, 6))
                 start += step
     except ValueError:

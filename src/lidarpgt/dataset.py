@@ -572,5 +572,5 @@ def load_sequence(root) -> SequenceIndex:
         if (root / FRAME_FILES[kind][0]).is_dir():
             for p in (index.path(kind, t) for t in range(index.n_frames)):
                 if not p.exists():
-                    raise MalformedFile(f"{root}: missing {p.relative_to(root)}")
+                    raise MalformedFile(f"{p}: missing frame file")
     return index

@@ -52,6 +52,8 @@ from .pipeline import default_anchors
 # The most points a frame may hold, the ground's and every object's together.
 # `simulate` peaks at about 350 MB of resident memory just under it.
 MAX_FRAME_POINTS = 2_000_000
+# Metres from the origin, along any axis, that the ground or a body may reach: keeps poses and points finite.
+MAX_REACH_M = 1e6
 LIDAR_TO_CAM = kitti_lidar_to_camera()  # every simulated scene's extrinsics
 _INTENSITY_RANGE = (0.2, 0.9)  # point intensities are drawn uniformly from it
 _CLASS_DENSITY = {"vehicle": 150.0, "pedestrian": 400.0, "cyclist": 400.0}
@@ -141,6 +143,17 @@ class SimConfig:
         x0, x1, z0, z1 = self.ground_extent
         if not (x1 > x0 and z1 > z0):
             raise ConfigInvalid("ground extent must be a non-empty rectangle")
+        reach = {"ground_extent": max(map(abs, self.ground_extent)), "ground_y": abs(self.ground_y)}
+        bodies = [("ego", self.ego, self.ego.heading)] + [(f"objects[{i}]", o, o.yaw) for i, o in enumerate(self.objects)]
+        last = self.n_frames - 1.0  # a float, so that a product past the float range is inf, not an error
+        for key, body, heading in bodies:
+            if not np.isfinite(_heading_at(body, heading, last)):
+                raise ConfigInvalid(f"{key}.yaw_rate: the heading leaves the float range by frame {self.n_frames - 1}")
+            reach[f"{key}.position"] = max(map(abs, body.position))
+            reach[f"{key}.velocity"] = max(abs(p) + last * abs(v) for p, v in zip(body.position, body.velocity))
+        for key, metres in reach.items():
+            if not metres <= MAX_REACH_M:
+                raise ConfigInvalid(f"{key}: reaches past MAX_REACH_M = {MAX_REACH_M:g} m from the origin")
         counts = {"ground_density": _point_count((x1 - x0) * (z1 - z0), self.ground_density)}
         for i, obj in enumerate(self.objects):
             counts[f"objects[{i}].density"] = sum(count for *_, count in _shell_faces(obj.dims, obj.density))

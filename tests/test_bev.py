@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from lidarpgt.bev import (
-    BoxCode,
     BoxGrid,
     GridSpec,
-    decode_box,
     encode_box,
+    grid_centres,
     in_volume_mask,
     pillar_centre,
     rasterize,
@@ -223,21 +222,32 @@ class TestVolumeEdge:
         assert pixel == (EDGE.out_rows - 1, EDGE.out_cols - 1)
 
 
+def decoded(grid, spec, pixel):
+    """The centre, sizes and yaw that `grid_centres` and the code channels give a grid pixel."""
+    centre = grid_centres(grid, spec).reshape(spec.out_rows, spec.out_cols, 3)[pixel]
+    return centre, grid.data[pixel][3:6], grid.data[pixel][6]
+
+
 class TestEncodeDecode:
     def test_zero_delta(self):
         spec = GridSpec()
-        code = BoxCode(np.zeros(3), (1.0, 1.0, 1.0), 0.3, 0.5)
-        box = decode_box((10, 20), code, spec)
-        assert np.allclose(box.centre, pillar_centre((10, 20), spec))
+        grid = BoxGrid.zeros(spec)
+        grid.set_code((10, 20), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.3, 0.5])
+        centre, _, _ = decoded(grid, spec, (10, 20))
+        assert np.allclose(centre, pillar_centre((10, 20), spec))
 
     def test_delta_shifts_centre(self):
         spec = GridSpec()
-        base = decode_box((3, 4), BoxCode(np.zeros(3), np.ones(3), 0.0, 0.0), spec).centre
-        shifted = decode_box((3, 4), BoxCode((1.0, 0.0, 0.0), np.ones(3), 0.0, 0.0), spec).centre
+        grid = BoxGrid.zeros(spec)
+        grid.set_code((3, 4), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        base, _, _ = decoded(grid, spec, (3, 4))
+        grid.set_code((3, 4), [1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        shifted, _, _ = decoded(grid, spec, (3, 4))
         assert np.allclose(shifted - base, [1.0, 0.0, 0.0])
 
     def test_round_trip_random_boxes(self):
         spec = GridSpec()
+        grid = BoxGrid.zeros(spec)
         rng = np.random.default_rng(3)
         for _ in range(1000):
             centre = [
@@ -247,10 +257,12 @@ class TestEncodeDecode:
             ]
             box = Obb3(centre, rng.uniform(0.2, 5, 3), rng.uniform(-1.5, 1.5), LIDAR)
             pixel, code = encode_box(box, spec, confidence=0.7)
-            out = decode_box(pixel, code, spec)
-            assert np.abs(out.centre - box.centre).max() < 1e-9
-            assert np.abs(out.dims - box.dims).max() < 1e-9
-            assert out.yaw == pytest.approx(box.yaw, abs=1e-12)
+            grid.set_code(pixel, code)
+            out_centre, out_dims, out_yaw = decoded(grid, spec, pixel)
+            assert np.abs(out_centre - box.centre).max() < 1e-9
+            assert np.abs(out_dims - box.dims).max() < 1e-9
+            assert out_yaw == pytest.approx(box.yaw, abs=1e-12)
+            assert grid.confidence[pixel] == 0.7
 
     def test_encode_out_of_volume(self):
         with pytest.raises(OutOfVolume):
@@ -260,10 +272,28 @@ class TestEncodeDecode:
 class TestBoxGrid:
     def test_code_round_trip(self):
         grid = BoxGrid.zeros(GridSpec())
-        code = BoxCode((0.1, -0.2, 0.3), (1.0, 2.0, 3.0), 0.5, 0.9)
+        code = [0.1, -0.2, 0.3, 1.0, 2.0, 3.0, 0.5, 0.9]
         grid.set_code((5, 7), code)
-        assert np.allclose(grid.data[5, 7], code.as_array())
+        assert grid.data[5, 7].tolist() == code
+        assert np.count_nonzero(grid.data) == 8
 
     def test_confidence_validation(self):
+        grid = BoxGrid.zeros(GridSpec())
         with pytest.raises(ValueError):
-            BoxCode(np.zeros(3), np.zeros(3), 0.0, 1.5)
+            grid.set_code((5, 7), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.5])
+        assert not grid.data.any()
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            [0.0, 0.0, 0.0, 1.0, -0.5, 1.0, 0.0, 0.5],  # a negative size
+            [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5],  # 7 values
+            [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.0],  # 9 values
+            [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, float("nan")],
+        ],
+    )
+    def test_rejects_malformed_code(self, code):
+        grid = BoxGrid.zeros(GridSpec())
+        with pytest.raises(ValueError):
+            grid.set_code((5, 7), code)
+        assert not grid.data.any()

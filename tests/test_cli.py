@@ -1,6 +1,8 @@
 import functools
 import json
 import operator
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lidarpgt
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
 from lidarpgt.dataset import (
@@ -16,6 +19,9 @@ from lidarpgt.dataset import (
 )
 from lidarpgt.errors import LidarPgtError
 from lidarpgt.pipeline import generate_pseudo_labels
+
+# `evaluate --iou` ranges with an end past (0, 1] that a loop over their values would never finish
+UNBOUNDED_IOU_RANGES = ("0.5:inf:0.1", "0.5:1e9:0.5", "-inf:0.5:0.1")
 
 CONFIG = {
     "simulate": {
@@ -335,7 +341,7 @@ class TestCliRoundTrip:
         assert a.count("\n") == b.count("\n")
 
     def test_render_draws_file_backed_proposals(self, workspace, tmp_path, capsys):
-        from lidarpgt.bev import BoxCode, BoxGrid, pillar_centre
+        from lidarpgt.bev import BoxGrid, pillar_centre
         from lidarpgt.config import load_config
         from lidarpgt.dataset import read_box_grid, write_box_grid
         from lidarpgt.geometry import LIDAR, Obb3
@@ -347,7 +353,7 @@ class TestCliRoundTrip:
         # one proposal above the confidence threshold in frame 0, no grid file for frame 1
         pixel = (spec.out_rows // 2, spec.out_cols // 2)
         grid = BoxGrid.zeros(spec)
-        grid.set_code(pixel, BoxCode((0.1, -0.2, 0.0), (4.0, 1.8, 1.5), 0.4, 0.9))
+        grid.set_code(pixel, (0.1, -0.2, 0.0, 4.0, 1.8, 1.5, 0.4, 0.9))
         write_box_grid(grids / "000000.bin", grid)
 
         def render(frame, name, *proposals):
@@ -579,16 +585,42 @@ class TestCliErrors:
                                                             "width": 200000, "height": 200000}}},
                 ["simulate.intrinsics:", "MAX_IMAGE_PIXELS"],
             ),
+            # a grid range whose width or midpoint leaves the float range
+            ("generate", {"grid": {"x_range": [-1e308, 1e308]}}, ["grid:", "finite width"]),
+            ("generate", {"grid": {"y_range": [-1e308, 1e308]}}, ["grid:", "finite width"]),
+            ("generate", {"grid": {"z_range": [1e308, 1.7e308]}}, ["grid:", "midpoint"]),
+            ("render", {"grid": {"x_range": [-1e308, 1e308]}}, ["grid:", "finite width"]),
+            ("render", {"grid": {"y_range": [-1e308, 1e308]}}, ["grid:", "finite width"]),
+            ("render", {"grid": {"z_range": [1e308, 1.7e308]}}, ["grid:", "midpoint"]),
+            # a simulated body, or the ground, past MAX_REACH_M, or a heading past the float range
+            (
+                "simulate",
+                {"simulate": {"objects": [{"cls": "vehicle", "position": [3.0, 12.0], "velocity": [1e308, 0.0]}]}},
+                ["simulate: objects[0].velocity:", "MAX_REACH_M"],
+            ),
+            (
+                "simulate",
+                {"simulate": {"objects": [{"cls": "vehicle", "position": [1e308, 15.0]}]}},
+                ["simulate: objects[0].position:", "MAX_REACH_M"],
+            ),
+            ("simulate", {"simulate": {"ego": {"yaw_rate": 1e308}}}, ["simulate: ego.yaw_rate:", "float range"]),
+            (
+                "simulate",
+                {"simulate": {"ground_extent": [-1e308, 1e308, 4.0, 30.0], "ground_density": 0.0}},
+                ["simulate: ground_extent:", "MAX_REACH_M"],
+            ),
+            ("simulate", {"simulate": {"ground_y": 1e308}}, ["simulate: ground_y:", "MAX_REACH_M"]),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
         out = str(tmp_path / "out")
-        if command == "generate":
-            argv = ["generate", str(workspace / "seq"), "--out", out, "--config", str(cfg)]
-        else:
-            argv = ["simulate", "--out", out, "--config", str(cfg)]
+        argv = {
+            "generate": ["generate", str(workspace / "seq"), "--out", out, "--config", str(cfg)],
+            "render": ["render", str(workspace / "seq"), "--out", out, "--overlays", "gt,proposals", "--config", str(cfg)],
+            "simulate": ["simulate", "--out", out, "--config", str(cfg)],
+        }[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
@@ -596,22 +628,26 @@ class TestCliErrors:
         assert not Path(out).exists()
 
     @pytest.mark.parametrize(
-        "iou", ["0.1:0.7:0", "0.1:0.7:-0.1", "0.1:0.7:nan", "nan", "0.1,nan", "0", "-0.2", "1.5", "0.1:1.2:0.1"]
+        "iou",
+        [
+            "0.1:0.7:0", "0.1:0.7:-0.1", "0.1:0.7:nan", "nan", "0.1,nan", "0", "-0.2", "1.5", "0.1:1.2:0.1",
+            "abc", "0.1:0.7", *UNBOUNDED_IOU_RANGES,
+        ],
     )
     def test_bad_iou_thresholds(self, workspace, capsys, iou):
-        code = main(
-            [
-                "evaluate",
-                "--dets",
-                str(workspace / "pgt" / "label_pgt"),
-                "--gt",
-                str(workspace / "seq" / "label_2"),
-                "--iou",
-                iou,
-            ]
-        )
+        # `--iou=<range>`, so that a range starting with "-inf" is not read as a flag
+        argv = ["evaluate", "--dets", str(workspace / "pgt" / "label_pgt"), "--gt", str(workspace / "seq" / "label_2"),
+                f"--iou={iou}"]
+        if iou in UNBOUNDED_IOU_RANGES:  # a child, so that a range that never ends fails the test, not hangs it
+            src = str(Path(lidarpgt.__file__).parents[1])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            child = subprocess.run([sys.executable, "-m", "lidarpgt.cli", *argv], env=env, capture_output=True,
+                                   text=True, timeout=15)
+            code, err = child.returncode, child.stderr
+        else:
+            code, err = main(argv), capsys.readouterr().err
         assert code == 1
-        assert "--iou" in capsys.readouterr().err
+        assert "--iou" in err and len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize(
         "iou, pair, key",
@@ -882,6 +918,9 @@ CORRUPTIONS = {
     "dets-stray-name": ("dets/notes.txt", _write_text("scored by hand\n")),
     "dets-score-above-one": ("dets/000000.txt", _append_score(0, 1.5)),
     "dets-fractional-occlusion": ("dets/000000.txt", _set_field(0, 2, "1.7")),
+    # a middle frame's raster gone: refused when the sequence is indexed, before any frame is read
+    "flow-missing-frame": ("seq/flow/000003.bin", Path.unlink),
+    "depth-missing-frame": ("seq/depth/000002.bin", Path.unlink),
 }
 
 
@@ -893,6 +932,8 @@ READERS = {
     "seq/label_2/": ("evaluate", "render"),
     "dets/": ("evaluate",),
     "seq/velodyne/": ("generate", "evaluate-loss", "render"),
+    "seq/flow/000003.bin": ("generate", "evaluate-loss", "render"),
+    "seq/depth/000002.bin": ("generate", "evaluate-loss", "render"),
     "seq/": ("generate",),
     "pgt/diagnostics/foo.json": ("evaluate-loss",),
     "pgt/diagnostics/1.json": ("evaluate-loss",),
