@@ -288,10 +288,10 @@ def cmd_render(args) -> int:
         centres = grid_centres(grid, cfg.grid)[shown.reshape(-1)]
         boxes = [Obb3(c, code[3:6], float(code[6]), LIDAR) for c, code in zip(centres, codes)]
         overlays.append((PROPOSAL_COLOR, boxes))
-    image = render_overlays(cloud, cfg.grid, overlays)
-    write_ppm(args.out, image)
+    raster = rasterize(cloud, cfg.grid)
+    write_ppm(args.out, render_overlays(raster, cfg.grid, overlays))
     if args.bev_raster:
-        write_raster(args.bev_raster, rasterize(cloud, cfg.grid))
+        write_raster(args.bev_raster, raster)
     print(f"wrote {args.out}")
     return 0
 

@@ -115,6 +115,9 @@ def kitti_lidar_to_camera() -> RigidTransform:
 # Largest width * height a camera image may have: at 4096 x 4096, `simulate` of a
 # 2-frame scene of the default objects peaks at about 145 MB of RSS.
 MAX_IMAGE_PIXELS = 4096 * 4096
+# Largest focal length in pixels (a 4096-px image then spans 0.23 degrees, narrower than any
+# lens): fx * x / z stays inside the int64 range pixels are cast to while |x| / z < 10**12.
+MAX_FOCAL_PX = 1e6
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ValueError("focal lengths must be positive and finite")
+        if not (0 < self.fx <= MAX_FOCAL_PX and 0 < self.fy <= MAX_FOCAL_PX):
+            raise ValueError(f"focal lengths must be positive and at most MAX_FOCAL_PX = {MAX_FOCAL_PX:g}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
         if self.width * self.height > MAX_IMAGE_PIXELS:

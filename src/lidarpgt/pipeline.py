@@ -468,20 +468,13 @@ def fit_obb(points) -> Obb3:
 def moving_score(boxes) -> float:
     """Total distance the fitted box centres travelled across the set."""
     boxes = list(boxes)
-    return float(
-        sum(
-            np.linalg.norm(boxes[k].centre - boxes[k - 1].centre)
-            for k in range(1, len(boxes))
-        )
-    )
+    return float(sum(math.sqrt(d @ d) for d in (b.centre - a.centre for a, b in zip(boxes, boxes[1:]))))
 
 
 def inconsistency_score(boxes) -> float:
     """Summed dimension drift of the fitted boxes relative to the first one."""
     boxes = list(boxes)
-    return float(
-        sum(np.linalg.norm(boxes[k].dims - boxes[0].dims) for k in range(1, len(boxes)))
-    )
+    return float(sum(math.sqrt(d @ d) for d in (box.dims - boxes[0].dims for box in boxes[1:])))
 
 
 def combined_confidence(moving: float, inconsistency: float, cfg: ScorerConfig) -> float:
@@ -510,6 +503,68 @@ def _clamp01(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _sample(window: FrameWindow, grid: BoxGrid, spec: GridSpec, sampler_cfg: SamplerConfig):
+    """Sample pass: the sorted sampled pixels, their smoothed confidences and
+    their decoded box centres in camera frame."""
+    pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
+    smoothed = smoothed_confidences(grid, spec, pixels)
+    centres = grid_centres(grid, spec)
+    return pixels, smoothed, [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
+
+
+def _track(window: FrameWindow, cloud_cam: np.ndarray, crops, k_frames: int):
+    """Track pass: the sorted union of the crops with >= 3 rows, tracked in one
+    `track_points` call, and each cloud row's rank among the marked rows."""
+    mark = np.zeros(len(cloud_cam), dtype=bool)
+    for per_pixel in crops:
+        for rows in per_pixel:
+            if len(rows) >= 3:
+                mark[rows] = True
+    union = np.flatnonzero(mark)
+    tracked = track_points(cloud_cam[union], window.flows, window.depths, window.poses, k_frames, window.intrinsics)
+    return tracked, np.cumsum(mark) - 1  # a crop's rows sit in the union at their rank
+
+
+def _fit_score(crops, tracked: TrackedPointSets, rank: np.ndarray, scorer_cfg: ScorerConfig):
+    """Fit+score pass: per pixel, per anchor, its AnchorScore and its step-0
+    fit; the fit is None when the crop has < 3 rows or any step's fit degenerates."""
+    scored = []
+    for per_pixel in crops:
+        scored.append([])
+        for rows in per_pixel:
+            score, first = AnchorScore(0.0, 0.0, -math.inf), None
+            if len(rows) >= 3:
+                at = rank[rows]
+                steps = zip(tracked.positions, tracked.alive)
+                fits = [_fit(positions.take(at[alive.take(at)], axis=0)) for positions, alive in steps]
+                if None not in fits:
+                    score.moving = moving_score(fits)
+                    score.inconsistency = inconsistency_score(fits)
+                    score.confidence = combined_confidence(score.moving, score.inconsistency, scorer_cfg)
+                    first = fits[0]
+            scored[-1].append((score, first))
+    return scored
+
+
+def _select(pixels, smoothed, scored, anchors: list[Anchor], score_threshold: float, cam_to_lidar) -> PgtResult:
+    """Select pass: a pixel with a surviving anchor joins U+ with that anchor's
+    step-0 fit as a lidar-frame box, the rest join U- with their best score."""
+    result = PgtResult([], [], [])
+    for pixel, confidence, per_anchor in zip(pixels, smoothed, scored):
+        diag = PixelDiagnostics(pixel, confidence, {a.name: score for a, (score, _) in zip(anchors, per_anchor)})
+        scores = [score.confidence for score, _ in per_anchor]
+        selected = select_anchor(scores, anchors, score_threshold)
+        if selected is not None:
+            anchor, score = selected
+            box = transform_obb(Obb3(*per_anchor[anchors.index(anchor)][1], CAMERA), cam_to_lidar, LIDAR)
+            result.u_plus.append(PseudoLabel(pixel, box, _clamp01(score), anchor.name))
+            diag.chosen_anchor = anchor.name
+        else:
+            result.u_minus.append((pixel, _clamp01(max(scores, default=-math.inf))))
+        result.diagnostics.append(diag)
+    return result
+
+
 def generate_pseudo_labels(
     window: FrameWindow,
     grid: BoxGrid,
@@ -518,7 +573,7 @@ def generate_pseudo_labels(
     anchors=None,
     scorer_cfg: ScorerConfig | None = None,
 ) -> PgtResult:
-    """Run the sample, smooth, crop, track, fit/score and select passes.
+    """Chain the paper's passes: `_sample`, `_crop_rows`, `_track`, `_fit_score`, `_select`.
 
     Each point of a crop with >= 3 points is tracked once per frame. Pixels
     with a surviving anchor yield a PseudoLabel whose box is the fit of the
@@ -529,64 +584,10 @@ def generate_pseudo_labels(
     """
     anchors = list(anchors) if anchors is not None else default_anchors()
     scorer_cfg = scorer_cfg or ScorerConfig()
-
-    cam_to_lidar = window.lidar_to_cam.invert()
-    pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
-    smoothed = smoothed_confidences(grid, spec, pixels)
-    centres = grid_centres(grid, spec)
-    centres_cam = [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
-    del grid, centres  # every pass that reads the grid is done: free it before tracking
-
-    # crop: cloud row indices per (pixel, anchor), around each pixel's decoded centre
+    pixels, smoothed, centres_cam = _sample(window, grid, spec, sampler_cfg)
+    del grid  # every pass that reads the grid is done: free it before tracking
     cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
     crops = _crop_rows(cloud_cam, centres_cam, anchors)
-
-    # track: the sorted union of the usable crops, one call per frame; a crop's
-    # rows sit in the union at their rank among the marked cloud rows
-    mark = np.zeros(len(cloud_cam), dtype=bool)
-    for per_pixel in crops:
-        for rows in per_pixel:
-            if len(rows) >= 3:
-                mark[rows] = True
-    union = np.flatnonzero(mark)
-    rank = np.cumsum(mark) - 1
-    tracked = track_points(
-        cloud_cam[union], window.flows, window.depths, window.poses, scorer_cfg.k_frames,
-        window.intrinsics,
-    )
-
-    # fit, score and select
-    u_plus: list[PseudoLabel] = []
-    u_minus: list[tuple[tuple[int, int], float]] = []
-    diagnostics: list[PixelDiagnostics] = []
-    for pixel, per_pixel, confidence in zip(pixels, crops, smoothed):
-        diag = PixelDiagnostics(pixel, confidence)
-        scores = []
-        first_fits = {}
-        for anchor, rows in zip(anchors, per_pixel):
-            score = AnchorScore(0.0, 0.0, -math.inf)
-            if len(rows) >= 3:
-                at = rank[rows]
-                fits = [
-                    _fit(tracked.positions[k].take(at[tracked.alive[k].take(at)], axis=0))
-                    for k in range(len(tracked.positions))
-                ]
-                if None not in fits:
-                    score.moving = moving_score(fits)
-                    score.inconsistency = inconsistency_score(fits)
-                    score.confidence = combined_confidence(
-                        score.moving, score.inconsistency, scorer_cfg
-                    )
-                    first_fits[anchor.name] = fits[0]
-            diag.anchor_scores[anchor.name] = score
-            scores.append(score.confidence)
-        selected = select_anchor(scores, anchors, scorer_cfg.score_threshold)
-        if selected is not None:
-            anchor, score = selected
-            box = transform_obb(Obb3(*first_fits[anchor.name], CAMERA), cam_to_lidar, LIDAR)
-            u_plus.append(PseudoLabel(pixel, box, _clamp01(score), anchor.name))
-            diag.chosen_anchor = anchor.name
-        else:
-            u_minus.append((pixel, _clamp01(max(scores, default=-math.inf))))
-        diagnostics.append(diag)
-    return PgtResult(u_plus, u_minus, diagnostics)
+    tracked, rank = _track(window, cloud_cam, crops, scorer_cfg.k_frames)
+    scored = _fit_score(crops, tracked, rank, scorer_cfg)
+    return _select(pixels, smoothed, scored, anchors, scorer_cfg.score_threshold, window.lidar_to_cam.invert())

@@ -4,19 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bev import GridSpec, pixel_coords, rasterize
-from .geometry import LIDAR, PointCloud
+from .bev import GridSpec, pixel_coords
+from .geometry import LIDAR
 
 GT_COLOR = (80, 220, 80)
 PSEUDO_COLOR = (240, 80, 80)
 PROPOSAL_COLOR = (90, 140, 250)
-
-
-def bev_base_image(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
-    """Grayscale uint8 render of the BEV channels."""
-    img = rasterize(cloud, spec)
-    value = np.clip(np.maximum(img[:, :, 0], img[:, :, 2]) * 255.0, 0, 255).astype(np.uint8)
-    return np.repeat(value[:, :, None], 3, axis=2)
 
 
 def _draw_line(image, r0, c0, r1, c1, color):
@@ -36,12 +29,13 @@ def draw_box_outline(image, box, spec: GridSpec, color):
         _draw_line(image, r0, c0, r1, c1, color)
 
 
-def render_overlays(cloud: PointCloud, spec: GridSpec, overlays) -> np.ndarray:
-    """Render the BEV image with coloured box outlines.
+def render_overlays(raster: np.ndarray, spec: GridSpec, overlays) -> np.ndarray:
+    """Render a `rasterize` output as a grayscale image with coloured box outlines.
 
     `overlays` maps a colour (r, g, b) to a list of lidar-frame boxes.
     """
-    image = bev_base_image(cloud, spec)
+    value = np.clip(np.maximum(raster[:, :, 0], raster[:, :, 2]) * 255.0, 0, 255).astype(np.uint8)
+    image = np.repeat(value[:, :, None], 3, axis=2)
     for color, boxes in overlays:
         for box in boxes:
             draw_box_outline(image, box, spec, color)

@@ -341,7 +341,7 @@ class TestCliRoundTrip:
         assert a.count("\n") == b.count("\n")
 
     def test_render_draws_file_backed_proposals(self, workspace, tmp_path, capsys):
-        from lidarpgt.bev import BoxGrid, pillar_centre
+        from lidarpgt.bev import BoxGrid, pillar_centre, rasterize
         from lidarpgt.config import load_config
         from lidarpgt.dataset import read_box_grid, write_box_grid
         from lidarpgt.geometry import LIDAR, Obb3
@@ -367,7 +367,7 @@ class TestCliRoundTrip:
         cell = read_box_grid(grids / "000000.bin", spec).data[pixel]
         box = Obb3(pillar_centre(pixel, spec) + cell[0:3], cell[3:6], float(cell[6]), LIDAR)
         cloud = read_cloud(workspace / "seq" / "velodyne" / "000000.bin")
-        write_ppm(tmp_path / "expected.ppm", render_overlays(cloud, spec, [(PROPOSAL_COLOR, [box])]))
+        write_ppm(tmp_path / "expected.ppm", render_overlays(rasterize(cloud, spec), spec, [(PROPOSAL_COLOR, [box])]))
         assert drawn.read_bytes() == (tmp_path / "expected.ppm").read_bytes()
         code, heuristic = render(0, "heuristic")
         assert code == 0 and heuristic.read_bytes() != drawn.read_bytes()
@@ -399,6 +399,25 @@ class TestCliRoundTrip:
         assert code == 0
         arr = read_raster(raster, (608, 608, 3))
         assert arr.min() >= 0.0 and arr.max() <= 1.0
+
+    def test_render_rasterizes_the_cloud_once(self, workspace, tmp_path, monkeypatch):
+        import lidarpgt.bev as bev
+        import lidarpgt.cli as cli
+        import lidarpgt.render as render
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bev.rasterize(*args)
+
+        # the image and the exported raster are drawn from one raster
+        for module in (cli, render):
+            monkeypatch.setattr(module, "rasterize", counting, raising=False)
+        argv = ["render", str(workspace / "seq"), "--out", str(tmp_path / "f.ppm"), "--overlays", "gt",
+                "--bev-raster", str(tmp_path / "bev.bin")]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 class TestCliErrors:
@@ -610,6 +629,15 @@ class TestCliErrors:
                 ["simulate: ground_extent:", "MAX_REACH_M"],
             ),
             ("simulate", {"simulate": {"ground_y": 1e308}}, ["simulate: ground_y:", "MAX_REACH_M"]),
+            # a focal length whose projected pixels overflow: refused before any output exists
+            (
+                "simulate", {"simulate": {"n_frames": 2, "intrinsics": {"fx": 1e308}}},
+                ["simulate.intrinsics:", "MAX_FOCAL_PX"],
+            ),
+            (
+                "simulate", {"simulate": {"n_frames": 2, "intrinsics": {"fy": 1e30}}},
+                ["simulate.intrinsics:", "MAX_FOCAL_PX"],
+            ),
         ],
     )
     def test_malformed_config(self, workspace, tmp_path, capsys, command, config, named):
@@ -854,6 +882,11 @@ CORRUPTIONS = {
     "calib-nan-focal": ("seq/calib.txt", _replace_line(0, "intrinsics: nan 500 400 150 800 320")),
     "calib-fractional-width": ("seq/calib.txt", _replace_line(0, "intrinsics: 500 500 400 150 800.7 320")),
     "calib-repeated-key": ("seq/calib.txt", _replace_line(2, "intrinsics: 900 900 400 150 800 320")),
+    # a focal length past MAX_FOCAL_PX, whose projected pixels overflow; the error names the file, not a line
+    "calib-huge-focal": (
+        "seq/calib.txt",
+        _write_text("intrinsics: 500 1e308 400 150 800 320\nlidar_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0\n"),
+    ),
     # the KITTI axis permutation tilted 3 degrees about the camera's x axis
     "calib-tilted": (
         "seq/calib.txt", _replace_line(1, "lidar_to_cam: 0 -1 0 0 -0.0523359562 0 -0.998629535 0 0.998629535 0 -0.0523359562 0")

@@ -257,6 +257,8 @@ class TestCalibIo:
             ("700 700 620 187 1242 nope", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
             # an image over MAX_IMAGE_PIXELS, too large to allocate
             ("500 500 800 187 200000 200000", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
+            # a focal length past MAX_FOCAL_PX, whose projected pixels overflow
+            ("1e308 700 620 187 1242 375", "0 -1 0 0 0 0 -1 0 1 0 0 0"),
         ],
     )
     def test_non_finite_or_invalid_value_rejected(self, tmp_path, intrinsics, lidar_to_cam):
