@@ -230,9 +230,9 @@ def _thresholds(text: str) -> list[float]:
 def cmd_evaluate(args) -> int:
     intrinsics = read_calib(args.calib).intrinsics if args.calib else None
     report = evaluate_sequence(args.dets, args.gt, args.mode, args.iou, intrinsics)
-    print(report.format_table())
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=1) + "\n")
+    print(report.format_table())
     return 0
 
 
