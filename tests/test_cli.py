@@ -589,6 +589,12 @@ class TestCliErrors:
             assert err == f"error: {diagnostics / '000099.json'}: frame 99 outside {seq}, a sequence of 5 frames\n", case
 
     @pytest.mark.failure
+    def test_evaluate_loss_two_diagnostics_files_of_one_frame(self, fails):
+        """Two files naming one frame exit 2 naming both, before any frame line."""
+        named = ["error: {pgt}/diagnostics/000001.json and {pgt}/diagnostics/1.json: both are frame 1\n"]
+        fails(Failure("evaluate-loss", 2, named, edit=("pgt/diagnostics/1.json", _copy_of("000001.json"))))
+
+    @pytest.mark.failure
     @pytest.mark.parametrize("overlays, bad", [("gt,psuedo", "'psuedo'"), ("gt,,pseudo", "''")])
     def test_unknown_overlay(self, fails, overlays, bad):
         fails(Failure("render", 1, ["--overlays", bad], f"--overlays {overlays}"))
@@ -1129,6 +1135,11 @@ def test_evaluate_loss_without_diagnostics_exits_2(fails, made):
     edit = ("empty/diagnostics", functools.partial(Path.mkdir, parents=True)) if made else None
     named = ["error: {tmp}/empty/diagnostics: no diagnostics files\n"]
     fails(Failure("evaluate-loss {seq} --pgt {tmp}/empty --config {cfg}", 2, named, edit=edit))
+
+
+@pytest.mark.failure
+def test_evaluate_loss_checks_every_frame_name_before_printing(fails):
+    fails(Failure("evaluate-loss", 2, ["{pgt}/diagnostics/foo.json"], edit=("pgt/diagnostics/foo.json", _copy_of("000000.json"))))
 
 
 TEXT_READERS = {
