@@ -143,10 +143,10 @@ def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
     inputs come first so that `functools.partial` binds them once."""
     # Per-frame seeds keep frames decorrelated but reproducible.
     sampler = dataclasses.replace(cfg.sampler, seed=cfg.sampler.seed + t)
-    window = FrameWindow.from_sequence(seq, t, cfg.scorer.k_frames)
-    # no local name holds the grid, so the pipeline can free it before tracking
+    # no local name holds the window or the grid, so the pipeline can free them before tracking
     result = generate_pseudo_labels(
-        window, _load_grid(grids, seq, t, cfg, window.cloud), cfg.grid, sampler, cfg.anchors, cfg.scorer
+        FrameWindow.from_sequence(seq, t, cfg.scorer.k_frames), _load_grid(grids, seq, t, cfg),
+        cfg.grid, sampler, cfg.anchors, cfg.scorer,
     )
     calib = seq.calibration
     records = [
@@ -253,11 +253,13 @@ def cmd_evaluate_loss(args) -> int:
     last, path = frames[-1]
     if last >= seq.n_frames:
         raise MissingFrameData(f"{path}: frame {last} outside {seq.root}, a sequence of {seq.n_frames} frames")
-    totals = LossBreakdown()
+    per_frame = []  # every frame is read before the first line is printed
     for t, path in frames:
         grid = _load_grid(args.proposals, seq, t, cfg)
         u_plus, u_minus = read_diagnostics(path, cfg.grid)
-        terms = frame_loss_terms(grid, u_plus, u_minus, cfg.grid, cfg.loss)
+        per_frame.append((t, frame_loss_terms(grid, u_plus, u_minus, cfg.grid, cfg.loss)))
+    totals = LossBreakdown()
+    for t, terms in per_frame:
         print(f"frame {t:04d}: total={terms.total:.6f} {_loss_terms_text(terms)}")
         for key, value in vars(terms).items():
             setattr(totals, key, getattr(totals, key) + value)

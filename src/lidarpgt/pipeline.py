@@ -41,6 +41,9 @@ if TYPE_CHECKING:  # dataset imports this module for the pseudo-label types
 # Pixel window half-width for the nearest-valid-depth search during tracking.
 _DEPTH_SEARCH_RADIUS = 7
 
+# Rows per block of a tracking step's flow and depth lookups.
+_TRACK_BLOCK = 4096
+
 # Covariance eigenvalue ratio below which a point set counts as rank-deficient.
 _RANK_EPS = 1e-10
 
@@ -365,29 +368,34 @@ def track_points(
     alive[0] = True
 
     # Step k indexes flow k and depth k+1 once each, in step order, even with
-    # no points, so that a window read from disk reads every raster.
+    # no points, so that a window read from disk reads every raster. Lookups
+    # run over blocks of rows, so their temporaries do not grow with n.
     current = pts.copy()  # camera coords at frame t+k
     live = np.ones(n, dtype=bool)
     to_start = poses[0].invert()
     valid = depths[0] > 0
+    blocks = [slice(i, i + _TRACK_BLOCK) for i in range(0, n, _TRACK_BLOCK)]
     for k in range(k_frames):
         z = current[:, 2]
         live &= z > 0
         safe_z = np.where(z > 0, z, 1.0)
         u = intrinsics.fx * current[:, 0] / safe_z + intrinsics.cx
         v = intrinsics.fy * current[:, 1] / safe_z + intrinsics.cy
-        flow_uv, flow_ok = _sample_flow(flows[k], valid, u, v)
-        live &= flow_ok
-        u2 = u + flow_uv[:, 0]
-        v2 = v + flow_uv[:, 1]
+        flow = flows[k]
+        for blk in blocks:  # u and v become the flowed positions
+            flow_uv, flow_ok = _sample_flow(flow, valid, u[blk], v[blk])
+            live[blk] &= flow_ok
+            u[blk] += flow_uv[:, 0]
+            v[blk] += flow_uv[:, 1]
+        del flow
         depth = depths[k + 1]
         valid = depth > 0
-        pr, pc, d, depth_ok = _nearest_valid_depth(depth, valid, u2, v2)
+        for blk in blocks:
+            pr, pc, d, depth_ok = _nearest_valid_depth(depth, valid, u[blk], v[blk])
+            live[blk] &= depth_ok
+            nxt = backproject(np.column_stack([pc, pr]), np.where(d > 0, d, 1.0), intrinsics)
+            current[blk] = np.where(live[blk, None], nxt, current[blk])
         del depth  # the next step needs only its mask
-        live &= depth_ok
-        safe_d = np.where(d > 0, d, 1.0)
-        nxt = backproject(np.column_stack([pc, pr]), safe_d, intrinsics)
-        current = np.where(live[:, None], nxt, current)
         to_frame_t = to_start.compose(poses[k + 1])
         positions[k + 1] = to_frame_t.apply(current)
         alive[k + 1] = live
@@ -512,29 +520,33 @@ def _sample(window: FrameWindow, grid: BoxGrid, spec: GridSpec, sampler_cfg: Sam
     return pixels, smoothed, [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
 
 
-def _track(window: FrameWindow, cloud_cam: np.ndarray, crops, k_frames: int):
+def _track(cloud_cam: list, crops, flows, depths, poses, intrinsics, k_frames: int) -> TrackedPointSets:
     """Track pass: the sorted union of the crops with >= 3 rows, tracked in one
-    `track_points` call, and each cloud row's rank among the marked rows."""
-    mark = np.zeros(len(cloud_cam), dtype=bool)
+    `track_points` call. It takes the camera-frame cloud out of `cloud_cam`, so
+    only the union's rows outlive the gather, and turns each crop's rows into
+    their int32 ranks in the union (`_fit_score` reads a shorter crop's length)."""
+    points = cloud_cam.pop()
+    mark = np.zeros(len(points), dtype=bool)
     for per_pixel in crops:
         for rows in per_pixel:
             if len(rows) >= 3:
                 mark[rows] = True
-    union = np.flatnonzero(mark)
-    tracked = track_points(cloud_cam[union], window.flows, window.depths, window.poses, k_frames, window.intrinsics)
-    return tracked, np.cumsum(mark) - 1  # a crop's rows sit in the union at their rank
+    rank = np.cumsum(mark, dtype=np.int32) - 1
+    for per_pixel in crops:
+        per_pixel[:] = [rank[rows] for rows in per_pixel]
+    points = points[mark]
+    return track_points(points, flows, depths, poses, k_frames, intrinsics)
 
 
-def _fit_score(crops, tracked: TrackedPointSets, rank: np.ndarray, scorer_cfg: ScorerConfig):
-    """Fit+score pass: per pixel, per anchor, its AnchorScore and its step-0
-    fit; the fit is None when the crop has < 3 rows or any step's fit degenerates."""
+def _fit_score(crops, tracked: TrackedPointSets, scorer_cfg: ScorerConfig):
+    """Fit+score pass: per pixel, per anchor (a crop of ranks in the union), its AnchorScore and its
+    step-0 fit; the fit is None when the crop has < 3 rows or any step's fit degenerates."""
     scored = []
     for per_pixel in crops:
         scored.append([])
-        for rows in per_pixel:
+        for at in per_pixel:
             score, first = AnchorScore(0.0, 0.0, -math.inf), None
-            if len(rows) >= 3:
-                at = rank[rows]
+            if len(at) >= 3:
                 steps = zip(tracked.positions, tracked.alive)
                 fits = [_fit(positions.take(at[alive.take(at)], axis=0)) for positions, alive in steps]
                 if None not in fits:
@@ -586,8 +598,11 @@ def generate_pseudo_labels(
     scorer_cfg = scorer_cfg or ScorerConfig()
     pixels, smoothed, centres_cam = _sample(window, grid, spec, sampler_cfg)
     del grid  # every pass that reads the grid is done: free it before tracking
-    cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
-    crops = _crop_rows(cloud_cam, centres_cam, anchors)
-    tracked, rank = _track(window, cloud_cam, crops, scorer_cfg.k_frames)
-    scored = _fit_score(crops, tracked, rank, scorer_cfg)
-    return _select(pixels, smoothed, scored, anchors, scorer_cfg.score_threshold, window.lidar_to_cam.invert())
+    lidar_to_cam, intr = window.lidar_to_cam, window.intrinsics
+    flows, depths, poses = window.flows, window.depths, window.poses
+    cloud_cam = [lidar_to_cam.apply(window.cloud.xyz)]  # `_track` takes it out before tracking
+    del window  # and so the window's cloud, where the caller holds no reference
+    crops = _crop_rows(cloud_cam[0], centres_cam, anchors)
+    tracked = _track(cloud_cam, crops, flows, depths, poses, intr, scorer_cfg.k_frames)
+    scored = _fit_score(crops, tracked, scorer_cfg)
+    return _select(pixels, smoothed, scored, anchors, scorer_cfg.score_threshold, lidar_to_cam.invert())

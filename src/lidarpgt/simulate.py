@@ -294,14 +294,12 @@ def _render_depth_with_owner(xyz_cam, intrinsics):
     return depth, owner
 
 
-def _render_flow(owner, cam, cam_next, intrinsics) -> np.ndarray:
-    """Float32 flow to the next frame: each owned pixel gets the projected
-    displacement of its owner point while that point stays in front of the
-    camera; other pixels, and every pixel of the last frame, get zero."""
+def _render_flow(pix, idx, cam, cam_next, intrinsics) -> np.ndarray:
+    """Float32 flow to the next frame: each owned pixel (flat index `pix`) gets the
+    projected displacement of its owner point `idx` while that point stays in front
+    of the camera; other pixels, and every pixel of the last frame, get zero."""
     flow = np.zeros((intrinsics.height, intrinsics.width, 2), dtype=np.float32)
     if cam_next is not None:
-        pix = np.flatnonzero(owner.reshape(-1) >= 0)
-        idx = owner.reshape(-1)[pix]
         visible = cam_next[idx, 2] > 0
         pix, idx = pix[visible], idx[visible]
         flow.reshape(-1, 2)[pix] = project(cam_next[idx], intrinsics) - project(cam[idx], intrinsics)
@@ -335,12 +333,15 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
     cam = camera_points(0)
     for t in range(config.n_frames):
         pose = config.ego.pose_at(t)
-        cloud = PointCloud(np.column_stack([cam_to_lidar.apply(cam), intensities]))
         depth, owner = _render_depth_with_owner(cam, intr)
+        pix = np.flatnonzero(owner >= 0)
+        idx = owner.reshape(-1)[pix]
+        del owner  # the flow needs only the owned pixels
+        cloud = PointCloud(np.column_stack([cam_to_lidar.apply(cam), intensities]))
 
         # Each frame's points are built once: first as frame t's flow target.
         cam_next = camera_points(t + 1) if t + 1 < config.n_frames else None
-        flow = _render_flow(owner, cam, cam_next, intr)
+        flow = _render_flow(pix, idx, cam, cam_next, intr)
 
         world_to_cam = pose.invert()
         gt_boxes = []
@@ -351,7 +352,7 @@ def make_scene(config: SimConfig, seed: int) -> Iterator[SceneFrame]:
             gt_boxes.append(GtBox(transform_obb(cam_box, cam_to_lidar, LIDAR), obj.cls, obj.is_moving))
         yield SceneFrame(cloud, depth, flow, pose, gt_boxes)
         # the frame is the caller's now: hold none of it while the next is built
-        del cloud, depth, owner, flow, gt_boxes
+        del cloud, depth, pix, idx, flow, gt_boxes
         cam = cam_next
 
 

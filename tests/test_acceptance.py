@@ -322,13 +322,9 @@ def _mc_iou(a: Obb3, b: Obb3, samples, rng):
     pts = rng.uniform(lo, hi, size=(samples, 2))
 
     def inside(box, pts):
-        i, j = (0, 1)
-        centre = np.array([box.centre[0], box.centre[1]])
         c, s = math.cos(box.yaw), math.sin(box.yaw)
-        rel = pts - centre
-        local = np.column_stack([c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]])
-        half = np.array([box.dims[0] / 2, box.dims[1] / 2])
-        return np.all(np.abs(local) <= half, axis=1)
+        dx, dy = pts[:, 0] - box.centre[0], pts[:, 1] - box.centre[1]
+        return (np.abs(c * dx + s * dy) <= box.dims[0] / 2) & (np.abs(-s * dx + c * dy) <= box.dims[1] / 2)
 
     in_a = inside(a, pts)
     in_b = inside(b, pts)

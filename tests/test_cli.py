@@ -1015,8 +1015,7 @@ def _readers(relative):
 
 
 # the cases that fail after some output: `generate` makes --out before it reads
-# the first window's frames, and `evaluate-loss` prints frame 0's line before it
-# reads frame 1's diagnostics
+# the first window's frames
 AFTER_OUTPUT = {
     *((name, "generate") for name in (
         "depth-half-rows", "depth-inf", "depth-shape-160x1600", "depth-sidecar-f8-column-major",
@@ -1024,8 +1023,6 @@ AFTER_OUTPUT = {
         "sidecar-no-rows", "sidecar-string-rows", "velodyne-signalling-nan", "grid-confidence-above-one",
         "grid-huge-offset", "grid-nan-confidence", "grid-negative-size", "grid-sidecar-f8",
     )),
-    ("diagnostics-negative-dims", "evaluate-loss"),
-    ("diagnostics-no-anchor", "evaluate-loss"),
 }
 
 
@@ -1075,15 +1072,16 @@ def test_generate_frees_the_box_grid_before_tracking(workspace, tmp_path, monkey
 
     import lidarpgt.pipeline as pipeline
     from lidarpgt.bev import BoxGrid
+    from lidarpgt.geometry import PointCloud
 
-    def grids():
-        return [o for o in gc.get_objects() if isinstance(o, BoxGrid)]
+    def objects():
+        return [o for o in gc.get_objects() if isinstance(o, (BoxGrid, PointCloud))]
 
-    before = grids()
+    before = objects()
     alive = []
 
     def tracking(*args, **kwargs):
-        alive.append([g for g in grids() if not any(g is b for b in before)])
+        alive.append([type(o).__name__ for o in objects() if not any(o is b for b in before)])
         return track_points(*args, **kwargs)
 
     track_points = pipeline.track_points
@@ -1091,7 +1089,7 @@ def test_generate_frees_the_box_grid_before_tracking(workspace, tmp_path, monkey
     argv = ["generate", str(workspace / "seq"), "--out", str(tmp_path / "out"),
             "--config", str(workspace / "cfg.json"), "--jobs", "1"]
     assert main(argv) == 0
-    assert alive == [[], []]  # one tracking call per window, none with a grid alive
+    assert alive == [[], []]  # one tracking call per window, none with a grid or a cloud alive
 
 
 def _killed_at_window_3(seq, cfg, grids, out, t):

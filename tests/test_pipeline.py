@@ -489,6 +489,25 @@ class TestTrackerWindowSearch:
             assert (ok & (d2 < 2.25)).any() and (ok & (d2 >= 2.25)).any(), name
             assert (~ok).any() or name == "checkerboard", name
 
+    def test_tracking_in_blocks_equals_one_block(self, scene, monkeypatch):
+        import lidarpgt.pipeline as pipeline
+
+        frames, u, v = scene
+        rng = np.random.default_rng(5)
+        pick = np.sort(rng.choice(len(u), 3000, replace=False))  # 428 blocks of 7 and one of 4
+        z = rng.uniform(2.0, 40.0, len(pick))
+        z[::50] = -1.0  # behind the camera: dead from the first step
+        pts = np.column_stack([(u[pick] - INTR.cx) / INTR.fx * z, (v[pick] - INTR.cy) / INTR.fy * z, z])
+        f0, f1 = frames
+        args = ([f0.flow, f1.flow], [f0.depth, f1.depth, f0.depth], [f0.pose, f1.pose, f0.pose], 2, INTR)
+        monkeypatch.setattr(pipeline, "_TRACK_BLOCK", len(pts))
+        one = track_points(pts, *args)
+        monkeypatch.setattr(pipeline, "_TRACK_BLOCK", 7)
+        blocks = track_points(pts, *args)
+        # dead rows keep their stale values, equal too
+        assert np.array_equal(blocks.positions, one.positions) and np.array_equal(blocks.alive, one.alive)
+        assert one.alive[2].any() and not one.alive[1].all()
+
 
 class TestFloat32Rasters:
     """Depth and flow are read as the float32 they are stored in, each when
