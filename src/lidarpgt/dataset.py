@@ -55,12 +55,12 @@ def _finite_floats(values: np.ndarray, path) -> np.ndarray:
 
 
 def read_cloud(path) -> PointCloud:
-    raw = Path(path).read_bytes()
-    if len(raw) % _POINT_RECORD_BYTES:
-        raise MalformedFile(
-            f"{path}: size {len(raw)} is not a multiple of {_POINT_RECORD_BYTES}"
-        )
-    pts = _finite_floats(np.frombuffer(raw, dtype="<f4"), path).astype(float).reshape(-1, 4)
+    """Read a cloud file as float32, check it and clip its intensities to [0, 1]
+    in place; PointCloud makes the one float64 copy."""
+    size = Path(path).stat().st_size
+    if size % _POINT_RECORD_BYTES:
+        raise MalformedFile(f"{path}: size {size} is not a multiple of {_POINT_RECORD_BYTES}")
+    pts = _finite_floats(np.fromfile(path, dtype="<f4"), path).reshape(-1, 4)
     pts[:, 3] = np.clip(pts[:, 3], 0.0, 1.0)
     return PointCloud(pts)
 
@@ -397,10 +397,11 @@ def write_diagnostics(path, result: PgtResult):
     targets = dict(result.u_minus)
     pixels = []
     for diag in result.diagnostics:
+        label = labels.get(diag.pixel)
         entry = {
             "pixel": list(diag.pixel),
             "smoothed_confidence": diag.smoothed_confidence,
-            "chosen_anchor": diag.chosen_anchor,
+            "chosen_anchor": None if label is None else label.anchor,
             "anchors": {
                 name: {"moving": s.moving, "inconsistency": s.inconsistency,
                        "confidence": None if s.confidence == -math.inf else s.confidence}
@@ -409,7 +410,6 @@ def write_diagnostics(path, result: PgtResult):
             "target_confidence": targets.get(diag.pixel),
             "box_lidar": None,
         }
-        label = labels.get(diag.pixel)
         if label is not None:
             box = label.box
             entry.update(target_confidence=label.confidence, anchor=label.anchor, box_lidar={

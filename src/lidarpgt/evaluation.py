@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_labels
+from .dataset import frame_files, read_labels
 from .errors import BehindCamera, ConfigInvalid, MalformedFile
 from .geometry import CameraIntrinsics, Obb3, iou_2d, project_box_2d, rotated_iou_bev
 
@@ -215,25 +215,26 @@ def evaluate_sequence(
 
     BEV mode compares the yaw-rotated ground-plane footprints; 2D mode
     compares axis-aligned image boxes (stored ones when present, otherwise
-    projections via the intrinsics). Frames are paired by file name; a
-    missing detection file means no detections for that frame, and a
-    detection file with no ground-truth file of its name raises
-    MalformedFile. Only the pairs whose axis-aligned bounds meet are scored
-    by the IoU function (see _iou_matrix).
+    projections via the intrinsics). Frames are paired by the frame number
+    of their file names (`frame_files`, which rejects a name that is not a
+    frame number and two files of one frame); a missing detection file means
+    no detections for that frame, and a detection file of a frame with no
+    ground-truth file raises MalformedFile. Only the pairs whose axis-aligned
+    bounds meet are scored by the IoU function (see _iou_matrix).
     """
     if mode not in ("bev", "2d"):
         raise ConfigInvalid(f"unknown evaluation mode {mode!r}")
     thresholds = list(thresholds)
-    gt_dir = Path(gt_dir)
-    det_dir = Path(det_dir)
-    if not det_dir.is_dir():
+    if not Path(det_dir).is_dir():
         raise ConfigInvalid(f"{det_dir}: detection directory does not exist")
-    frames = sorted(p.stem for p in gt_dir.glob("*.txt"))
-    if not frames:
+    gt_files = frame_files(gt_dir, ".txt")
+    if not gt_files:
         raise ConfigInvalid(f"{gt_dir}: no ground-truth label files")
-    for path in sorted(det_dir.glob("*.txt")):
-        if path.stem not in frames:
-            raise MalformedFile(f"{path}: no ground-truth file of that name in {gt_dir}")
+    det_files = frame_files(det_dir, ".txt")
+    for frame, path in det_files.items():
+        if frame not in gt_files:
+            raise MalformedFile(f"{path}: no ground-truth file of its frame in {gt_dir}")
+    frames = sorted(gt_files)
 
     if mode == "bev":
         iou_fn = rotated_iou_bev
@@ -249,9 +250,8 @@ def evaluate_sequence(
     classes = {}
     n_gt = 0
     for frame in frames:
-        gt_records = read_labels(gt_dir / f"{frame}.txt")
-        det_path = det_dir / f"{frame}.txt"
-        det_records = read_labels(det_path) if det_path.exists() else []
+        gt_records = read_labels(gt_files[frame])
+        det_records = read_labels(det_files[frame]) if frame in det_files else []
         dets_by_frame[frame] = [
             Detection(to_box(r), r.score if r.score is not None else 1.0)
             for r in det_records

@@ -137,7 +137,6 @@ class PixelDiagnostics:
     pixel: tuple[int, int]
     smoothed_confidence: float
     anchor_scores: dict[str, AnchorScore] = field(default_factory=dict)
-    chosen_anchor: str | None = None
 
 
 @dataclass
@@ -511,35 +510,34 @@ def _clamp01(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _sample(window: FrameWindow, grid: BoxGrid, spec: GridSpec, sampler_cfg: SamplerConfig):
+def _sample(grid: BoxGrid, spec: GridSpec, sampler_cfg: SamplerConfig, lidar_to_cam: RigidTransform):
     """Sample pass: the sorted sampled pixels, their smoothed confidences and
     their decoded box centres in camera frame."""
     pixels = sorted(sample_pixels(grid, spec, sampler_cfg))
     smoothed = smoothed_confidences(grid, spec, pixels)
     centres = grid_centres(grid, spec)
-    return pixels, smoothed, [window.lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
+    return pixels, smoothed, [lidar_to_cam.apply(centres[r * spec.out_cols + c]) for r, c in pixels]
 
 
-def _track(cloud_cam: list, crops, flows, depths, poses, intrinsics, k_frames: int) -> TrackedPointSets:
-    """Track pass: the sorted union of the crops with >= 3 rows, tracked in one
-    `track_points` call. It takes the camera-frame cloud out of `cloud_cam`, so
-    only the union's rows outlive the gather, and turns each crop's rows into
-    their int32 ranks in the union (`_fit_score` reads a shorter crop's length)."""
-    points = cloud_cam.pop()
-    mark = np.zeros(len(points), dtype=bool)
+def _crop(cloud_cam: np.ndarray, centres_cam, anchors):
+    """Crop pass: each (centre, anchor) crop of `_crop_rows`, and the points to
+    track, the rows of the crops with >= 3 rows in cloud order, each once. A
+    crop comes back as the int32 ranks of its rows among those points
+    (`_fit_score` reads only the length of a shorter crop)."""
+    crops = _crop_rows(cloud_cam, centres_cam, anchors)
+    mark = np.zeros(len(cloud_cam), dtype=bool)
     for per_pixel in crops:
         for rows in per_pixel:
             if len(rows) >= 3:
                 mark[rows] = True
     rank = np.cumsum(mark, dtype=np.int32) - 1
-    for per_pixel in crops:
+    for per_pixel in crops:  # in place, so one pixel's rows and ranks are held at a time, not all
         per_pixel[:] = [rank[rows] for rows in per_pixel]
-    points = points[mark]
-    return track_points(points, flows, depths, poses, k_frames, intrinsics)
+    return crops, cloud_cam[mark]
 
 
 def _fit_score(crops, tracked: TrackedPointSets, scorer_cfg: ScorerConfig):
-    """Fit+score pass: per pixel, per anchor (a crop of ranks in the union), its AnchorScore and its
+    """Fit+score pass: per pixel, per anchor (a crop of ranks in the tracked points), its AnchorScore and its
     step-0 fit; the fit is None when the crop has < 3 rows or any step's fit degenerates."""
     scored = []
     for per_pixel in crops:
@@ -570,7 +568,6 @@ def _select(pixels, smoothed, scored, anchors: list[Anchor], score_threshold: fl
             anchor, score = selected
             box = transform_obb(Obb3(*per_anchor[anchors.index(anchor)][1], CAMERA), cam_to_lidar, LIDAR)
             result.u_plus.append(PseudoLabel(pixel, box, _clamp01(score), anchor.name))
-            diag.chosen_anchor = anchor.name
         else:
             result.u_minus.append((pixel, _clamp01(max(scores, default=-math.inf))))
         result.diagnostics.append(diag)
@@ -585,7 +582,7 @@ def generate_pseudo_labels(
     anchors=None,
     scorer_cfg: ScorerConfig | None = None,
 ) -> PgtResult:
-    """Chain the paper's passes: `_sample`, `_crop_rows`, `_track`, `_fit_score`, `_select`.
+    """Chain the paper's passes: `_sample`, `_crop`, `track_points`, `_fit_score`, `_select`.
 
     Each point of a crop with >= 3 points is tracked once per frame. Pixels
     with a surviving anchor yield a PseudoLabel whose box is the fit of the
@@ -596,13 +593,14 @@ def generate_pseudo_labels(
     """
     anchors = list(anchors) if anchors is not None else default_anchors()
     scorer_cfg = scorer_cfg or ScorerConfig()
-    pixels, smoothed, centres_cam = _sample(window, grid, spec, sampler_cfg)
-    del grid  # every pass that reads the grid is done: free it before tracking
     lidar_to_cam, intr = window.lidar_to_cam, window.intrinsics
+    pixels, smoothed, centres_cam = _sample(grid, spec, sampler_cfg, lidar_to_cam)
+    del grid  # every pass that reads the grid is done: free it before tracking
     flows, depths, poses = window.flows, window.depths, window.poses
-    cloud_cam = [lidar_to_cam.apply(window.cloud.xyz)]  # `_track` takes it out before tracking
+    cloud_cam = lidar_to_cam.apply(window.cloud.xyz)
     del window  # and so the window's cloud, where the caller holds no reference
-    crops = _crop_rows(cloud_cam[0], centres_cam, anchors)
-    tracked = _track(cloud_cam, crops, flows, depths, poses, intr, scorer_cfg.k_frames)
+    crops, points = _crop(cloud_cam, centres_cam, anchors)
+    del cloud_cam  # only the tracked points outlive the crop pass
+    tracked = track_points(points, flows, depths, poses, scorer_cfg.k_frames, intr)
     scored = _fit_score(crops, tracked, scorer_cfg)
     return _select(pixels, smoothed, scored, anchors, scorer_cfg.score_threshold, lidar_to_cam.invert())

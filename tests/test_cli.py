@@ -982,9 +982,11 @@ CORRUPTIONS = {
     "velodyne-duplicate-frame": ("seq/velodyne/4.bin", _second_name_of("000004.bin")),
     "diagnostics-stray-name": ("pgt/diagnostics/foo.json", _copy_of("000000.json")),
     "diagnostics-duplicate-frame": ("pgt/diagnostics/1.json", _second_name_of("000001.json")),
-    # detection files are paired with ground-truth files by name
+    # detection files are paired with ground-truth files by the frame their names give
     "dets-past-last-frame": ("dets/000099.txt", _copy_of("000000.txt")),
     "dets-stray-name": ("dets/notes.txt", _write_text("scored by hand\n")),
+    "dets-duplicate-frame": ("dets/1.txt", _second_name_of("000001.txt")),
+    "label-duplicate-frame": ("seq/label_2/1.txt", _second_name_of("000001.txt")),
     "dets-score-above-one": ("dets/000000.txt", _append_score(0, 1.5)),
     "dets-fractional-occlusion": ("dets/000000.txt", _set_field(0, 2, "1.7")),
     # a middle frame's raster gone: refused when the sequence is indexed, before any frame is read
@@ -998,6 +1000,7 @@ CORRUPTIONS = {
 READERS = {
     "cfg.json": ("simulate", "generate"),
     "seq/calib.txt": ("generate", "evaluate", "evaluate-loss", "render"),
+    "seq/label_2/1.txt": ("evaluate",),
     "seq/label_2/": ("evaluate", "render"),
     "dets/": ("evaluate",),
     "seq/velodyne/": ("generate", "evaluate-loss", "render"),

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ class TestCloudIo:
         assert np.array_equal(again.points.astype(np.float32), pts)
         write_cloud(tmp_path / "b.bin", again)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_peak_memory_under_twice_the_kept_cloud(self, tmp_path):
+        # the float32 values are checked and clipped where they are read, and
+        # widened once: the raw bytes and a second float64 copy are never held
+        rng = np.random.default_rng(3)
+        pts = rng.normal(scale=20, size=(50_000, 4)).astype("<f4")  # intensities well outside [0, 1]
+        path = tmp_path / "a.bin"
+        path.write_bytes(pts.tobytes())
+        tracemalloc.start()
+        try:
+            cloud = read_cloud(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cloud.points.nbytes, peak / cloud.points.nbytes
+        expected = pts.astype(float)
+        expected[:, 3] = np.clip(expected[:, 3], 0.0, 1.0)
+        assert np.array_equal(cloud.points, expected)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.bin"

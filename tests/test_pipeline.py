@@ -20,6 +20,7 @@ from lidarpgt.geometry import (
 )
 from lidarpgt.pipeline import (
     Anchor,
+    _crop,
     _crop_rows,
     _cylinder_mask,
     _fit,
@@ -119,7 +120,8 @@ class TestCropCylinder:
 
 
 class TestCropRows:
-    """The x-sorted slab crop keeps exactly the rows a full-cloud scan keeps."""
+    """The x-sorted slab crop keeps exactly the rows a full-cloud scan keeps,
+    and the crop pass hands the tracker each of them once."""
 
     def check(self, cloud_cam, centres, anchors=None):
         anchors = anchors or default_anchors()
@@ -131,6 +133,17 @@ class TestCropRows:
                 full = np.flatnonzero(_cylinder_mask(cloud_cam, centre, anchor))
                 assert rows.dtype == full.dtype
                 assert np.array_equal(rows, full)
+        # the crop pass: the rows of the crops with >= 3 rows, in cloud order
+        # and each once, and every crop as int32 ranks among them
+        ranked, points = _crop(cloud_cam, centres, anchors)
+        tracked = sorted({row for per_anchor in crops for rows in per_anchor if len(rows) >= 3 for row in rows})
+        assert np.array_equal(points, cloud_cam[tracked])
+        assert [len(per_anchor) for per_anchor in ranked] == [len(per_anchor) for per_anchor in crops]
+        for per_anchor, per_anchor_ranks in zip(crops, ranked):
+            for rows, ranks in zip(per_anchor, per_anchor_ranks):
+                assert ranks.dtype == np.int32 and len(ranks) == len(rows)
+                if len(rows) >= 3:
+                    assert np.array_equal(points[ranks], cloud_cam[rows])
         return crops
 
     @pytest.mark.parametrize("sizes", [None, (0.5, 3.0), (2.0, 5.0)])
@@ -221,7 +234,9 @@ class TestCropRows:
         r_max = max(a.crop_radius() for a in default_anchors())
         zs = [-50.0, 80.0, 4.0 - r_max, 20.0 + r_max, cloud_cam[:, 2].min() - 1.0, cloud_cam[:, 2].max() + 1.0,
               cloud_cam[:, 2].min() - 3 * r_max, cloud_cam[:, 2].max() + 3 * r_max, -1e200, 1e200]
-        self.check(cloud_cam, [np.array([x, 0.5, z]) for z in zs for x in (-1e200, -6.0, 0.0, 6.0, 60.0)])
+        crops = self.check(cloud_cam, [np.array([x, 0.5, z]) for z in zs for x in (-1e200, -6.0, 0.0, 6.0, 60.0)])
+        # crops at the cloud's edges hold 1 and 2 rows, tracked only where a longer crop holds them
+        assert {1, 2} <= {len(rows) for per_anchor in crops for rows in per_anchor}
 
     def test_cloud_in_a_single_bucket(self):
         rng = np.random.default_rng(13)
