@@ -6,7 +6,8 @@ pairs. Cells are half-open: a point exactly on a max bound is excluded, so
 every in-volume point lands in exactly one pillar.
 Only this module knows the pixel rules: `check_pixel` bounds a box-grid
 pixel, `pixel_coords` maps lidar x/y to continuous pixel coordinates,
-`_cell_index` floors them to a pixel, `grid_centres` decodes them.
+`_cell_index` floors them to a pixel, `grid_centres` decodes them. So with
+the box code: `OFFSET`...`CONFIDENCE` name its channels, `code_faults` its rules.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ MAX_GRID_PIXELS = 4096 * 4096
 # Largest out_rows * out_cols a grid may have, each cell a box code of 8 float64: at 2048 x 2048
 # stride 1, `generate --jobs 1` peaks at 618 MB on a 10k-point scene with heuristic proposals.
 MAX_GRID_CELLS = 2048 * 2048
+
+# Box-code channels: centre offset from the pillar centre, sizes, yaw, confidence.
+OFFSET, SIZE, YAW, CONFIDENCE = slice(0, 3), slice(3, 6), 6, 7
 
 
 @dataclass(frozen=True)
@@ -96,30 +100,31 @@ class BoxGrid:
         return cls(np.zeros((spec.out_rows, spec.out_cols, 8)))
 
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def confidence(self) -> np.ndarray:
-        return self.data[:, :, 7]
+        return self.data[:, :, CONFIDENCE]
 
     def set_code(self, pixel, code):
         """Write a pixel's code, [dx, dy, dz, size_x, size_y, size_z, yaw, confidence]."""
         code = np.asarray(code, dtype=float)
-        if code.shape != (8,) or np.any(code[3:6] < 0) or not 0.0 <= code[7] <= 1.0:
-            raise ValueError("a box code is 8 values with sizes >= 0 and a confidence in [0, 1]")
+        if code.shape != (8,) or not np.isfinite(code).all() or any(bad for _, _, bad in code_faults(code)):
+            raise ValueError("a box code is 8 finite values with sizes >= 0 and a confidence in [0, 1]")
         self.data[pixel[0], pixel[1]] = code
 
 
+def code_faults(codes: np.ndarray, span=np.inf):
+    """The box code's rules as (field, fault, cells), cells marking the codes (last axis of `codes`)
+    that break each: offsets within `span` (scalar or per axis), sizes >= 0, confidence in [0, 1]."""
+    return (
+        ("box offset", "exceeds the grid span", (np.abs(codes[..., OFFSET]) > span).any(axis=-1)),
+        ("box size", "is negative", (codes[..., SIZE] < 0).any(axis=-1)),
+        ("confidence", "lies outside [0, 1]", (codes[..., CONFIDENCE] < 0) | (codes[..., CONFIDENCE] > 1)),
+    )
+
+
 def require_grid_shape(grid: BoxGrid, spec: GridSpec):
-    if grid.rows != spec.out_rows or grid.cols != spec.out_cols:
-        raise ShapeMismatch(
-            f"grid is {grid.rows}x{grid.cols}, expected {spec.out_rows}x{spec.out_cols}"
-        )
+    rows, cols = grid.data.shape[:2]
+    if (rows, cols) != (spec.out_rows, spec.out_cols):
+        raise ShapeMismatch(f"grid is {rows}x{cols}, expected {spec.out_rows}x{spec.out_cols}")
 
 
 def check_pixel(pixel, spec: GridSpec) -> tuple[int, int]:
@@ -212,7 +217,7 @@ def pillar_centre(pixel, spec: GridSpec) -> np.ndarray:
 def grid_centres(grid: BoxGrid, spec: GridSpec) -> np.ndarray:
     """Decoded 3D centres of every grid box, (rows*cols, 3), row-major."""
     base = pillar_centres(np.arange(spec.out_rows)[:, None], np.arange(spec.out_cols), spec)
-    return (base + grid.data[:, :, 0:3]).reshape(-1, 3)
+    return (base + grid.data[:, :, OFFSET]).reshape(-1, 3)
 
 
 def encode_box(box: Obb3, spec: GridSpec, confidence: float = 1.0):

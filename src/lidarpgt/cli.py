@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .bev import grid_centres, rasterize
+from .bev import SIZE, YAW, grid_centres, rasterize
 from .dataset import (
     frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
     remove_frames_from, write_diagnostics, write_labels, write_raster,
@@ -285,10 +285,9 @@ def cmd_render(args) -> int:
     if "proposals" in args.overlays:
         grid = _load_grid(args.proposals, seq, t, cfg, cloud)
         shown = grid.confidence > cfg.sampler.confidence_threshold
-        shown &= np.all(grid.data[:, :, 3:6] > 0, axis=2)
-        codes = grid.data[shown]
+        shown &= np.all(grid.data[:, :, SIZE] > 0, axis=2)
         centres = grid_centres(grid, cfg.grid)[shown.reshape(-1)]
-        boxes = [Obb3(c, code[3:6], float(code[6]), LIDAR) for c, code in zip(centres, codes)]
+        boxes = [Obb3(c, code[SIZE], float(code[YAW]), LIDAR) for c, code in zip(centres, grid.data[shown])]
         overlays.append((PROPOSAL_COLOR, boxes))
     raster = rasterize(cloud, cfg.grid)
     write_ppm(args.out, render_overlays(raster, cfg.grid, overlays))

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec
+from .bev import BoxGrid, GridSpec, code_faults
 from .errors import BehindCamera, MalformedFile, MalformedLine, MissingFrameData, ShapeMismatch
 from .geometry import (
     AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform, project_box_2d,
@@ -370,17 +370,11 @@ def write_box_grid(path, grid: BoxGrid):
 
 
 def read_box_grid(path, spec: GridSpec) -> BoxGrid:
-    """Read a box grid of `spec`'s shape, checking every cell's code: no centre
-    offset beyond the grid's extent on its axis, no negative size and a
-    confidence in [0, 1]."""
+    """Read a box grid of `spec`'s shape, checking every cell's code by
+    `code_faults`, with offsets bounded by the grid's extent on each axis."""
     data = read_raster(path, (spec.out_rows, spec.out_cols, 8))
     span = [hi - lo for lo, hi in (spec.x_range, spec.y_range, spec.z_range)]
-    faults = (
-        ("box offset", "exceeds the grid span", (np.abs(data[:, :, 0:3]) > span).any(axis=2)),
-        ("box size", "is negative", (data[:, :, 3:6] < 0).any(axis=2)),
-        ("confidence", "lies outside [0, 1]", (data[:, :, 7] < 0) | (data[:, :, 7] > 1)),
-    )
-    for field_name, fault, bad in faults:
+    for field_name, fault, bad in code_faults(data, span):
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise MalformedFile(f"{path}: {field_name} at cell ({row}, {col}) {fault}")

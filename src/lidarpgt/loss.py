@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, check_pixel, pillar_centres, require_grid_shape
+from .bev import CONFIDENCE, SIZE, YAW, BoxGrid, GridSpec, check_pixel, grid_centres, require_grid_shape
 
 
 @dataclass(frozen=True)
@@ -93,23 +93,23 @@ def frame_loss_terms(
 ) -> LossBreakdown:
     """Per-term loss over full (U+) and confidence-only (U-) targets.
 
-    Predicted centres are decoded (pillar centre + offset) in lidar space
-    before comparison. Accumulation runs in pixel-sorted order so the result
-    does not depend on how the targets were produced.
+    Predicted centres are decoded by `grid_centres` (pillar centre + offset,
+    lidar frame). Accumulation runs in pixel-sorted order so the result does
+    not depend on how the targets were produced.
     """
     require_grid_shape(grid, spec)
+    centres = grid_centres(grid, spec).reshape(spec.out_rows, spec.out_cols, 3)
     out = LossBreakdown()
     for label in sorted(u_plus, key=lambda l: l.pixel):
         r, c = check_pixel(label.pixel, spec)
-        code = grid.data[r, c].tolist()
-        predicted_centre = pillar_centres(r, c, spec) + code[0:3]
-        out.centre += float(np.sum(balanced_l1(predicted_centre - label.box.centre, cfg)))
-        out.dims += float(np.sum(balanced_l1(code[3:6] - label.box.dims, cfg)))
-        out.yaw += float(balanced_l1(wrap_angle_residual(code[6] - label.box.yaw), cfg))
-        out.confidence_pos += (code[7] - label.confidence) ** 2
+        code = grid.data[r, c]
+        out.centre += float(np.sum(balanced_l1(centres[r, c] - label.box.centre, cfg)))
+        out.dims += float(np.sum(balanced_l1(code[SIZE] - label.box.dims, cfg)))
+        out.yaw += float(balanced_l1(wrap_angle_residual(code[YAW] - label.box.yaw), cfg))
+        out.confidence_pos += (float(code[CONFIDENCE]) - label.confidence) ** 2
     for pixel, target in sorted(u_minus, key=lambda p: p[0]):
         r, c = check_pixel(pixel, spec)
-        out.confidence_neg += (float(grid.data[r, c, 7]) - target) ** 2
+        out.confidence_neg += (float(grid.confidence[r, c]) - target) ** 2
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bev import BoxGrid, GridSpec, _cell_index, in_volume_mask, pillar_centres
+from .bev import CONFIDENCE, OFFSET, SIZE, BoxGrid, GridSpec, _cell_index, in_volume_mask, pillar_centres
 from .dataset import read_box_grid
 from .geometry import PointCloud
 
@@ -56,7 +56,7 @@ def heuristic_grid(cloud: PointCloud, spec: GridSpec, ground_margin: float = DEF
     occupied = np.flatnonzero(count > 0)
     r, c = np.divmod(occupied, spec.out_cols)
     centroid = sums[occupied] / count[occupied, None]
-    grid.data[r, c, 0:3] = centroid - pillar_centres(r, c, spec)
-    grid.data[r, c, 3:6] = np.maximum(hi[occupied] - lo[occupied], _MIN_EXTENT)
-    grid.data[r, c, 7] = count[occupied] / count.max()
+    grid.data[r, c, OFFSET] = centroid - pillar_centres(r, c, spec)
+    grid.data[r, c, SIZE] = np.maximum(hi[occupied] - lo[occupied], _MIN_EXTENT)
+    grid.data[r, c, CONFIDENCE] = count[occupied] / count.max()
     return grid

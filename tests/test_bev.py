@@ -290,10 +290,15 @@ class TestBoxGrid:
             [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5],  # 7 values
             [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.0],  # 9 values
             [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, float("nan")],
+            [float("nan"), 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.5],  # a NaN offset
+            [0.0, float("inf"), 0.0, 1.0, 1.0, 1.0, 0.0, 0.5],  # an infinite offset
+            [0.0, 0.0, 0.0, 1.0, float("nan"), 1.0, 0.0, 0.5],  # a NaN size
+            [0.0, 0.0, 0.0, 1.0, 1.0, float("inf"), 0.0, 0.5],  # an infinite size
+            [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, float("-inf"), 0.5],  # an infinite yaw
         ],
     )
     def test_rejects_malformed_code(self, code):
         grid = BoxGrid.zeros(GridSpec())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a box code is 8 "):
             grid.set_code((5, 7), code)
         assert not grid.data.any()
