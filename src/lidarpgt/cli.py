@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 usage error, 2 data error or a killed worker,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -25,8 +25,8 @@ import numpy as np
 from . import config as cfgmod
 from .bev import SIZE, YAW, grid_centres, rasterize
 from .dataset import (
-    frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
-    remove_frames_from, write_diagnostics, write_labels, write_raster,
+    committed, frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
+    write_diagnostics, write_labels, write_raster,
 )
 from .errors import LidarPgtError, MalformedFile, MissingFrameData
 from .evaluation import evaluate_sequence, threshold_key
@@ -178,17 +178,21 @@ def cmd_generate(args) -> int:
         raise MissingFrameData(
             f"sequence has {seq.n_frames} frames; tracking needs at least {cfg.scorer.k_frames + 1}"
         )
-    out = Path(args.out)
-    work = functools.partial(_generate_frame, seq, cfg, args.proposals, out)
-    (out / "label_pgt").mkdir(parents=True, exist_ok=True)
-    (out / "diagnostics").mkdir(parents=True, exist_ok=True)
     # --jobs 0: the CPUs this process may run on, where the platform can say
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or cpus or 1, n_windows)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        results = list((pool.map if pool else map)(work, range(n_windows)))
-    remove_frames_from(out / "label_pgt", n_windows, ".txt")
-    remove_frames_from(out / "diagnostics", n_windows, ".json")
+    with committed(args.out) as out:
+        (out / "label_pgt").mkdir()
+        (out / "diagnostics").mkdir()
+        work = functools.partial(_generate_frame, seq, cfg, args.proposals, out)
+        # workers ignore the SIGINT that Ctrl-C sends the whole process group: the parent stops the run
+        pool = None if jobs == 1 else ProcessPoolExecutor(
+            jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
+            results = list((pool.map if pool else map)(work, range(n_windows)))
+        finally:
+            if pool:  # on the way out, windows not yet handed to a worker do not run
+                pool.shutdown(cancel_futures=True)
     n_plus, n_minus, conf_sum = map(sum, zip(*results))
     total = n_plus + n_minus
     mean_conf = conf_sum / total if total else 0.0
@@ -310,10 +314,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenProcessPool:
-        print("error: a worker stopped abruptly (killed, or out of memory); the output is incomplete", file=sys.stderr)
+        print("error: a worker stopped abruptly (killed, or out of memory); --out is unchanged", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        print("interrupted; the output is incomplete", file=sys.stderr)
+        print("interrupted", file=sys.stderr)
         return 130
     except Exception as exc:  # pragma: no cover - internal invariant violations
         print(f"internal error: {exc!r}", file=sys.stderr)

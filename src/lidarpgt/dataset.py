@@ -24,7 +24,9 @@ import contextlib
 import json
 import math
 import reprlib
+import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -536,15 +538,26 @@ def frame_files(directory, suffix: str) -> dict[int, Path]:
     return frames
 
 
-def remove_frames_from(directory, first: int, suffix: str):
-    """Delete `directory`'s frame files `<t><suffix>` with t >= first, and their
-    sidecars: frames an earlier, longer run left there. Other files stay."""
-    for path in Path(directory).iterdir():
-        t, _, rest = path.name.partition(".")
-        if "." + rest in (suffix, suffix + ".json"):
-            with contextlib.suppress(MalformedFile):
-                if frame_index(t) >= first:
-                    path.unlink()
+@contextlib.contextmanager
+def committed(out):
+    """Yield a scratch directory inside `out`. When the block returns, each entry
+    written there replaces the entry of that name in `out` whole, and others stay; when
+    it raises, the scratch directory goes, and so do `out` and the parents this call made."""
+    out = Path(out)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # the last is the topmost
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as scratch:
+            yield Path(scratch)
+            for entry in sorted(Path(scratch).iterdir()):
+                target = out / entry.name
+                shutil.rmtree(target, ignore_errors=True)  # a directory; a file or a link stays
+                target.unlink(missing_ok=True)
+                entry.rename(target)
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 def load_sequence(root) -> SequenceIndex:

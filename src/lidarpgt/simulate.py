@@ -18,7 +18,6 @@ import json
 import reprlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .dataset import (
     FRAME_FILES,
     Calibration,
     SequenceIndex,
+    committed,
     label_record,
-    remove_frames_from,
     write_calib,
     write_cloud,
     write_labels,
@@ -361,35 +360,35 @@ _LABEL_CLASS = {"vehicle": "Car", "pedestrian": "Pedestrian", "cyclist": "Cyclis
 
 def write_scene(frames: Iterable[SceneFrame], config: SimConfig, out_dir, seed: int) -> list[int]:
     """Write `config`'s scene, made with `seed`, in the on-disk sequence layout
-    (see dataset module). The poses and frame count come from `config`; each
-    frame is written as it arrives. Returns the number of points of each frame."""
+    (see dataset module) through `committed`. The poses and frame count come from
+    `config`; each frame is written as it arrives. Returns the number of points of each frame."""
     calib = Calibration(LIDAR_TO_CAM, config.intrinsics)
     poses = [config.ego.pose_at(t) for t in range(config.n_frames)]
-    seq = SequenceIndex(Path(out_dir), calib, poses, config.n_frames)
-    for directory, suffix in FRAME_FILES.values():
-        (seq.root / directory).mkdir(parents=True, exist_ok=True)
-        remove_frames_from(seq.root / directory, config.n_frames, suffix)
-    write_calib(seq.root / "calib.txt", calib)
-    write_poses(seq.root / "poses.txt", seq.poses)
-    n_points = []
-    for frame in frames:  # enumerate's cached result tuple would hold the last frame
-        t = len(n_points)
-        n_points.append(len(frame.cloud))
-        write_cloud(seq.path("cloud", t), frame.cloud)
-        write_raster(seq.path("depth", t), frame.depth)
-        write_raster(seq.path("flow", t), frame.flow)
-        records = [
-            label_record(_LABEL_CLASS[gt.cls], gt.box, LIDAR_TO_CAM, config.intrinsics)
-            for gt in frame.gt_boxes
-        ]
-        write_labels(seq.path("label", t), records)
-        del frame  # so the next frame is not built beside this one
-    meta = {
-        "seed": seed,
-        "n_frames": config.n_frames,
-        "objects": [
-            {"cls": obj.cls, "moving": obj.is_moving} for obj in config.objects
-        ],
-    }
-    (seq.root / "scene_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    with committed(out_dir) as root:
+        seq = SequenceIndex(root, calib, poses, config.n_frames)
+        for directory, _ in FRAME_FILES.values():
+            (root / directory).mkdir()
+        write_calib(root / "calib.txt", calib)
+        write_poses(root / "poses.txt", seq.poses)
+        n_points = []
+        for frame in frames:  # enumerate's cached result tuple would hold the last frame
+            t = len(n_points)
+            n_points.append(len(frame.cloud))
+            write_cloud(seq.path("cloud", t), frame.cloud)
+            write_raster(seq.path("depth", t), frame.depth)
+            write_raster(seq.path("flow", t), frame.flow)
+            records = [
+                label_record(_LABEL_CLASS[gt.cls], gt.box, LIDAR_TO_CAM, config.intrinsics)
+                for gt in frame.gt_boxes
+            ]
+            write_labels(seq.path("label", t), records)
+            del frame  # so the next frame is not built beside this one
+        meta = {
+            "seed": seed,
+            "n_frames": config.n_frames,
+            "objects": [
+                {"cls": obj.cls, "moving": obj.is_moving} for obj in config.objects
+            ],
+        }
+        (root / "scene_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     return n_points

@@ -50,6 +50,11 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _tree(root):
+    """Every entry under `root` by its relative path: a file's bytes, None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 class TestCliRoundTrip:
     def test_sequence_files_exist(self, workspace):
         seq = workspace / "seq"
@@ -201,16 +206,15 @@ class TestCliRoundTrip:
         assert (workspace / "seq" / "velodyne" / "000000.bin").read_bytes() == before
 
     def test_simulate_over_a_longer_scene(self, workspace, tmp_path):
-        """A 4-frame scene simulated over a 5-frame one leaves none of its frames."""
+        """A 4-frame scene simulated over a 5-frame one replaces each directory it
+        writes whole: the tree equals a fresh run's."""
         seq, short = tmp_path / "seq", tmp_path / "short.json"
         short.write_text(json.dumps(dict(CONFIG, simulate=dict(CONFIG["simulate"], n_frames=4))))
         assert main(["simulate", "--config", str(workspace / "cfg.json"), "--seed", "3", "--out", str(seq)]) == 0
-        (seq / "velodyne" / "notes.txt").write_text("kept\n")
+        (seq / "velodyne" / "notes.txt").write_text("not kept\n")
         assert main(["simulate", "--config", str(short), "--seed", "3", "--out", str(seq)]) == 0
         assert main(["simulate", "--config", str(short), "--seed", "3", "--out", str(tmp_path / "fresh")]) == 0
-        (seq / "velodyne" / "notes.txt").unlink()  # a file not named as a frame stays
-        files = lambda root: {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-        assert files(seq) == files(tmp_path / "fresh")
+        assert _tree(seq) == _tree(tmp_path / "fresh")
         assert main(["generate", str(seq), "--out", str(tmp_path / "pgt"), "--config", str(short)]) == 0
 
     def test_simulate_deterministic(self, workspace, tmp_path):
@@ -237,15 +241,11 @@ class TestCliRoundTrip:
         short.write_text(json.dumps(dict(CONFIG, scorer={"k_frames": 1})))
         assert main(["generate", str(workspace / "seq"), "--out", str(out), "--config", str(short)]) == 0
         assert len(list((out / "label_pgt").glob("*.txt"))) == 4
-        (out / "label_pgt" / "notes.txt").write_text("kept\n")
+        (out / "label_pgt" / "notes.txt").write_text("not kept\n")
         cfg = workspace / "cfg.json"
         assert main(["generate", str(workspace / "seq"), "--out", str(out), "--config", str(cfg)]) == 0
-        # windows 2 and 3 of the first run are gone; a file not named as a frame stays
-        assert sorted(p.name for p in (out / "label_pgt").iterdir()) == ["000000.txt", "000001.txt", "notes.txt"]
-        assert sorted(p.name for p in (out / "diagnostics").iterdir()) == ["000000.json", "000001.json"]
-        for t in range(2):
-            for name in (f"label_pgt/{t:06d}.txt", f"diagnostics/{t:06d}.json"):
-                assert (out / name).read_bytes() == (workspace / "pgt" / name).read_bytes()
+        # label_pgt/ and diagnostics/ are replaced whole: windows 2 and 3 of the first run are gone
+        assert _tree(out) == _tree(workspace / "pgt")
         capsys.readouterr()
         assert main(["evaluate-loss", str(workspace / "seq"), "--pgt", str(out), "--config", str(cfg)]) == 0
         assert [line[:10] for line in capsys.readouterr().out.splitlines()[:-1]] == ["frame 0000", "frame 0001"]
@@ -267,14 +267,11 @@ class TestCliRoundTrip:
         class SerialPool:
             """Stand-in executor: records the worker count and maps in-process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **_):
                 started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures):
+                pass
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
@@ -302,8 +299,9 @@ class TestCliRoundTrip:
             return load_sequence(root)
 
         monkeypatch.setattr(cli, "load_sequence", counting_load)
-        # threads share this process, so loads made inside the workers are counted too
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        # threads share this process, so loads made inside the workers are counted too;
+        # the workers' SIGINT initializer is for processes, and a thread may not set a handler
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda jobs, **_: concurrent.futures.ThreadPoolExecutor(jobs))
         out = tmp_path / "pgt"
         argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(workspace / "cfg.json")]
         assert main(argv + ["--jobs", jobs]) == 0
@@ -438,7 +436,8 @@ INSTALLED = os.environ.get("LIDARPGT_CLI") == "installed"
 @dataclasses.dataclass(frozen=True)
 class Failure:
     """A command line that must exit with `code` and one stderr line under 400
-    characters naming each of `named`; run by the `fails` fixture."""
+    characters naming each of `named`, print nothing on stdout and leave no
+    {out}; run by the `fails` fixture."""
 
     command: str  # a key of COMMANDS, or an argv template of its own
     code: int
@@ -448,7 +447,6 @@ class Failure:
     # (path relative to {tmp}, how): `how(path)` edits a copy of the workspace
     # entry the path lies in, if there is one, and may return one more name
     edit: tuple | None = None
-    before_output: bool = True  # fails before any output: nothing on stdout, no {out}
 
 
 @pytest.fixture
@@ -485,8 +483,7 @@ def fails(workspace, tmp_path, capsys):
         assert code == row.code, (code, err)
         assert len(err.splitlines()) == 1 and len(err) < 400, err
         assert all(name in err for name in named if name is not None), (named, err)
-        if row.before_output:
-            assert out == "" and not paths["out"].exists(), out
+        assert out == "" and not paths["out"].exists(), out
 
     return run
 
@@ -1017,18 +1014,6 @@ def _readers(relative):
     return next(commands for prefix, commands in READERS.items() if relative.startswith(prefix))
 
 
-# the cases that fail after some output: `generate` makes --out before it reads
-# the first window's frames
-AFTER_OUTPUT = {
-    *((name, "generate") for name in (
-        "depth-half-rows", "depth-inf", "depth-shape-160x1600", "depth-sidecar-f8-column-major",
-        "depth-signalling-nan", "flow-nan", "flow-shape-160x1600", "flow-sidecar-column-major", "sidecar-list",
-        "sidecar-no-rows", "sidecar-string-rows", "velodyne-signalling-nan", "grid-confidence-above-one",
-        "grid-huge-offset", "grid-nan-confidence", "grid-negative-size", "grid-sidecar-f8",
-    )),
-}
-
-
 CORRUPTION_CASES = [
     pytest.param(name, command, id=name if command == "generate" else f"{name}-{command}")
     for name, (relative, _) in sorted(CORRUPTIONS.items())
@@ -1047,8 +1032,7 @@ def test_corrupted_input_exits_2_naming_the_file(fails, name, command):
         flags, corrupt = "--proposals file:{seq}/grids", _after_grids(corrupt)
     # a raster's sidecar errors may name the raster
     named = ["{tmp}/" + relative.replace(".bin.json", ".bin")]
-    before_output = (name, command) not in AFTER_OUTPUT
-    fails(Failure(command, 2, named, flags, edit=(relative, corrupt), before_output=before_output))
+    fails(Failure(command, 2, named, flags, edit=(relative, corrupt)))
 
 
 @pytest.mark.parametrize("relative, value", [("depth/000004.bin", np.inf), ("flow/000003.bin", np.nan)])
@@ -1095,39 +1079,95 @@ def test_generate_frees_the_box_grid_before_tracking(workspace, tmp_path, monkey
     assert alive == [[], []]  # one tracking call per window, none with a grid or a cloud alive
 
 
+def _write_window(out, t):
+    """Write a label file for window t, as `_generate_frame` would."""
+    (out / "label_pgt" / f"{t:06d}.txt").write_text("")
+
+
 def _killed_at_window_3(seq, cfg, grids, out, t):
     """A stand-in for `_generate_frame` whose worker is killed at window 3."""
     import os
     import signal
 
+    _write_window(out, t)
     if t == 3:
         os.kill(os.getpid(), signal.SIGKILL)
     return 0, 0, 0.0
 
 
 def _interrupted(seq, cfg, grids, out, t):
+    _write_window(out, t)
     raise KeyboardInterrupt
 
 
 @pytest.mark.parametrize(
     "stand_in, jobs, code, message",
     [
-        (_killed_at_window_3, "2", 2,
-         "error: a worker stopped abruptly (killed, or out of memory); the output is incomplete\n"),
-        (_interrupted, "1", 130, "interrupted; the output is incomplete\n"),
-        (_interrupted, "2", 130, "interrupted; the output is incomplete\n"),
+        (_killed_at_window_3, "2", 2, "error: a worker stopped abruptly (killed, or out of memory); --out is unchanged\n"),
+        (_interrupted, "1", 130, "interrupted\n"),
+        (_interrupted, "2", 130, "interrupted\n"),
     ],
     ids=["killed-worker", "ctrl-c", "ctrl-c-jobs-2"],
 )
 def test_generate_stopped_from_outside(workspace, tmp_path, capsys, monkeypatch, stand_in, jobs, code, message):
+    """A stopped run leaves an earlier run's --out byte-identical, and makes no fresh one."""
     import lidarpgt.cli as cli
 
     monkeypatch.setattr(cli, "_generate_frame", stand_in)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**CONFIG, "scorer": {"k_frames": 1}}))  # windows 0..3
-    argv = ["generate", str(workspace / "seq"), "--out", str(tmp_path / "out"), "--config", str(cfg), "--jobs", jobs]
-    assert main(argv) == code
-    assert capsys.readouterr().err == message
+    earlier = tmp_path / "earlier"
+    shutil.copytree(workspace / "pgt", earlier)
+    (earlier / "keep.txt").write_text("kept\n")
+    before = _tree(earlier)
+    for out in (earlier, tmp_path / "fresh"):
+        argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(cfg), "--jobs", jobs]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", message)
+    assert _tree(earlier) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+# run in a child process: a stand-in `_generate_frame` that sends SIGINT to its
+# process group at window 1, as Ctrl-C in a terminal does, then runs the CLI.
+# Under --jobs 2 it first waits until the other worker has written windows 0, 2
+# and 3, so that the signal finds that worker waiting for work.
+_SIGINT_AT_WINDOW_1 = """
+import multiprocessing, os, signal, sys, time
+import lidarpgt.cli as cli
+
+def interrupt_at_window_1(seq, cfg, grids, out, t):
+    (out / "label_pgt" / f"{t:06d}.txt").write_text("")
+    if t == 1:
+        others = [out / "label_pgt" / f"{u:06d}.txt" for u in (0, 2, 3)]
+        while multiprocessing.parent_process() and not all(p.exists() for p in others):
+            time.sleep(0.01)
+        os.killpg(os.getpgrp(), signal.SIGINT)
+    return 0, 0, 0.0
+
+if __name__ == "__main__":
+    cli._generate_frame = interrupt_at_window_1
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_generate_under_a_real_ctrl_c(workspace, tmp_path, jobs):
+    """Every process of the run gets the SIGINT: the run exits 130 with one
+    line, no worker traceback, and leaves --out as it was."""
+    script, cfg, out = tmp_path / "interrupted.py", tmp_path / "cfg.json", tmp_path / "out"
+    script.write_text(_SIGINT_AT_WINDOW_1)
+    cfg.write_text(json.dumps({**CONFIG, "scorer": {"k_frames": 1}}))  # windows 0..3
+    shutil.copytree(workspace / "pgt", out)
+    before = _tree(out)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(cfg), "--jobs", jobs]
+    # a session of its own: the signal reaches the child's process group, never this one
+    child = subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True, text=True,
+                           timeout=120, start_new_session=True)
+    assert (child.returncode, child.stdout, child.stderr) == (130, "", "interrupted\n")
+    assert _tree(out) == before
 
 
 @pytest.mark.failure

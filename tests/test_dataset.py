@@ -11,6 +11,7 @@ from lidarpgt.dataset import (
     FRAME_FILES,
     Calibration,
     LabelRecord,
+    committed,
     load_sequence,
     read_box_grid,
     read_calib,
@@ -650,3 +651,77 @@ class TestSequenceIndex:
         message = f"{tmp_path / 'seq'}: frame {t} outside sequence of 3 frames"
         with pytest.raises(MissingFrameData, match=re.escape(message)):
             getattr(seq, reader)(t)
+
+
+def _tree(root):
+    """Every entry under `root` by its relative path: a file's bytes, a link's
+    target, None for a directory."""
+    def entry(p):
+        return str(p.readlink()) if p.is_symlink() else p.read_bytes() if p.is_file() else None
+
+    return {str(p.relative_to(root)): entry(p) for p in root.rglob("*")}
+
+
+class TestCommitted:
+    def _earlier(self, root):
+        """An output directory as an earlier, longer run and a user left it."""
+        (root / "label_pgt").mkdir(parents=True)
+        for name in ("000000.txt", "000003.txt", "notes.txt"):
+            (root / "label_pgt" / name).write_text(f"old {name}\n")
+        (root / "run.txt").write_text("old\n")
+        (root / "was_a_dir").mkdir()
+        (root / "was_a_dir" / "inner.txt").write_text("old\n")
+        (root / "was_a_file").write_text("old\n")
+        (root / "keep.txt").write_text("kept\n")
+        (root / "grids").mkdir()
+        (root / "grids" / "000000.bin").write_bytes(b"kept")
+
+    def test_written_entries_replace_the_old_whole(self, tmp_path):
+        out = tmp_path / "out"
+        self._earlier(out)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "target.txt").write_text("not ours\n")
+        (out / "link").symlink_to(elsewhere)
+        with committed(out) as scratch:
+            assert scratch.parent == out and scratch.name.startswith(".partial-")
+            (scratch / "label_pgt").mkdir()
+            (scratch / "label_pgt" / "000000.txt").write_text("new\n")
+            (scratch / "run.txt").write_text("new\n")
+            (scratch / "was_a_dir").write_text("new\n")
+            (scratch / "was_a_file").mkdir()
+            (scratch / "link").mkdir()
+        assert _tree(out) == {
+            "label_pgt": None, "label_pgt/000000.txt": b"new\n", "run.txt": b"new\n",
+            "was_a_dir": b"new\n", "was_a_file": None, "link": None,
+            "keep.txt": b"kept\n", "grids": None, "grids/000000.bin": b"kept",
+        }
+        assert _tree(elsewhere) == {"target.txt": b"not ours\n"}  # a replaced link is not followed
+
+    def test_a_fresh_out_is_made_with_its_parents(self, tmp_path):
+        out = tmp_path / "a" / "out"
+        with committed(out) as scratch:
+            (scratch / "run.txt").write_text("new\n")
+        assert _tree(tmp_path) == {"a": None, "a/out": None, "a/out/run.txt": b"new\n"}
+
+    @pytest.mark.parametrize("stop", [ValueError("bad frame"), KeyboardInterrupt()], ids=type)
+    def test_a_raising_block_leaves_an_earlier_out_as_it_was(self, tmp_path, stop):
+        out = tmp_path / "out"
+        self._earlier(out)
+        before = _tree(out)
+        with pytest.raises(type(stop)):
+            with committed(out) as scratch:
+                (scratch / "label_pgt").mkdir()
+                (scratch / "label_pgt" / "000000.txt").write_text("new\n")
+                raise stop
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("stop", [ValueError("bad frame"), KeyboardInterrupt()], ids=type)
+    def test_a_raising_block_removes_the_out_it_made(self, tmp_path, stop):
+        (tmp_path / "a").mkdir()
+        for out in (tmp_path / "out", tmp_path / "a" / "b" / "out"):
+            with pytest.raises(type(stop)):
+                with committed(out) as scratch:
+                    (scratch / "run.txt").write_text("new\n")
+                    raise stop
+        assert _tree(tmp_path) == {"a": None}  # the parents it made go too
