@@ -25,10 +25,10 @@ import numpy as np
 from . import config as cfgmod
 from .bev import SIZE, YAW, grid_centres, rasterize
 from .dataset import (
-    committed, frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
-    write_diagnostics, write_labels, write_raster,
+    committed, frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics, read_run,
+    write_diagnostics, write_labels, write_raster, write_run,
 )
-from .errors import LidarPgtError, MalformedFile, MissingFrameData
+from .errors import ConfigInvalid, LidarPgtError, MalformedFile, MissingFrameData
 from .evaluation import evaluate_sequence, threshold_key
 from .geometry import LIDAR, Obb3, transform_obb
 from .loss import LossBreakdown, frame_loss_terms
@@ -85,8 +85,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate-loss", help="training-loss breakdown for generated labels")
     p.add_argument("sequence")
     p.add_argument("--pgt", required=True, help="output directory of a generate run")
-    p.add_argument("--proposals", type=_proposals, default="heuristic")
-    p.add_argument("--config", help="JSON config file overriding the defaults")
+    p.add_argument("--proposals", type=_proposals, default=argparse.SUPPRESS, help="must match --pgt's run.json")
+    p.add_argument("--config", help="must match --pgt's run.json")
     p.set_defaults(func=cmd_evaluate_loss)
 
     p = sub.add_parser("render", help="render a BEV image with box overlays")
@@ -97,10 +97,10 @@ def build_parser() -> _Parser:
     p.add_argument("--pgt", help="generate output directory (for pseudo overlays)")
     p.add_argument("--bev-raster", help="also export the raw BEV channels as a flat binary raster")
     p.add_argument(
-        "--proposals", type=_proposals, default="heuristic",
-        help="'heuristic' or 'file:<dir>', as given to generate (for proposals overlays)",
+        "--proposals", type=_proposals, default=argparse.SUPPRESS,
+        help="'heuristic' (the default) or 'file:<dir>', for proposals overlays; with --pgt, must match its run.json",
     )
-    p.add_argument("--config")
+    p.add_argument("--config", help="JSON config file overriding the defaults; with --pgt, must match its run.json")
     p.set_defaults(func=cmd_render)
     return parser
 
@@ -193,6 +193,7 @@ def cmd_generate(args) -> int:
         finally:
             if pool:  # on the way out, windows not yet handed to a worker do not run
                 pool.shutdown(cancel_futures=True)
+        write_run(out / "run.json", cfg.merged, args.proposals, range(n_windows))
     n_plus, n_minus, conf_sum = map(sum, zip(*results))
     total = n_plus + n_minus
     mean_conf = conf_sum / total if total else 0.0
@@ -247,8 +248,20 @@ def _loss_terms_text(terms: LossBreakdown) -> str:
     )
 
 
+def _run_inputs(args):
+    """The config and grid directory to read with: --pgt's run.json's, which flags given must match, else the flags'."""
+    if not args.pgt:
+        return cfgmod.load_config(args.config), vars(args).get("proposals")
+    recorded, grids = read_run(args.pgt)
+    if args.config and cfgmod.load_config(args.config).merged != recorded.merged:
+        raise ConfigInvalid(f"--config {args.config} differs from the config in {Path(args.pgt) / 'run.json'}")
+    if "proposals" in args and (args.proposals and args.proposals.resolve()) != grids:
+        raise ConfigInvalid(f"--proposals differs from the proposals in {Path(args.pgt) / 'run.json'}")
+    return recorded, grids
+
+
 def cmd_evaluate_loss(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    cfg, grids = _run_inputs(args)
     seq = load_sequence(args.sequence)
     diag_dir = Path(args.pgt) / "diagnostics"
     frames = sorted(frame_files(diag_dir, ".json").items())
@@ -259,7 +272,7 @@ def cmd_evaluate_loss(args) -> int:
         raise MissingFrameData(f"{path}: frame {last} outside {seq.root}, a sequence of {seq.n_frames} frames")
     per_frame = []  # every frame is read before the first line is printed
     for t, path in frames:
-        grid = _load_grid(args.proposals, seq, t, cfg)
+        grid = _load_grid(grids, seq, t, cfg)
         u_plus, u_minus = read_diagnostics(path, cfg.grid)
         per_frame.append((t, frame_loss_terms(grid, u_plus, u_minus, cfg.grid, cfg.loss)))
     totals = LossBreakdown()
@@ -272,7 +285,7 @@ def cmd_evaluate_loss(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    cfg, grids = _run_inputs(args)
     seq = load_sequence(args.sequence)
     t = args.frame
     cloud = seq.read_cloud(t)
@@ -287,7 +300,7 @@ def cmd_render(args) -> int:
         u_plus, _ = read_diagnostics(frame_path(Path(args.pgt) / "diagnostics", t, ".json"), cfg.grid)
         overlays.append((PSEUDO_COLOR, [label.box for label in u_plus]))
     if "proposals" in args.overlays:
-        grid = _load_grid(args.proposals, seq, t, cfg, cloud)
+        grid = _load_grid(grids, seq, t, cfg, cloud)
         shown = grid.confidence > cfg.sampler.confidence_threshold
         shown &= np.all(grid.data[:, :, SIZE] > 0, axis=2)
         centres = grid_centres(grid, cfg.grid)[shown.reshape(-1)]

@@ -12,12 +12,11 @@ import reprlib
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bev import GridSpec
-from .dataset import finite_number
+from .dataset import finite_number, read_json
 from .errors import ConfigInvalid
 from .loss import LossConfig
 from .pipeline import Anchor, ScorerConfig, default_anchors
@@ -142,23 +141,20 @@ class Config(typing.NamedTuple):
     ground_margin: float
     scene: SimConfig
     seed: int  # the simulator's
+    merged: dict  # the defaults with the config laid over them, as JSON; run.json records it
 
 
-def load_config(path=None) -> Config:
-    """The defaults, deep-merged with an optional JSON config file.
+def load_config(path=None, user=None) -> Config:
+    """The defaults, deep-merged with an optional JSON config file, or with `user`, one read from `path`.
 
     Every section is built and checked here, once, so a bad key fails every
     command, not only the ones that use its section; errors name the file,
     the section and the key.
     """
-    user = {}
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except ValueError as exc:  # JSON or text decoding
-            raise ConfigInvalid(f"{path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigInvalid(f"{path}: config root must be an object")
+    if user is None:
+        user = {} if path is None else read_json(path)
+    if not isinstance(user, dict):
+        raise ConfigInvalid(f"{path}: config root must be an object")
     try:
         for name in user:
             if name not in _SECTIONS:
@@ -179,6 +175,7 @@ def load_config(path=None) -> Config:
         return Config(
             built["grid"], built["sampler"], built["scorer"], built["loss"], built["anchors"],
             built["heuristic"]["ground_margin"], _construct(SimConfig, "simulate", scene), seed,
+            json.loads(json.dumps(cfg)),
         )
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc

@@ -21,8 +21,10 @@ builds such a name and `frame_index` reads it back.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
+import os
 import reprlib
 import shutil
 import sys
@@ -84,6 +86,14 @@ def _lines(path):
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
             yield f"{path}:{lineno}", line
+
+
+def read_json(path):
+    """A JSON file's value; a file that is not UTF-8 JSON raises MalformedFile naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSON or text decoding
+        raise MalformedFile(f"{path}: {exc}") from exc
 
 
 def _finite_values(fields, where) -> np.ndarray:
@@ -348,10 +358,7 @@ def read_raster(path, shape) -> np.ndarray:
     meta_path = _sidecar_path(path)
     if not meta_path.exists():
         raise MalformedFile(f"{path}: missing sidecar {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:  # JSON or text decoding
-        raise MalformedFile(f"{meta_path}: {exc}") from exc
+    meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise MalformedFile(f"{meta_path}: sidecar must be a JSON object")
     for key, want in zip(("rows", "cols", "channels"), (*shape, 1)):  # a 2-tuple has one channel
@@ -454,10 +461,7 @@ def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
     """Read a diagnostics file back into its (u_plus, u_minus) targets on `spec`'s grid;
     a missing, mistyped or invalid value, or a pixel listed twice, raises MalformedFile
     naming the first bad entry."""
-    try:  # NaN and Infinity load as floats, which the entry checks reject
-        payload = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSON or text decoding
-        raise MalformedFile(f"{path}: {exc}") from exc
+    payload = read_json(path)  # NaN and Infinity load, and the entry checks reject them
     entries = payload.get("pixels") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         raise MalformedFile(f"{path}: expected a JSON object with a 'pixels' list")
@@ -540,8 +544,8 @@ def frame_files(directory, suffix: str) -> dict[int, Path]:
 
 @contextlib.contextmanager
 def committed(out):
-    """Yield a scratch directory inside `out`. When the block returns, each entry
-    written there replaces the entry of that name in `out` whole, and others stay; when
+    """Yield a scratch directory inside `out`. When the block returns, each entry written
+    there replaces the entry of that name in `out` whole, all or none, and others stay; when
     it raises, the scratch directory goes, and so do `out` and the parents this call made."""
     out = Path(out)
     made = [p for p in (out, *out.parents) if not p.exists()]  # the last is the topmost
@@ -549,15 +553,48 @@ def committed(out):
     try:
         with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as scratch:
             yield Path(scratch)
-            for entry in sorted(Path(scratch).iterdir()):
-                target = out / entry.name
-                shutil.rmtree(target, ignore_errors=True)  # a directory; a file or a link stays
-                target.unlink(missing_ok=True)
-                entry.rename(target)
+            new = sorted(Path(scratch).iterdir())
+            old = Path(tempfile.mkdtemp(dir=scratch))  # the replaced entries go with the scratch directory
+            moves = [(out / e.name, old / e.name) for e in new if os.path.lexists(out / e.name)]
+            moves += [(e, out / e.name) for e in new]
+            try:
+                for source, target in moves:
+                    source.rename(target)
+            except BaseException:
+                for source, target in reversed(moves):  # undo the moves made; a link is never followed
+                    if os.path.lexists(target) and not os.path.lexists(source):
+                        target.rename(source)
+                raise
     except BaseException:
         if made:
             shutil.rmtree(made[-1], ignore_errors=True)
         raise
+
+
+def write_run(path, config: dict, grids, frames):
+    """Write run.json: the merged config, the proposals source and the SHA-256 of each grid file of `frames`."""
+    files = [] if grids is None else [frame_path(grids, t, s) for t in frames for s in (".bin", ".bin.json")]
+    run = {"config": config, "proposals": "heuristic" if grids is None else f"file:{Path(grids).resolve()}",
+           "grids": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+    Path(path).write_text(json.dumps(run, indent=1) + "\n")
+
+
+def read_run(pgt):
+    """The config and grid directory (None for the heuristic) that made the generate output `pgt`, by
+    its run.json; a missing or malformed run.json, or a listed grid file missing or changed, raises naming it."""
+    from .config import load_config  # config imports this module
+
+    path = Path(pgt) / "run.json"
+    run = read_json(path)
+    source, digests = (run.get("proposals"), run.get("grids")) if isinstance(run, dict) else (None, None)
+    if not (isinstance(digests, dict) and isinstance(run.get("config"), dict)
+            and (source == "heuristic" and not digests or str(source).startswith("file:"))):
+        raise MalformedFile(f"{path}: expected 'config', 'proposals' and 'grids' as generate writes them")
+    grids = None if source == "heuristic" else Path(source[5:])
+    for name, digest in digests.items():
+        if not (grids / name).is_file() or hashlib.sha256((grids / name).read_bytes()).hexdigest() != digest:
+            raise MalformedFile(f"{grids / name}: missing, or changed since {path} was written")
+    return load_config(path, run["config"]), grids
 
 
 def load_sequence(root) -> SequenceIndex:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
 from lidarpgt.dataset import (
-    load_sequence, read_box_grid, read_calib, read_cloud, read_diagnostics, read_labels, read_poses,
+    FRAME_FILES, load_sequence, read_box_grid, read_calib, read_cloud, read_diagnostics, read_labels, read_poses,
+    read_run,
 )
 from lidarpgt.errors import LidarPgtError
 from lidarpgt.pipeline import generate_pseudo_labels
@@ -232,7 +233,7 @@ class TestCliRoundTrip:
             main(["generate", str(workspace / "seq"), "--out", str(out2), "--config", str(cfg), "--jobs", "2"])
             == 0
         )
-        for name in ("label_pgt/000000.txt", "label_pgt/000001.txt", "diagnostics/000000.json"):
+        for name in ("label_pgt/000000.txt", "label_pgt/000001.txt", "diagnostics/000000.json", "run.json"):
             assert (workspace / "pgt" / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_rerun_with_fewer_windows_removes_stale_frames(self, workspace, tmp_path, capsys):
@@ -567,23 +568,26 @@ class TestCliErrors:
         from lidarpgt.dataset import write_box_grid
         from lidarpgt.proposals import heuristic_grid
 
-        seq, diagnostics, grids = workspace / "seq", tmp_path / "pgt" / "diagnostics", tmp_path / "grids"
-        shutil.copytree(workspace / "pgt" / "diagnostics", diagnostics)
-        shutil.copy(diagnostics / "000000.json", diagnostics / "000099.json")
+        seq, grids = workspace / "seq", tmp_path / "grids"
         grids.mkdir()
         grid = heuristic_grid(read_cloud(seq / "velodyne" / "000000.bin"), GridSpec())
         for t in (0, 1, 99):
             write_box_grid(grids / f"{t:06d}.bin", grid)
-        argv = ["evaluate-loss", str(seq), "--pgt", str(tmp_path / "pgt"), "--config", str(workspace / "cfg.json")]
-        from_file = ["--proposals", f"file:{grids}"]
-        cases = {"heuristic": [], "grid of frame 99": from_file, "no grid of frame 99": from_file}
-        for case, proposals in cases.items():
+        shutil.copytree(workspace / "pgt", tmp_path / "heuristic")
+        argv = ["generate", str(seq), "--out", str(tmp_path / "file"), "--config", str(workspace / "cfg.json"),
+                "--proposals", f"file:{grids}", "--jobs", "1"]
+        assert main(argv) == 0
+        for pgt in ("heuristic", "file"):
+            shutil.copy(tmp_path / pgt / "diagnostics" / "000000.json", tmp_path / pgt / "diagnostics" / "000099.json")
+        for case, pgt in {"heuristic": "heuristic", "grid of frame 99": "file", "no grid of frame 99": "file"}.items():
             if case == "no grid of frame 99":
-                (grids / "000099.bin").unlink()
-            assert main(argv + proposals) == 2, case
+                (grids / "000099.bin").unlink()  # no window read it, so run.json does not list it
+            capsys.readouterr()
+            assert main(["evaluate-loss", str(seq), "--pgt", str(tmp_path / pgt)]) == 2, case
             out, err = capsys.readouterr()
             assert out == "", (case, out)
-            assert err == f"error: {diagnostics / '000099.json'}: frame 99 outside {seq}, a sequence of 5 frames\n", case
+            stray = tmp_path / pgt / "diagnostics" / "000099.json"
+            assert err == f"error: {stray}: frame 99 outside {seq}, a sequence of 5 frames\n", case
 
     @pytest.mark.failure
     def test_evaluate_loss_two_diagnostics_files_of_one_frame(self, fails):
@@ -969,6 +973,17 @@ CORRUPTIONS = {
     ),
     "diagnostics-no-anchor": ("pgt/diagnostics/000001.json", _edit_entry(lambda e: e.pop("anchor"), True)),
     "diagnostics-repeated-pixel": ("pgt/diagnostics/000000.json", _repeat_first_entry),
+    # the run.json of a generate output, which evaluate-loss and render take their inputs from
+    "run-json-missing": ("pgt/run.json", Path.unlink),
+    "run-json-truncated": ("pgt/run.json", _write_text("{")),
+    "run-json-list-root": ("pgt/run.json", _write_text("[]")),
+    "run-json-null-grids": ("pgt/run.json", _edit_config(lambda run: run.update(grids=None))),
+    "run-json-unknown-proposals": ("pgt/run.json", _edit_config(lambda run: run.update(proposals="magic"))),
+    "run-json-heuristic-with-grids": ("pgt/run.json", _edit_config(lambda run: run.update(grids={"a.bin": "0"}))),
+    "run-json-config-list": ("pgt/run.json", _edit_config(lambda run: run.update(config=[]))),
+    "run-json-bad-config": (
+        "pgt/run.json", _edit_config(lambda run: run["config"]["grid"].update(stride="4") or "grid.stride")
+    ),
     # per-anchor results are kept by name, so a repeated name would mix two anchors' results
     "config-repeated-anchor-name": ("cfg.json", _edit_config(_anchors_named_vehicle)),
     "config-not-utf8": ("cfg.json", _prepend_byte(b"\xff")),
@@ -1007,6 +1022,7 @@ READERS = {
     "pgt/diagnostics/foo.json": ("evaluate-loss",),
     "pgt/diagnostics/1.json": ("evaluate-loss",),
     "pgt/diagnostics/": ("evaluate-loss", "render"),
+    "pgt/run.json": ("evaluate-loss", "render"),
 }
 
 
@@ -1173,14 +1189,134 @@ def test_generate_under_a_real_ctrl_c(workspace, tmp_path, jobs):
 @pytest.mark.failure
 @pytest.mark.parametrize("made", [True, False])
 def test_evaluate_loss_without_diagnostics_exits_2(fails, made):
-    edit = ("empty/diagnostics", functools.partial(Path.mkdir, parents=True)) if made else None
-    named = ["error: {tmp}/empty/diagnostics: no diagnostics files\n"]
-    fails(Failure("evaluate-loss {seq} --pgt {tmp}/empty --config {cfg}", 2, named, edit=edit))
+    """A generate output whose diagnostics/ is empty, or gone."""
+    def edit(path):
+        shutil.rmtree(path)
+        if made:
+            path.mkdir()
+
+    named = ["error: {pgt}/diagnostics: no diagnostics files\n"]
+    fails(Failure("evaluate-loss", 2, named, edit=("pgt/diagnostics", edit)))
 
 
 @pytest.mark.failure
 def test_evaluate_loss_checks_every_frame_name_before_printing(fails):
     fails(Failure("evaluate-loss", 2, ["{pgt}/diagnostics/foo.json"], edit=("pgt/diagnostics/foo.json", _copy_of("000000.json"))))
+
+
+def _file_run(seq, corrupt):
+    """Write heuristic box grids of `seq`'s frames 0 and 1 into the corrupted path's
+    directory, generate {tmp}/filepgt from them, then `corrupt` the path."""
+    from lidarpgt.dataset import write_box_grid
+    from lidarpgt.proposals import heuristic_grid
+
+    def edit(path):
+        path.parent.mkdir(parents=True)
+        for t in range(2):
+            cloud = read_cloud(seq / "velodyne" / f"{t:06d}.bin")
+            write_box_grid(path.parent / f"{t:06d}.bin", heuristic_grid(cloud, GridSpec()))
+        cfg = path.parents[2] / "filepgt.json"
+        cfg.write_text(json.dumps(CONFIG))
+        argv = ["generate", str(seq), "--out", str(path.parents[2] / "filepgt"), "--config", str(cfg),
+                "--proposals", f"file:{path.parent}", "--jobs", "1"]
+        assert main(argv) == 0
+        return corrupt(path)
+
+    return edit
+
+
+_FILE_RUN_READERS = {
+    "evaluate-loss": "evaluate-loss {seq} --pgt {tmp}/filepgt",
+    "render": "render {seq} --out {out} --overlays proposals --pgt {tmp}/filepgt",
+}
+
+
+@pytest.mark.failure
+@pytest.mark.parametrize(
+    "command, name, corrupt",
+    [
+        ("evaluate-loss", "000000.bin", _set_grid_channel(7, 0.0)),  # still a valid grid, but another
+        ("render", "000000.bin", _set_grid_channel(7, 0.0)),
+        ("render", "000001.bin.json", _set_sidecar(note="edited")),  # a key the reader ignores
+        ("evaluate-loss", "000001.bin", Path.unlink),
+    ],
+    ids=["grid-edited-evaluate-loss", "grid-edited-render", "sidecar-edited-render", "grid-removed-evaluate-loss"],
+)
+def test_grid_file_changed_after_generate_exits_2(fails, workspace, command, name, corrupt):
+    """run.json holds the SHA-256 of every grid file a window read; each is checked
+    before anything is read, whichever frame is rendered."""
+    fails(Failure(_FILE_RUN_READERS[command], 2, ["{tmp}/run/grids/" + name, "{tmp}/filepgt/run.json"],
+                  edit=("run/grids/" + name, _file_run(workspace / "seq", corrupt))))
+
+
+@pytest.mark.failure
+@pytest.mark.parametrize("command", ["evaluate-loss", "render"])
+def test_config_other_than_run_json_exits_2(fails, command):
+    config = {**CONFIG, "sampler": {"sample_count": 42}}
+    fails(Failure(command, 2, ["--config {cfg}", "{pgt}/run.json"], config=config))
+
+
+@pytest.mark.failure
+@pytest.mark.parametrize("command", ["evaluate-loss", "render"])
+def test_proposals_other_than_run_json_exits_2(fails, command):
+    fails(Failure(command, 2, ["--proposals", "{pgt}/run.json"], "--proposals file:{seq}"))
+
+
+@pytest.mark.failure
+def test_heuristic_proposals_for_a_file_run_exit_2(fails, workspace):
+    """Scoring a file: run's targets against the heuristic grid is refused."""
+    named = ["--proposals", "{tmp}/filepgt/run.json"]
+    edit = ("run/grids/000000.bin", _file_run(workspace / "seq", lambda path: None))
+    fails(Failure(_FILE_RUN_READERS["evaluate-loss"], 2, named, "--proposals heuristic", edit=edit))
+
+
+def test_readers_take_their_inputs_from_run_json(workspace, tmp_path, capsys):
+    """evaluate-loss and render print and write the same bytes with no --config and
+    --proposals as with generate's, for a heuristic run and for a file: run."""
+    from lidarpgt.dataset import write_box_grid
+    from lidarpgt.proposals import heuristic_grid
+
+    seq, cfg, grids = workspace / "seq", str(workspace / "cfg.json"), tmp_path / "grids"
+    grids.mkdir()
+    for t in range(2):  # scaled, so that they are not the heuristic grid itself
+        grid = heuristic_grid(read_cloud(seq / "velodyne" / f"{t:06d}.bin"), GridSpec())
+        grid.data[..., 7] *= 0.9
+        write_box_grid(grids / f"{t:06d}.bin", grid)
+    argv = ["generate", str(seq), "--out", str(tmp_path / "filepgt"), "--config", cfg, "--proposals", f"file:{grids}",
+            "--jobs", "1"]
+    assert main(argv) == 0
+    for pgt, proposals in ((workspace / "pgt", "heuristic"), (tmp_path / "filepgt", f"file:{grids}")):
+        outputs = []
+        for flags in (["--config", cfg, "--proposals", proposals], []):
+            capsys.readouterr()
+            assert main(["evaluate-loss", str(seq), "--pgt", str(pgt), *flags]) == 0
+            ppm, raster = tmp_path / "f.ppm", tmp_path / "bev.bin"
+            argv = ["render", str(seq), "--frame", "1", "--out", str(ppm), "--overlays", "gt,pseudo,proposals",
+                    "--pgt", str(pgt), "--bev-raster", str(raster), *flags]
+            assert main(argv) == 0
+            outputs.append((capsys.readouterr(), ppm.read_bytes(), raster.read_bytes()))
+        assert outputs[0] == outputs[1], pgt
+        assert "total:" in outputs[0][0].out
+    heuristic, from_file = (workspace / "pgt" / "run.json").read_text(), (tmp_path / "filepgt" / "run.json").read_text()
+    assert json.loads(heuristic)["grids"] == {} and sorted(json.loads(from_file)["grids"]) == [
+        "000000.bin", "000000.bin.json", "000001.bin", "000001.bin.json"]
+
+
+def test_window_output_does_not_depend_on_later_frames(workspace, tmp_path):
+    """With the last frame and its pose cut, the one window left (frames 0..3)
+    writes the bytes the full run wrote for it, and the same run.json."""
+    seq = tmp_path / "seq"
+    shutil.copytree(workspace / "seq", seq)
+    for directory, suffix in FRAME_FILES.values():
+        for path in (seq / directory).glob(f"000004{suffix}*"):
+            path.unlink()
+    poses = (seq / "poses.txt").read_text().splitlines(keepends=True)
+    (seq / "poses.txt").write_text("".join(poses[:-1]))
+    argv = ["generate", str(seq), "--out", str(tmp_path / "pgt"), "--config", str(workspace / "cfg.json"), "--jobs", "1"]
+    assert main(argv) == 0
+    for name in ("label_pgt/000000.txt", "diagnostics/000000.json", "run.json"):
+        assert (tmp_path / "pgt" / name).read_bytes() == (workspace / "pgt" / name).read_bytes(), name
+    assert sorted(p.name for p in (tmp_path / "pgt" / "label_pgt").iterdir()) == ["000000.txt"]
 
 
 TEXT_READERS = {
@@ -1283,6 +1419,21 @@ def test_read_diagnostics_raises_only_package_errors(small_diagnostics, tmp_path
         read_diagnostics(path, GridSpec())
     except LidarPgtError:
         pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_run_raises_only_package_errors(workspace, tmp_path_factory, data):
+    payload = json.loads((workspace / "pgt" / "run.json").read_text())
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        _edit_json(payload, data)
+    pgt = tmp_path_factory.getbasetemp() / "fuzzed-pgt"
+    pgt.mkdir(exist_ok=True)
+    (pgt / "run.json").write_text(json.dumps(payload))
+    try:
+        read_run(pgt)
+    except LidarPgtError as exc:
+        assert str(pgt / "run.json") in str(exc), exc
 
 
 @pytest.fixture(scope="module")

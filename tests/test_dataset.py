@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,6 +716,31 @@ class TestCommitted:
                 (scratch / "label_pgt").mkdir()
                 (scratch / "label_pgt" / "000000.txt").write_text("new\n")
                 raise stop
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("call", range(1, 6))
+    def test_a_commit_stopped_midway_leaves_an_earlier_out_as_it_was(self, tmp_path, monkeypatch, call):
+        """Ctrl-C at any rename of the commit: two entries replace old ones, one is new."""
+        out = tmp_path / "out"
+        (out / "diagnostics").mkdir(parents=True)
+        (out / "diagnostics" / "000000.json").write_text("old\n")
+        self._earlier(out)
+        before = _tree(out)
+        calls = []
+
+        def rename(path, target):
+            calls.append(path)
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return os.rename(path, target)
+
+        monkeypatch.setattr(Path, "rename", rename)
+        with pytest.raises(KeyboardInterrupt):
+            with committed(out) as scratch:
+                for name in ("diagnostics", "label_pgt"):
+                    (scratch / name).mkdir()
+                    (scratch / name / "000000.txt").write_text("new\n")
+                (scratch / "run.json").write_text("new\n")
         assert _tree(out) == before
 
     @pytest.mark.parametrize("stop", [ValueError("bad frame"), KeyboardInterrupt()], ids=type)
