@@ -8,41 +8,31 @@ receive full box supervision. A synthetic scene simulator and a detection
 evaluation harness round out the toolkit.
 """
 
-from .bev import BoxGrid, GridSpec, encode_box, pillar_centre, rasterize
-from .evaluation import average_precision, per_class_accuracy
-from .geometry import (
-    AABB2,
-    CAMERA,
-    LIDAR,
-    CameraIntrinsics,
-    Obb3,
-    PointCloud,
-    RigidTransform,
-    backproject,
-    iou_2d,
-    kitti_lidar_to_camera,
-    project,
-    rotated_iou_bev,
-    transform_obb,
-)
-from .loss import LossConfig, balanced_l1, frame_loss
-from .pipeline import (
-    Anchor,
-    FrameWindow,
-    PseudoLabel,
-    ScorerConfig,
-    TrackedPointSets,
-    combined_confidence,
-    crop_cylinder,
-    default_anchors,
-    fit_obb,
-    generate_pseudo_labels,
-    inconsistency_score,
-    moving_score,
-    select_anchor,
-    track_points,
-)
-from .proposals import heuristic_grid
-from .sampling import SamplerConfig, sample_pixels, smooth_confidence, smoothed_confidences
+from importlib import import_module as _import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each export by its module, imported on first use (`__getattr__`), so that `import lidarpgt` loads no submodule
+_EXPORTS = {
+    "bev": "BoxGrid GridSpec encode_box pillar_centre rasterize",
+    "evaluation": "average_precision per_class_accuracy",
+    "geometry": "AABB2 CAMERA LIDAR CameraIntrinsics Obb3 PointCloud RigidTransform backproject iou_2d "
+                "kitti_lidar_to_camera project rotated_iou_bev transform_obb",
+    "loss": "LossConfig balanced_l1 frame_loss",
+    "pipeline": "Anchor FrameWindow PseudoLabel ScorerConfig TrackedPointSets combined_confidence crop_cylinder "
+                "default_anchors fit_obb generate_pseudo_labels inconsistency_score moving_score select_anchor "
+                "track_points",
+    "proposals": "heuristic_grid",
+    "sampling": "SamplerConfig sample_pixels smooth_confidence smoothed_confidences",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,17 +12,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import os
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
 from .bev import SIZE, YAW, grid_centres, rasterize
 from .dataset import (
     committed, frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics, read_run,
@@ -31,11 +29,28 @@ from .dataset import (
 from .errors import ConfigInvalid, LidarPgtError, MalformedFile, MissingFrameData
 from .evaluation import evaluate_sequence, threshold_key
 from .geometry import LIDAR, Obb3, transform_obb
-from .loss import LossBreakdown, frame_loss_terms
-from .pipeline import FrameWindow, generate_pseudo_labels
-from .proposals import grid_from_file, heuristic_grid
-from .render import GT_COLOR, PROPOSAL_COLOR, PSEUDO_COLOR, render_overlays, write_ppm
-from .simulate import make_scene, write_scene
+
+# The names that only commands other than `evaluate` use, by module. `main` binds them (`_bind`) before such a
+# command runs, so that parsing and `evaluate` load neither the pipeline, the simulator nor a process pool;
+# a name bound already, as a test's replacement, stays.
+_LAZY = {name: module for module, names in {
+    ".config": "Config load_config", ".simulate": "make_scene write_scene", ".loss": "LossBreakdown frame_loss_terms",
+    ".pipeline": "FrameWindow generate_pseudo_labels", ".proposals": "grid_from_file heuristic_grid",
+    ".render": "GT_COLOR PROPOSAL_COLOR PSEUDO_COLOR render_overlays write_ppm",
+    "concurrent.futures": "ProcessPoolExecutor", "concurrent.futures.process": "BrokenProcessPool",
+}.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name], __package__), name)
+
+
+def _bind():
+    for name in _LAZY:  # in the table's order, so that every run imports the modules in one order
+        globals().setdefault(name, __getattr__(name))
+
 
 _PGT_CLASS = "Mobile"
 
@@ -131,16 +146,17 @@ def _overlays(text: str) -> set[str]:
     return set(names)
 
 
-def _load_grid(grids: Path | None, seq, t, cfg: cfgmod.Config, cloud=None):
+def _load_grid(grids: Path | None, seq, t, cfg: Config, cloud=None):
     if grids is None:
         cloud = seq.read_cloud(t) if cloud is None else cloud
         return heuristic_grid(cloud, cfg.grid, cfg.ground_margin)
     return grid_from_file(frame_path(grids, t, ".bin"), cfg.grid)
 
 
-def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
+def _generate_frame(seq, cfg: Config, grids, out: Path, t: int):
     """Label the window starting at frame t and write its files; the run's
     inputs come first so that `functools.partial` binds them once."""
+    _bind()  # a worker that was spawned, not forked, has run no command
     # Per-frame seeds keep frames decorrelated but reproducible.
     sampler = dataclasses.replace(cfg.sampler, seed=cfg.sampler.seed + t)
     # no local name holds the window or the grid, so the pipeline can free them before tracking
@@ -160,7 +176,7 @@ def _generate_frame(seq, cfg: cfgmod.Config, grids, out: Path, t: int):
 
 
 def cmd_simulate(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     points_per_frame = write_scene(make_scene(cfg.scene, seed), cfg.scene, args.out, seed=seed)
     print(
@@ -171,7 +187,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    cfg = load_config(args.config)
     seq = load_sequence(args.sequence)
     n_windows = seq.n_frames - cfg.scorer.k_frames
     if n_windows <= 0:
@@ -190,6 +206,8 @@ def cmd_generate(args) -> int:
             jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             results = list((pool.map if pool else map)(work, range(n_windows)))
+        except BrokenProcessPool as exc:
+            raise LidarPgtError("a worker stopped abruptly (killed, or out of memory); --out is unchanged") from exc
         finally:
             if pool:  # on the way out, windows not yet handed to a worker do not run
                 pool.shutdown(cancel_futures=True)
@@ -251,9 +269,9 @@ def _loss_terms_text(terms: LossBreakdown) -> str:
 def _run_inputs(args):
     """The config and grid directory to read with: --pgt's run.json's, which flags given must match, else the flags'."""
     if not args.pgt:
-        return cfgmod.load_config(args.config), vars(args).get("proposals")
+        return load_config(args.config), vars(args).get("proposals")
     recorded, grids = read_run(args.pgt)
-    if args.config and cfgmod.load_config(args.config).merged != recorded.merged:
+    if args.config and load_config(args.config).merged != recorded.merged:
         raise ConfigInvalid(f"--config {args.config} differs from the config in {Path(args.pgt) / 'run.json'}")
     if "proposals" in args and (args.proposals and args.proposals.resolve()) != grids:
         raise ConfigInvalid(f"--proposals differs from the proposals in {Path(args.pgt) / 'run.json'}")
@@ -317,6 +335,8 @@ def cmd_render(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.func is not cmd_evaluate:
+            _bind()
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -325,9 +345,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (LidarPgtError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenProcessPool:
-        print("error: a worker stopped abruptly (killed, or out of memory); --out is unchanged", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

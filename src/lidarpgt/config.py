@@ -12,6 +12,7 @@ import reprlib
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
@@ -65,6 +66,7 @@ _SCALARS = {
 }
 
 
+@cache  # get_type_hints evaluates every annotation anew; callers only read the dict
 def _keys(cls) -> dict:
     """The config keys of a dataclass, with their types."""
     hints = typing.get_type_hints(cls)

@@ -32,6 +32,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,7 +42,8 @@ from .geometry import (
     AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform, project_box_2d,
     transform_obb,
 )
-from .pipeline import PgtResult, PseudoLabel
+if TYPE_CHECKING:  # the diagnostics readers import pipeline when they run; evaluate never needs it
+    from .pipeline import PgtResult, PseudoLabel
 
 _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
 
@@ -438,6 +440,7 @@ def _json_floats(obj: dict, key, count=0) -> list[float]:
 
 def _diagnostics_entry(entry, spec: GridSpec):
     """A PseudoLabel for a U+ entry, else a (pixel, target) pair."""
+    from .pipeline import PseudoLabel
     if not (isinstance(entry, dict) and "box_lidar" in entry):
         raise ValueError("expected a JSON object with a 'box_lidar' key")
     pixel = entry.get("pixel")
@@ -461,6 +464,7 @@ def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
     """Read a diagnostics file back into its (u_plus, u_minus) targets on `spec`'s grid;
     a missing, mistyped or invalid value, or a pixel listed twice, raises MalformedFile
     naming the first bad entry."""
+    from .pipeline import PseudoLabel
     payload = read_json(path)  # NaN and Infinity load, and the entry checks reject them
     entries = payload.get("pixels") if isinstance(payload, dict) else None
     if not isinstance(entries, list):

@@ -1319,6 +1319,96 @@ def test_window_output_does_not_depend_on_later_frames(workspace, tmp_path):
     assert sorted(p.name for p in (tmp_path / "pgt" / "label_pgt").iterdir()) == ["000000.txt"]
 
 
+# run in a fresh interpreter: `import lidarpgt` loads no submodule, and `evaluate`
+# (BEV and 2D) and `--help` load none of the modules that only the other commands use
+_EVALUATE_IMPORTS = """
+import contextlib, io, sys
+import lidarpgt
+loaded = sorted(m for m in sys.modules if m.startswith("lidarpgt."))
+assert not loaded, f"import lidarpgt loaded {loaded}"
+from lidarpgt.cli import main
+seq, pgt = (f"{sys.argv[1]}/{name}" for name in ("seq", "pgt"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["evaluate", "--dets", f"{pgt}/label_pgt", "--gt", f"{seq}/label_2"]) == 0
+    assert main(["evaluate", "--dets", f"{pgt}/label_pgt", "--gt", f"{seq}/label_2", "--mode", "2d",
+                 "--calib", f"{seq}/calib.txt"]) == 0
+    assert main(["--help"]) == 0
+unused = ["lidarpgt." + m for m in ("pipeline", "sampling", "config", "simulate", "proposals", "loss", "render")]
+loaded = sorted(set(sys.modules) & {*unused, "concurrent.futures.process", "multiprocessing"})
+assert not loaded, f"evaluate loaded {loaded}"
+"""
+
+# run in a fresh interpreter: `_generate_frame` runs where no command has run, as in a
+# spawned worker; each name that tests and the benchmark's tracer replace on
+# lidarpgt.cli resolves before any command has run, to its module's object; and
+# binding the other commands' names keeps a replacement made before it
+_CLI_NAMES = """
+import importlib, pathlib, sys
+import lidarpgt.cli as cli
+from lidarpgt.config import load_config
+from lidarpgt.dataset import load_sequence
+workspace, out = (pathlib.Path(arg) for arg in sys.argv[1:])
+for directory in ("label_pgt", "diagnostics"):
+    (out / directory).mkdir()
+cli._generate_frame(load_sequence(workspace / "seq"), load_config(workspace / "cfg.json"), None, out, 1)
+for name in ("label_pgt/000001.txt", "diagnostics/000001.json"):
+    assert (out / name).read_bytes() == (workspace / "pgt" / name).read_bytes(), name
+homes = {"make_scene": "simulate", "write_scene": "simulate", "heuristic_grid": "proposals",
+         "grid_from_file": "proposals", "generate_pseudo_labels": "pipeline", "frame_loss_terms": "loss",
+         "render_overlays": "render", "load_sequence": "dataset", "rasterize": "bev", "_generate_frame": "cli"}
+for name, home in homes.items():
+    assert getattr(cli, name) is getattr(importlib.import_module(f"lidarpgt.{home}"), name), name
+assert cli.ProcessPoolExecutor is importlib.import_module("concurrent.futures.process").ProcessPoolExecutor
+cli.heuristic_grid = stand_in = object()
+cli._bind()
+assert cli.heuristic_grid is stand_in and cli.make_scene is sys.modules["lidarpgt.simulate"].make_scene
+"""
+
+
+@pytest.mark.parametrize("script", [_EVALUATE_IMPORTS, _CLI_NAMES], ids=["evaluate-imports", "cli-names"])
+def test_cli_imports_in_a_fresh_interpreter(workspace, tmp_path, script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script, str(workspace), str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
+def _diagnostics_close(a, b, rel_tol, where="diagnostics"):
+    """Two parsed diagnostics files hold the same keys, lists, nulls (a -inf confidence) and
+    integers, and floats equal within rel_tol."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _diagnostics_close(a[key], b[key], rel_tol, f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _diagnostics_close(x, y, rel_tol, f"{where}[{i}]")
+    elif type(a) is float and type(b) is float:
+        assert abs(a - b) <= rel_tol * max(abs(a), abs(b)), (where, a, b)
+    else:
+        assert a == b and type(a) is type(b), (where, a, b)
+
+
+def test_generate_does_not_depend_on_the_row_order_of_clouds(workspace, tmp_path):
+    """With every cloud's rows permuted, generate writes the same label bytes, and
+    diagnostics that differ only by the rounding of sums taken in another order."""
+    seq = tmp_path / "seq"
+    shutil.copytree(workspace / "seq", seq)
+    rng = np.random.default_rng(0)
+    for path in (seq / "velodyne").glob("*.bin"):
+        rows = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+        rows[rng.permutation(len(rows))].tofile(path)
+    out, cfg = tmp_path / "pgt", workspace / "cfg.json"
+    assert main(["generate", str(seq), "--out", str(out), "--config", str(cfg), "--jobs", "1"]) == 0
+    assert _tree(out / "label_pgt") == _tree(workspace / "pgt" / "label_pgt")
+    for t in range(2):
+        name = f"diagnostics/{t:06d}.json"
+        permuted, original = (json.loads((root / name).read_text()) for root in (out, workspace / "pgt"))
+        _diagnostics_close(permuted, original, rel_tol=1e-9, where=name)
+
+
 TEXT_READERS = {
     "seq/poses.txt": read_poses,
     "seq/calib.txt": read_calib,
