@@ -6,7 +6,7 @@ pairs. Cells are half-open: a point exactly on a max bound is excluded, so
 every in-volume point lands in exactly one pillar.
 Only this module knows the pixel rules: `check_pixel` bounds a box-grid
 pixel, `pixel_coords` maps lidar x/y to continuous pixel coordinates,
-`_cell_index` floors them to a pixel, `grid_centres` decodes them. So with
+`cell_index` floors them to a pixel, `grid_centres` decodes them. So with
 the box code: `OFFSET`...`CONFIDENCE` name its channels, `code_faults` its rules.
 """
 
@@ -155,7 +155,7 @@ def pixel_coords(xy: np.ndarray, spec: GridSpec, stride: int):
     return rows, cols
 
 
-def _cell_index(xyz: np.ndarray, spec: GridSpec, stride: int):
+def cell_index(xyz: np.ndarray, spec: GridSpec, stride: int):
     """(row, col) of the pixel block holding each in-volume lidar point."""
     rows, cols = (np.floor(v).astype(int) for v in pixel_coords(xyz, spec, stride))
     # Guard against points landing exactly on the top edge through rounding.
@@ -175,7 +175,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> np.ndarray:
     keep = in_volume_mask(xyz, spec)
     xyz = xyz[keep]
     intensity = cloud.intensity[keep]
-    rows, cols = _cell_index(xyz, spec, 1)
+    rows, cols = cell_index(xyz, spec, 1)
     flat = rows * spec.width + cols
 
     # the channels are written into the image in place, from one reused scratch vector
@@ -227,6 +227,6 @@ def encode_box(box: Obb3, spec: GridSpec, confidence: float = 1.0):
     c = box.centre
     if not in_volume_mask(c.reshape(1, 3), spec)[0]:
         raise OutOfVolume(f"box centre {c.tolist()} outside the rasterized volume")
-    row, col = _cell_index(c, spec, spec.stride)
+    row, col = cell_index(c, spec, spec.stride)
     pixel = (int(row), int(col))
     return pixel, np.concatenate([c - pillar_centre(pixel, spec), box.dims, [box.yaw, confidence]])

@@ -23,8 +23,8 @@ import numpy as np
 
 from .bev import SIZE, YAW, grid_centres, rasterize
 from .dataset import (
-    committed, frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics, read_run,
-    write_diagnostics, write_labels, write_raster, write_run,
+    committed, frame_files, frame_path, label_record, load_sequence, read_calib, read_diagnostics,
+    write_diagnostics, write_labels, write_raster,
 )
 from .errors import ConfigInvalid, LidarPgtError, MalformedFile, MissingFrameData
 from .evaluation import evaluate_sequence, threshold_key
@@ -34,10 +34,10 @@ from .geometry import LIDAR, Obb3, transform_obb
 # command runs, so that parsing and `evaluate` load neither the pipeline, the simulator nor a process pool;
 # a name bound already, as a test's replacement, stays.
 _LAZY = {name: module for module, names in {
-    ".config": "Config load_config", ".simulate": "make_scene write_scene", ".loss": "LossBreakdown frame_loss_terms",
+    ".config": "Config load_config read_run write_run", ".simulate": "make_scene write_scene",
     ".pipeline": "FrameWindow generate_pseudo_labels", ".proposals": "grid_from_file heuristic_grid",
+    ".loss": "LossBreakdown frame_loss_terms", "concurrent.futures.process": "BrokenProcessPool ProcessPoolExecutor",
     ".render": "GT_COLOR PROPOSAL_COLOR PSEUDO_COLOR render_overlays write_ppm",
-    "concurrent.futures": "ProcessPoolExecutor", "concurrent.futures.process": "BrokenProcessPool",
 }.items() for name in names.split()}
 
 

@@ -1,4 +1,4 @@
-"""One JSON configuration file mirroring every tunable constant.
+"""One JSON configuration file mirroring every tunable constant (`Config`), and `run.json`, a run's record of it.
 
 The defaults are those of the objects the sections build, and
 DEFAULTS["simulate"] is the reference scene. A user config file only needs
@@ -7,18 +7,20 @@ the keys it overrides; it is the only way to override a default.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import reprlib
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
 from .bev import GridSpec
-from .dataset import finite_number, read_json
-from .errors import ConfigInvalid
+from .dataset import finite_number, frame_path, read_json
+from .errors import ConfigInvalid, MalformedFile
 from .loss import LossConfig
 from .pipeline import Anchor, ScorerConfig, default_anchors
 from .proposals import DEFAULT_GROUND_MARGIN
@@ -181,3 +183,27 @@ def load_config(path=None, user=None) -> Config:
         )
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc
+
+
+def write_run(path, config: dict, grids, frames):
+    """Write run.json: the merged config, the proposals source and the SHA-256 of each grid file of `frames`."""
+    files = [] if grids is None else [frame_path(grids, t, s) for t in frames for s in (".bin", ".bin.json")]
+    run = {"config": config, "proposals": "heuristic" if grids is None else f"file:{Path(grids).resolve()}",
+           "grids": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+    Path(path).write_text(json.dumps(run, indent=1) + "\n")
+
+
+def read_run(pgt):
+    """The config and grid directory (None for the heuristic) that made the generate output `pgt`, by
+    its run.json; a missing or malformed run.json, or a listed grid file missing or changed, raises naming it."""
+    path = Path(pgt) / "run.json"
+    run = read_json(path)
+    source, digests = (run.get("proposals"), run.get("grids")) if isinstance(run, dict) else (None, None)
+    if not (isinstance(digests, dict) and isinstance(run.get("config"), dict)
+            and (source == "heuristic" and not digests or str(source).startswith("file:"))):
+        raise MalformedFile(f"{path}: expected 'config', 'proposals' and 'grids' as generate writes them")
+    grids = None if source == "heuristic" else Path(source[5:])
+    for name, digest in digests.items():
+        if not (grids / name).is_file() or hashlib.sha256((grids / name).read_bytes()).hexdigest() != digest:
+            raise MalformedFile(f"{grids / name}: missing, or changed since {path} was written")
+    return load_config(path, run["config"]), grids

@@ -1,4 +1,4 @@
-"""On-disk formats and sequence ingestion.
+"""On-disk formats, their records (`Calibration`, `LabelRecord`, `PseudoLabel`, `SequenceIndex`) and ingestion.
 
 Directory layout of a sequence:
 
@@ -21,7 +21,6 @@ builds such a name and `frame_index` reads it back.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -32,7 +31,6 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,8 +40,6 @@ from .geometry import (
     AABB2, CAMERA, LIDAR, MIN_VERTICAL_COSINE, CameraIntrinsics, Obb3, PointCloud, RigidTransform, project_box_2d,
     transform_obb,
 )
-if TYPE_CHECKING:  # the diagnostics readers import pipeline when they run; evaluate never needs it
-    from .pipeline import PgtResult, PseudoLabel
 
 _POINT_RECORD_BYTES = 16  # 4 little-endian float32 per point
 
@@ -239,6 +235,20 @@ class LabelRecord:
             self.rotation_y = self.box.yaw
 
 
+@dataclass(frozen=True, eq=False)
+class PseudoLabel:
+    """A full training target: pixel, fitted lidar-frame box, confidence, anchor."""
+
+    pixel: tuple[int, int]
+    box: Obb3
+    confidence: float
+    anchor: str
+
+    def __post_init__(self):
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError("target confidence must lie in [0, 1]")
+
+
 def _label_from_fields(fields, where) -> LabelRecord:
     if len(fields) not in (15, 16):
         raise MalformedLine(f"{where}: expected 15 or 16 columns, got {len(fields)}")
@@ -396,8 +406,8 @@ def read_box_grid(path, spec: GridSpec) -> BoxGrid:
 # pseudo-label diagnostics: {"pixels": [one entry per sampled pixel]}
 
 
-def write_diagnostics(path, result: PgtResult):
-    """Write every sampled pixel's scores and target; a U+ entry also carries its box."""
+def write_diagnostics(path, result):
+    """Write each sampled pixel's scores and target from a pipeline.PgtResult; a U+ entry also carries its box."""
     labels = {label.pixel: label for label in result.u_plus}
     targets = dict(result.u_minus)
     pixels = []
@@ -440,7 +450,6 @@ def _json_floats(obj: dict, key, count=0) -> list[float]:
 
 def _diagnostics_entry(entry, spec: GridSpec):
     """A PseudoLabel for a U+ entry, else a (pixel, target) pair."""
-    from .pipeline import PseudoLabel
     if not (isinstance(entry, dict) and "box_lidar" in entry):
         raise ValueError("expected a JSON object with a 'box_lidar' key")
     pixel = entry.get("pixel")
@@ -464,7 +473,6 @@ def read_diagnostics(path, spec: GridSpec) -> tuple[list[PseudoLabel], list]:
     """Read a diagnostics file back into its (u_plus, u_minus) targets on `spec`'s grid;
     a missing, mistyped or invalid value, or a pixel listed twice, raises MalformedFile
     naming the first bad entry."""
-    from .pipeline import PseudoLabel
     payload = read_json(path)  # NaN and Infinity load, and the entry checks reject them
     entries = payload.get("pixels") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
@@ -573,32 +581,6 @@ def committed(out):
         if made:
             shutil.rmtree(made[-1], ignore_errors=True)
         raise
-
-
-def write_run(path, config: dict, grids, frames):
-    """Write run.json: the merged config, the proposals source and the SHA-256 of each grid file of `frames`."""
-    files = [] if grids is None else [frame_path(grids, t, s) for t in frames for s in (".bin", ".bin.json")]
-    run = {"config": config, "proposals": "heuristic" if grids is None else f"file:{Path(grids).resolve()}",
-           "grids": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
-    Path(path).write_text(json.dumps(run, indent=1) + "\n")
-
-
-def read_run(pgt):
-    """The config and grid directory (None for the heuristic) that made the generate output `pgt`, by
-    its run.json; a missing or malformed run.json, or a listed grid file missing or changed, raises naming it."""
-    from .config import load_config  # config imports this module
-
-    path = Path(pgt) / "run.json"
-    run = read_json(path)
-    source, digests = (run.get("proposals"), run.get("grids")) if isinstance(run, dict) else (None, None)
-    if not (isinstance(digests, dict) and isinstance(run.get("config"), dict)
-            and (source == "heuristic" and not digests or str(source).startswith("file:"))):
-        raise MalformedFile(f"{path}: expected 'config', 'proposals' and 'grids' as generate writes them")
-    grids = None if source == "heuristic" else Path(source[5:])
-    for name, digest in digests.items():
-        if not (grids / name).is_file() or hashlib.sha256((grids / name).read_bytes()).hexdigest() != digest:
-            raise MalformedFile(f"{grids / name}: missing, or changed since {path} was written")
-    return load_config(path, run["config"]), grids
 
 
 def load_sequence(root) -> SequenceIndex:

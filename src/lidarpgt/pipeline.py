@@ -15,11 +15,12 @@ import math
 import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .bev import BoxGrid, GridSpec, grid_centres
+from .dataset import PseudoLabel, SequenceIndex
 from .errors import DegenerateInput, MissingFrameData
 from .geometry import (
     CAMERA,
@@ -34,9 +35,6 @@ from .geometry import (
     yaw_matrix,
 )
 from .sampling import SamplerConfig, sample_pixels, smoothed_confidences
-
-if TYPE_CHECKING:  # dataset imports this module for the pseudo-label types
-    from .dataset import SequenceIndex
 
 # Pixel window half-width for the nearest-valid-depth search during tracking.
 _DEPTH_SEARCH_RADIUS = 7
@@ -109,20 +107,6 @@ class TrackedPointSets:
     def point_set(self, k: int) -> np.ndarray:
         """Live positions at step k."""
         return self.positions[k][self.alive[k]]
-
-
-@dataclass(frozen=True, eq=False)
-class PseudoLabel:
-    """A full training target: pixel, fitted lidar-frame box, confidence, anchor."""
-
-    pixel: tuple[int, int]
-    box: Obb3
-    confidence: float
-    anchor: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("target confidence must lie in [0, 1]")
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bev import CONFIDENCE, OFFSET, SIZE, BoxGrid, GridSpec, _cell_index, in_volume_mask, pillar_centres
+from .bev import CONFIDENCE, OFFSET, SIZE, BoxGrid, GridSpec, cell_index, in_volume_mask, pillar_centres
 from .dataset import read_box_grid
 from .geometry import PointCloud
 
@@ -21,7 +21,7 @@ _MIN_EXTENT = 0.1
 
 
 def grid_from_file(path, spec: GridSpec) -> BoxGrid:
-    """Load an externally predicted box grid, validating its shape."""
+    """Load an externally predicted box grid, checking its shape and every cell's code."""
     return read_box_grid(path, spec)
 
 
@@ -40,7 +40,7 @@ def heuristic_grid(cloud: PointCloud, spec: GridSpec, ground_margin: float = DEF
     xyz = cloud.xyz
     keep = in_volume_mask(xyz, spec) & (xyz[:, 2] >= spec.z_range[0] + ground_margin)
     xyz = xyz[keep]
-    rows, cols = _cell_index(xyz, spec, spec.stride)
+    rows, cols = cell_index(xyz, spec, spec.stride)
     flat = rows * spec.out_cols + cols
 
     n_cells = spec.out_rows * spec.out_cols

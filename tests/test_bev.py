@@ -120,14 +120,14 @@ class TestRasterize:
 def reference_rasterize(cloud, spec):
     """`rasterize` as it was written with a temporary per channel: the oracle
     of the in-place version, which must match it bit for bit."""
-    from lidarpgt.bev import _cell_index, in_volume_mask
+    from lidarpgt.bev import cell_index, in_volume_mask
 
     image = np.zeros((spec.height, spec.width, 3))
     keep = in_volume_mask(cloud.xyz, spec)
     if not keep.any():
         return image
     xyz, intensity = cloud.xyz[keep], cloud.intensity[keep]
-    rows, cols = _cell_index(xyz, spec, 1)
+    rows, cols = cell_index(xyz, spec, 1)
     flat = rows * spec.width + cols
     top_z = np.full(spec.height * spec.width, -np.inf)
     top_i = np.full(spec.height * spec.width, -np.inf)

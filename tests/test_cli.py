@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from lidarpgt.bev import GridSpec
 from lidarpgt.cli import main
+from lidarpgt.config import read_run
 from lidarpgt.dataset import (
     FRAME_FILES, load_sequence, read_box_grid, read_calib, read_cloud, read_diagnostics, read_labels, read_poses,
-    read_run,
+    write_poses,
 )
 from lidarpgt.errors import LidarPgtError
+from lidarpgt.geometry import RigidTransform
 from lidarpgt.pipeline import generate_pseudo_labels
 
 CONFIG = {
@@ -1320,7 +1322,8 @@ def test_window_output_does_not_depend_on_later_frames(workspace, tmp_path):
 
 
 # run in a fresh interpreter: `import lidarpgt` loads no submodule, and `evaluate`
-# (BEV and 2D) and `--help` load none of the modules that only the other commands use
+# (BEV and 2D) and `--help` load none of the modules that only the other commands use,
+# hashlib among them (it hashes the grid files run.json lists)
 _EVALUATE_IMPORTS = """
 import contextlib, io, sys
 import lidarpgt
@@ -1334,7 +1337,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                  "--calib", f"{seq}/calib.txt"]) == 0
     assert main(["--help"]) == 0
 unused = ["lidarpgt." + m for m in ("pipeline", "sampling", "config", "simulate", "proposals", "loss", "render")]
-loaded = sorted(set(sys.modules) & {*unused, "concurrent.futures.process", "multiprocessing"})
+loaded = sorted(set(sys.modules) & {*unused, "concurrent.futures.process", "multiprocessing", "hashlib"})
 assert not loaded, f"evaluate loaded {loaded}"
 """
 
@@ -1391,22 +1394,38 @@ def _diagnostics_close(a, b, rel_tol, where="diagnostics"):
         assert a == b and type(a) is type(b), (where, a, b)
 
 
-def test_generate_does_not_depend_on_the_row_order_of_clouds(workspace, tmp_path):
-    """With every cloud's rows permuted, generate writes the same label bytes, and
-    diagnostics that differ only by the rounding of sums taken in another order."""
-    seq = tmp_path / "seq"
-    shutil.copytree(workspace / "seq", seq)
+def _permute_cloud_rows(seq):
     rng = np.random.default_rng(0)
     for path in (seq / "velodyne").glob("*.bin"):
         rows = np.fromfile(path, dtype="<f4").reshape(-1, 4)
         rows[rng.permutation(len(rows))].tofile(path)
+
+
+def _move_world(seq):
+    """Compose every pose with one rigid motion: 0.7 rad about the tilted axis (0.3, 0.8, -0.5)
+    (Rodrigues' formula), then a translation far from the origin."""
+    x, y, z = np.array([0.3, 0.8, -0.5]) / np.linalg.norm([0.3, 0.8, -0.5])
+    cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    rotation = np.eye(3) + np.sin(0.7) * cross + (1.0 - np.cos(0.7)) * cross @ cross
+    motion = RigidTransform(rotation, np.array([1234.5, -3.0, -987.25]))
+    write_poses(seq / "poses.txt", [motion.compose(pose) for pose in read_poses(seq / "poses.txt")])
+
+
+@pytest.mark.parametrize("change", [_permute_cloud_rows, _move_world], ids=["row-order", "world-motion"])
+def test_generate_does_not_depend_on_cloud_row_order_or_world_frame(workspace, tmp_path, change):
+    """With every cloud's rows permuted, or the world frame moved, generate writes the same
+    label bytes, and diagnostics that differ only by the rounding of sums taken in another
+    order or of poses composed with the motion."""
+    seq = tmp_path / "seq"
+    shutil.copytree(workspace / "seq", seq)
+    change(seq)
     out, cfg = tmp_path / "pgt", workspace / "cfg.json"
     assert main(["generate", str(seq), "--out", str(out), "--config", str(cfg), "--jobs", "1"]) == 0
     assert _tree(out / "label_pgt") == _tree(workspace / "pgt" / "label_pgt")
     for t in range(2):
         name = f"diagnostics/{t:06d}.json"
-        permuted, original = (json.loads((root / name).read_text()) for root in (out, workspace / "pgt"))
-        _diagnostics_close(permuted, original, rel_tol=1e-9, where=name)
+        changed, original = (json.loads((root / name).read_text()) for root in (out, workspace / "pgt"))
+        _diagnostics_close(changed, original, rel_tol=1e-9, where=name)
 
 
 TEXT_READERS = {

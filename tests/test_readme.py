@@ -11,13 +11,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the package's exports, by the module that defines each
 EXPORTS = {
     "bev": ["BoxGrid", "GridSpec", "encode_box", "pillar_centre", "rasterize"],
+    "dataset": ["PseudoLabel"],
     "evaluation": ["average_precision", "per_class_accuracy"],
     "geometry": ["AABB2", "CAMERA", "LIDAR", "CameraIntrinsics", "Obb3", "PointCloud", "RigidTransform", "backproject",
                  "iou_2d", "kitti_lidar_to_camera", "project", "rotated_iou_bev", "transform_obb"],
     "loss": ["LossConfig", "balanced_l1", "frame_loss"],
-    "pipeline": ["Anchor", "FrameWindow", "PseudoLabel", "ScorerConfig", "TrackedPointSets", "combined_confidence",
-                 "crop_cylinder", "default_anchors", "fit_obb", "generate_pseudo_labels", "inconsistency_score",
-                 "moving_score", "select_anchor", "track_points"],
+    "pipeline": ["Anchor", "FrameWindow", "ScorerConfig", "TrackedPointSets", "combined_confidence", "crop_cylinder",
+                 "default_anchors", "fit_obb", "generate_pseudo_labels", "inconsistency_score", "moving_score",
+                 "select_anchor", "track_points"],
     "proposals": ["heuristic_grid"],
     "sampling": ["SamplerConfig", "sample_pixels", "smooth_confidence", "smoothed_confidences"],
 }

@@ -1,14 +1,14 @@
 import ast
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lidarpgt"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text(), str(path))
     imported = {}
@@ -51,3 +51,45 @@ def test_only_bev_indexes_box_code_channels_by_number():
         for line in _channel_subscripts(ast.parse(path.read_text(), str(path)))
     ]
     assert not hits, f"box-code channels indexed by number at {', '.join(hits)}"
+
+
+def _path(graph, start, goal):
+    """The shortest import chain [start, ..., goal] in `graph`, or None."""
+    came_from, queue = {start: None}, deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            chain = [node]
+            while came_from[chain[-1]] is not None:
+                chain.append(came_from[chain[-1]])
+            return chain[::-1]
+        for nxt in sorted(graph.get(node, ())):
+            if nxt not in came_from:
+                came_from[nxt] = node
+                queue.append(nxt)
+    return None
+
+
+def test_package_imports_sit_at_the_top_and_form_no_cycle():
+    """Every module imports the package's modules in its top-level statements (no
+    TYPE_CHECKING block, no import inside a function), imports no other module's
+    private name, and the imports form one acyclic graph, so no import has a cycle to
+    hide from. The lazy `importlib` resolvers of `cli` and `__init__` are outside it."""
+    graph, faults = {}, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                graph.setdefault(path.stem, set()).add(node.module)
+                if node not in tree.body:
+                    faults.append(f"{path.name}:{node.lineno} imports .{node.module} below the module's top")
+                faults += [f"{path.name}:{node.lineno} imports the private {node.module}.{alias.name}"
+                           for alias in node.names if alias.name.startswith("_")]
+    cycles = set()
+    for module, imported in graph.items():
+        for other in imported:
+            chain = _path(graph, other, module)
+            if chain:  # module -> other -> ... -> module, named from its smallest module
+                start = chain.index(min(chain))
+                cycles.add("->".join(chain[start:] + chain[:start] + [chain[start]]))
+    assert not faults and not cycles, "; ".join(faults + sorted(f"cycle {c}" for c in cycles))
