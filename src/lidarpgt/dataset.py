@@ -416,10 +416,9 @@ def write_diagnostics(path, result):
         entry = {
             "pixel": list(diag.pixel),
             "smoothed_confidence": diag.smoothed_confidence,
-            "chosen_anchor": None if label is None else label.anchor,
             "anchors": {
                 name: {"moving": s.moving, "inconsistency": s.inconsistency,
-                       "confidence": None if s.confidence == -math.inf else s.confidence}
+                       "confidence": None if s.confidence == -math.inf else s.confidence, "alive": s.alive}
                 for name, s in diag.anchor_scores.items()
             },
             "target_confidence": targets.get(diag.pixel),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import reprlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -111,16 +111,17 @@ class TrackedPointSets:
 
 @dataclass
 class AnchorScore:
-    moving: float
-    inconsistency: float
-    confidence: float  # -inf when the anchor's crop or tracking degenerated
+    moving: float | None  # None, like inconsistency, where confidence is -inf: not measured
+    inconsistency: float | None
+    confidence: float  # -inf when the crop has < 3 rows, a step keeps < 3 or a fit degenerates
+    alive: list[int]  # the crop's rows alive at each step, K + 1 counts (0 after step 0 if never tracked)
 
 
 @dataclass
 class PixelDiagnostics:
     pixel: tuple[int, int]
     smoothed_confidence: float
-    anchor_scores: dict[str, AnchorScore] = field(default_factory=dict)
+    anchor_scores: dict[str, AnchorScore]
 
 
 @dataclass
@@ -522,15 +523,17 @@ def _crop(cloud_cam: np.ndarray, centres_cam, anchors):
 
 def _fit_score(crops, tracked: TrackedPointSets, scorer_cfg: ScorerConfig):
     """Fit+score pass: per pixel, per anchor (a crop of ranks in the tracked points), its AnchorScore and its
-    step-0 fit; the fit is None when the crop has < 3 rows or any step's fit degenerates."""
+    step-0 fit. Each step's live rows are taken once, counted into `alive` and fitted; the fit is None
+    when the crop has < 3 rows (then never tracked) or any step's fit degenerates (< 3 rows or rank-deficient)."""
     scored = []
     for per_pixel in crops:
         scored.append([])
         for at in per_pixel:
-            score, first = AnchorScore(0.0, 0.0, -math.inf), None
+            score, first = AnchorScore(None, None, -math.inf, [len(at)] + [0] * scorer_cfg.k_frames), None
             if len(at) >= 3:
-                steps = zip(tracked.positions, tracked.alive)
-                fits = [_fit(positions.take(at[alive.take(at)], axis=0)) for positions, alive in steps]
+                live = [at[alive.take(at)] for alive in tracked.alive]
+                score.alive = [len(rows) for rows in live]
+                fits = [_fit(positions.take(rows, axis=0)) for positions, rows in zip(tracked.positions, live)]
                 if None not in fits:
                     score.moving = moving_score(fits)
                     score.inconsistency = inconsistency_score(fits)

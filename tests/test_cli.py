@@ -79,6 +79,52 @@ class TestCliRoundTrip:
         entry = payload["pixels"][0]
         assert {"pixel", "smoothed_confidence", "anchors", "target_confidence"} <= set(entry)
 
+    def test_diagnostics_format(self, workspace, tmp_path, monkeypatch):
+        """Every entry's keys in order; each anchor's `alive` is its crop's row count, then the rows
+        alive at each tracking step (zeros for a crop of < 3 rows, which is never tracked); and the
+        scores are measured, or null, together."""
+        import lidarpgt.pipeline as pipeline
+
+        crop_rows, crop_sizes = pipeline._crop_rows, []
+
+        def recording(*args):
+            crops = crop_rows(*args)
+            crop_sizes.append([len(rows) for per_pixel in crops for rows in per_pixel])
+            return crops
+
+        monkeypatch.setattr(pipeline, "_crop_rows", recording)
+        out = tmp_path / "pgt"
+        argv = ["generate", str(workspace / "seq"), "--out", str(out), "--config", str(workspace / "cfg.json")]
+        assert main(argv + ["--jobs", "1"]) == 0
+        assert _tree(out) == _tree(workspace / "pgt")
+        k = json.loads((out / "run.json").read_text())["config"]["scorer"]["k_frames"]
+        assert len(crop_sizes) == 2  # windows 0 and 1, in order
+        stages = set()
+        for t, sizes in enumerate(crop_sizes):
+            payload = json.loads((out / "diagnostics" / f"{t:06d}.json").read_text())
+            assert list(payload) == ["pixels"]
+            anchors = []
+            for entry in payload["pixels"]:
+                keys = ["pixel", "smoothed_confidence", "anchors", "target_confidence", "box_lidar"]
+                if entry["box_lidar"] is not None:
+                    keys.append("anchor")
+                    assert list(entry["box_lidar"]) == ["centre", "dims", "yaw"]
+                assert list(entry) == keys
+                assert list(entry["anchors"]) == ["pedestrian", "cyclist", "vehicle"]
+                anchors += entry["anchors"].values()
+            assert len(anchors) == len(sizes)
+            for anchor, size in zip(anchors, sizes):
+                assert list(anchor) == ["moving", "inconsistency", "confidence", "alive"]
+                alive = anchor["alive"]
+                assert len(alive) == k + 1 and all(type(n) is int for n in alive)
+                assert alive[0] == size and alive == sorted(alive, reverse=True)
+                assert (alive[1:] == [0] * k) == (size < 3)
+                measured = [anchor[key] is not None for key in ("moving", "inconsistency", "confidence")]
+                assert len(set(measured)) == 1
+                assert not measured[0] or min(alive) >= 3  # a fitted set has >= 3 rows
+                stages.add("scored" if measured[0] else "crop" if size < 3 else "tracked")
+        assert {"scored", "crop"} <= stages, stages
+
     def test_diagnostics_read_back_equal_the_run(self, workspace, tmp_path, monkeypatch):
         import lidarpgt.cli as cli
 

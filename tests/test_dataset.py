@@ -7,23 +7,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpgt.bev import BoxGrid, GridSpec
 from lidarpgt.dataset import (
     FRAME_FILES,
     Calibration,
     LabelRecord,
+    PseudoLabel,
     committed,
     load_sequence,
     read_box_grid,
     read_calib,
     read_cloud,
+    read_diagnostics,
     read_labels,
     read_poses,
     read_raster,
     write_box_grid,
     write_calib,
     write_cloud,
+    write_diagnostics,
     write_labels,
     write_poses,
     write_raster,
@@ -41,6 +46,7 @@ from lidarpgt.geometry import (
     kitti_lidar_to_camera,
     transform_obb,
 )
+from lidarpgt.pipeline import AnchorScore, PgtResult, PixelDiagnostics
 
 # KITTI's lidar-to-camera extrinsics of its 2011-09-26 drives, |R[1,2]| = 0.9998902
 KITTI_LIDAR_TO_CAM = (
@@ -550,6 +556,60 @@ class TestRasterIo:
         # earlier versions also wrote the invalid-value sentinel, which no reader used
         sidecar.write_text(json.dumps(dict(meta, sentinel=-1.0)) + "\n")
         assert np.array_equal(read_raster(path, (3, 3)), np.ones((3, 3)))
+
+
+FINITE = st.floats(-1e6, 1e6)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def pgt_results(draw):
+    """A PgtResult of distinct in-grid pixels, U+ and U- both, whose anchor scores are
+    measured or not measured (None, None, -inf)."""
+    spec = GridSpec()
+    pixel = st.tuples(st.integers(0, spec.out_rows - 1), st.integers(0, spec.out_cols - 1))
+    pixels = draw(st.lists(pixel, min_size=2, max_size=8, unique=True))
+    n_plus = draw(st.integers(1, len(pixels) - 1))
+    boxed = draw(st.permutations([True] * n_plus + [False] * (len(pixels) - n_plus)))
+    alive = st.lists(st.integers(0, 999), min_size=4, max_size=4).map(sorted).map(lambda a: a[::-1])
+    score = st.one_of(
+        st.builds(AnchorScore, FINITE, FINITE, FINITE, alive),
+        st.builds(AnchorScore, st.none(), st.none(), st.just(-math.inf), alive),
+    )
+    result = PgtResult([], [], [])
+    for at, has_box in zip(pixels, boxed):
+        scores = draw(st.dictionaries(st.text(max_size=6), score, max_size=3))
+        result.diagnostics.append(PixelDiagnostics(at, draw(UNIT), scores))
+        if has_box:
+            centre = draw(st.lists(FINITE, min_size=3, max_size=3))
+            dims = draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3))
+            box = Obb3(centre, dims, draw(st.floats(-4.0, 4.0)), LIDAR)
+            result.u_plus.append(PseudoLabel(at, box, draw(UNIT), draw(st.text(max_size=12))))
+        else:
+            result.u_minus.append((at, draw(UNIT)))
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=pgt_results())
+def test_diagnostics_round_trip(tmp_path_factory, result):
+    path = tmp_path_factory.getbasetemp() / "diagnostics.json"
+    write_diagnostics(path, result)
+    u_plus, u_minus = read_diagnostics(path, GridSpec())
+
+    def fields(label):
+        return label.pixel, label.box.centre.tolist(), label.box.dims.tolist(), label.box.yaw, label.confidence, label.anchor
+
+    assert [fields(label) for label in u_plus] == [fields(label) for label in result.u_plus]
+    assert u_minus == result.u_minus
+    # an unmeasured score is written as three nulls
+    written = [entry["anchors"] for entry in json.loads(path.read_text())["pixels"]]
+    assert written == [
+        {name: {"moving": s.moving, "inconsistency": s.inconsistency,
+                "confidence": None if s.moving is None else s.confidence, "alive": s.alive}
+         for name, s in diag.anchor_scores.items()}
+        for diag in result.diagnostics
+    ]
 
 
 class TestSequenceIndex:

@@ -24,8 +24,10 @@ from lidarpgt.pipeline import (
     _crop_rows,
     _cylinder_mask,
     _fit,
+    _fit_score,
     _moments,
     ScorerConfig,
+    TrackedPointSets,
     combined_confidence,
     crop_cylinder,
     default_anchors,
@@ -960,11 +962,13 @@ class TestGeneratePseudoLabels:
         monkeypatch.setattr(pipeline, "_crop_rows", recording_crops)
         monkeypatch.setattr(pipeline, "_fit", lambda pts: fitted.append(pts) or _fit(pts))
         # 240 samples reach the few crops whose points lose their tracks
-        pipeline.generate_pseudo_labels(
+        result = pipeline.generate_pseudo_labels(
             window, heuristic_grid(frames[0].cloud, spec), spec,
             sampler_cfg=SamplerConfig(sample_count=240, seed=1),
         )
         monkeypatch.undo()
+        tracked = [s.alive for d in result.diagnostics for s in d.anchor_scores.values() if s.alive[0] >= 3]
+        assert len(tracked) == len(crops)
         cloud_cam = window.lidar_to_cam.apply(window.cloud.xyz)
         steps = 4  # the crop itself and 3 tracked frames
         assert len(fitted) == steps * len(crops) > 0
@@ -975,8 +979,25 @@ class TestGeneratePseudoLabels:
                 pts = fitted[steps * i + k]
                 assert pts.dtype == np.float64 and pts.flags.c_contiguous
                 assert np.array_equal(pts, alone.point_set(k))
+            assert tracked[i] == alone.alive.sum(axis=1).tolist()  # each step's live rows, counted
             dying += not alone.alive[3].all()
         assert dying > 0  # some crops lose tracks, so a set without dead rows differs
+
+    def test_fit_score_counts_each_steps_live_rows(self):
+        """`alive` is a crop's row count, then its rows alive at each step. A crop of < 3 rows is
+        never tracked (zeros after step 0), and neither it nor one whose tracks drop below 3 rows
+        is scored."""
+        positions = np.random.default_rng(0).normal(size=(4, 8, 3)) + [0.0, 0.0, 10.0]
+        alive = np.ones((4, 8), dtype=bool)
+        alive[1:, 7] = alive[2:, 6] = False  # row 7 dies at step 1, row 6 at step 2
+        alive[3:, :2] = False  # rows 0 and 1 at step 3
+        crops = [[np.array([0, 1], np.int32), np.array([4, 5, 6, 7], np.int32), np.arange(8, dtype=np.int32)]]
+        (few, _), (dying, _), (whole, first) = _fit_score(crops, TrackedPointSets(positions, alive), ScorerConfig())[0]
+        assert (few.alive, dying.alive, whole.alive) == ([2, 0, 0, 0], [4, 3, 2, 2], [8, 7, 6, 4])
+        for score in (few, dying):
+            assert (score.moving, score.inconsistency, score.confidence) == (None, None, -math.inf)
+        assert min(whole.moving, whole.inconsistency) > 0 and math.isfinite(whole.confidence)
+        assert first is not None
 
     @pytest.mark.parametrize(
         "pts",
