@@ -1,4 +1,5 @@
-"""On-disk formats, their records (`Calibration`, `LabelRecord`, `PseudoLabel`, `SequenceIndex`) and ingestion.
+"""On-disk formats, their records (`Calibration`, `LabelRecord`, `PseudoLabel`, `SequenceIndex`, and the
+diagnostics `AnchorScore`, `PixelDiagnostics` and `PgtResult`) and ingestion.
 
 Directory layout of a sequence:
 
@@ -406,8 +407,32 @@ def read_box_grid(path, spec: GridSpec) -> BoxGrid:
 # pseudo-label diagnostics: {"pixels": [one entry per sampled pixel]}
 
 
-def write_diagnostics(path, result):
-    """Write each sampled pixel's scores and target from a pipeline.PgtResult; a U+ entry also carries its box."""
+@dataclass
+class AnchorScore:
+    """One anchor's scores at a pixel, its fields in the file's key order; an unscored anchor's three are None."""
+
+    moving: float | None
+    inconsistency: float | None
+    confidence: float | None
+    alive: list[int]  # the crop's rows alive at each step, K + 1 counts (0 after step 0 if never tracked)
+
+
+@dataclass
+class PixelDiagnostics:
+    pixel: tuple[int, int]
+    smoothed_confidence: float
+    anchor_scores: dict[str, AnchorScore]
+
+
+@dataclass
+class PgtResult:
+    u_plus: list[PseudoLabel]
+    u_minus: list[tuple[tuple[int, int], float]]
+    diagnostics: list[PixelDiagnostics]
+
+
+def write_diagnostics(path, result: PgtResult):
+    """Write each sampled pixel's scores and target; a U+ entry also carries its box."""
     labels = {label.pixel: label for label in result.u_plus}
     targets = dict(result.u_minus)
     pixels = []
@@ -416,11 +441,7 @@ def write_diagnostics(path, result):
         entry = {
             "pixel": list(diag.pixel),
             "smoothed_confidence": diag.smoothed_confidence,
-            "anchors": {
-                name: {"moving": s.moving, "inconsistency": s.inconsistency,
-                       "confidence": None if s.confidence == -math.inf else s.confidence, "alive": s.alive}
-                for name, s in diag.anchor_scores.items()
-            },
+            "anchors": {name: vars(score) for name, score in diag.anchor_scores.items()},
             "target_confidence": targets.get(diag.pixel),
             "box_lidar": None,
         }

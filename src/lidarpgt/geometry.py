@@ -59,6 +59,15 @@ def yaw_matrix(frame: str, angle: float) -> np.ndarray:
     raise ValueError(f"unknown frame {frame!r}")
 
 
+def freeze_arrays(record, **shapes) -> list[np.ndarray]:
+    """Set each named field of a frozen dataclass to a read-only float64 copy, reshaped as given; return the copies."""
+    arrays = [np.array(getattr(record, name), dtype=float).reshape(shape) for name, shape in shapes.items()]
+    for name, array in zip(shapes, arrays):
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """A proper rigid transform: p -> rotation @ p + translation."""
@@ -67,8 +76,7 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.array(self.rotation, dtype=float).reshape(3, 3)
-        tra = np.array(self.translation, dtype=float).reshape(3)
+        rot, tra = freeze_arrays(self, rotation=(3, 3), translation=3)
         if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
             raise ValueError("rigid transform has non-finite entries")
         drift = np.abs(rot.T @ rot - np.eye(3)).max()
@@ -77,10 +85,6 @@ class RigidTransform:
             raise ValueError(
                 f"rotation is not orthonormal with det +1 (drift {drift:.3g}, det {det:.9g})"
             )
-        rot.flags.writeable = False
-        tra.flags.writeable = False
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tra)
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -199,13 +203,11 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 4)
+        (pts,) = freeze_arrays(self, points=(-1, 4))
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite values")
         if pts.size and (pts[:, 3].min() < 0.0 or pts[:, 3].max() > 1.0):
             raise ValueError("intensities must lie in [0, 1]")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
 
     @property
     def xyz(self) -> np.ndarray:
@@ -234,16 +236,11 @@ class Obb3:
     frame: str
 
     def __post_init__(self):
-        centre = np.array(self.centre, dtype=float).reshape(3)
-        dims = np.array(self.dims, dtype=float).reshape(3)
+        _, dims = freeze_arrays(self, centre=3, dims=3)
         if not np.all(dims > 0):
             raise ValueError("box dims must be positive")
         if self.frame not in _AXES:
             raise ValueError(f"unknown frame {self.frame!r}")
-        centre.flags.writeable = False
-        dims.flags.writeable = False
-        object.__setattr__(self, "centre", centre)
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "yaw", canonical_yaw(self.yaw))
 
     def corners(self) -> np.ndarray:
@@ -272,14 +269,9 @@ class AABB2:
     max_corner: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.min_corner, dtype=float).reshape(2)
-        hi = np.array(self.max_corner, dtype=float).reshape(2)
+        lo, hi = freeze_arrays(self, min_corner=2, max_corner=2)
         if np.any(lo > hi):
             raise ValueError("min corner must not exceed max corner")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "min_corner", lo)
-        object.__setattr__(self, "max_corner", hi)
 
     def area(self) -> float:
         size = self.max_corner - self.min_corner

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bev import BoxGrid, GridSpec, grid_centres
-from .dataset import PseudoLabel, SequenceIndex
+from .dataset import AnchorScore, PgtResult, PixelDiagnostics, PseudoLabel, SequenceIndex
 from .errors import DegenerateInput, MissingFrameData
 from .geometry import (
     CAMERA,
@@ -31,6 +31,7 @@ from .geometry import (
     RigidTransform,
     backproject,
     canonical_yaw,
+    freeze_arrays,
     transform_obb,
     yaw_matrix,
 )
@@ -54,11 +55,9 @@ class Anchor:
     dims: np.ndarray
 
     def __post_init__(self):
-        dims = np.array(self.dims, dtype=float).reshape(-1)
+        (dims,) = freeze_arrays(self, dims=-1)
         if len(dims) != 3 or not np.all(dims > 0):
             raise ValueError(f"dims: expected three positive numbers, got {reprlib.repr(dims.tolist())}")
-        dims.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
 
     def volume(self) -> float:
         return float(self.dims[0] * self.dims[1] * self.dims[2])
@@ -107,28 +106,6 @@ class TrackedPointSets:
     def point_set(self, k: int) -> np.ndarray:
         """Live positions at step k."""
         return self.positions[k][self.alive[k]]
-
-
-@dataclass
-class AnchorScore:
-    moving: float | None  # None, like inconsistency, where confidence is -inf: not measured
-    inconsistency: float | None
-    confidence: float  # -inf when the crop has < 3 rows, a step keeps < 3 or a fit degenerates
-    alive: list[int]  # the crop's rows alive at each step, K + 1 counts (0 after step 0 if never tracked)
-
-
-@dataclass
-class PixelDiagnostics:
-    pixel: tuple[int, int]
-    smoothed_confidence: float
-    anchor_scores: dict[str, AnchorScore]
-
-
-@dataclass
-class PgtResult:
-    u_plus: list[PseudoLabel]
-    u_minus: list[tuple[tuple[int, int], float]]
-    diagnostics: list[PixelDiagnostics]
 
 
 class _FrameRasters(Sequence):
@@ -476,13 +453,13 @@ def combined_confidence(moving: float, inconsistency: float, cfg: ScorerConfig) 
 def select_anchor(scores, anchors, score_threshold: float):
     """Pick the surviving anchor with the largest volume, if any survive.
 
-    `scores` and `anchors` are parallel sequences. Anchors scoring below the
-    threshold are dropped; exact volume ties resolve to the earlier anchor.
-    Returns (anchor, score) or None.
+    `scores` and `anchors` are parallel sequences. Unscored anchors (None) and
+    those scoring below the threshold are dropped; exact volume ties resolve
+    to the earlier anchor. Returns (anchor, score) or None.
     """
     best = None
     for anchor, score in zip(anchors, scores):
-        if score < score_threshold:
+        if score is None or score < score_threshold:
             continue
         if best is None or anchor.volume() > best[0].volume():
             best = (anchor, score)
@@ -490,8 +467,6 @@ def select_anchor(scores, anchors, score_threshold: float):
 
 
 def _clamp01(value: float) -> float:
-    if value != value or value == -math.inf:  # NaN or -inf
-        return 0.0
     return min(max(value, 0.0), 1.0)
 
 
@@ -523,29 +498,29 @@ def _crop(cloud_cam: np.ndarray, centres_cam, anchors):
 
 def _fit_score(crops, tracked: TrackedPointSets, scorer_cfg: ScorerConfig):
     """Fit+score pass: per pixel, per anchor (a crop of ranks in the tracked points), its AnchorScore and its
-    step-0 fit. Each step's live rows are taken once, counted into `alive` and fitted; the fit is None
-    when the crop has < 3 rows (then never tracked) or any step's fit degenerates (< 3 rows or rank-deficient)."""
+    step-0 fit. Each step's live rows are taken once, counted into `alive` and fitted; both stay None when the
+    crop has < 3 rows (then never tracked), any step's fit degenerates or the confidence is not finite."""
     scored = []
     for per_pixel in crops:
         scored.append([])
         for at in per_pixel:
-            score, first = AnchorScore(None, None, -math.inf, [len(at)] + [0] * scorer_cfg.k_frames), None
+            counts, scores, first = [len(at)] + [0] * scorer_cfg.k_frames, (None, None, None), None
             if len(at) >= 3:
                 live = [at[alive.take(at)] for alive in tracked.alive]
-                score.alive = [len(rows) for rows in live]
+                counts = [len(rows) for rows in live]
                 fits = [_fit(positions.take(rows, axis=0)) for positions, rows in zip(tracked.positions, live)]
                 if None not in fits:
-                    score.moving = moving_score(fits)
-                    score.inconsistency = inconsistency_score(fits)
-                    score.confidence = combined_confidence(score.moving, score.inconsistency, scorer_cfg)
-                    first = fits[0]
-            scored[-1].append((score, first))
+                    moving, inconsistency = moving_score(fits), inconsistency_score(fits)
+                    confidence = combined_confidence(moving, inconsistency, scorer_cfg)
+                    if math.isfinite(confidence):
+                        scores, first = (moving, inconsistency, confidence), fits[0]
+            scored[-1].append((AnchorScore(*scores, counts), first))
     return scored
 
 
 def _select(pixels, smoothed, scored, anchors: list[Anchor], score_threshold: float, cam_to_lidar) -> PgtResult:
     """Select pass: a pixel with a surviving anchor joins U+ with that anchor's
-    step-0 fit as a lidar-frame box, the rest join U- with their best score."""
+    step-0 fit as a lidar-frame box, the rest join U- with their best score (0 if none was scored)."""
     result = PgtResult([], [], [])
     for pixel, confidence, per_anchor in zip(pixels, smoothed, scored):
         diag = PixelDiagnostics(pixel, confidence, {a.name: score for a, (score, _) in zip(anchors, per_anchor)})
@@ -556,7 +531,7 @@ def _select(pixels, smoothed, scored, anchors: list[Anchor], score_threshold: fl
             box = transform_obb(Obb3(*per_anchor[anchors.index(anchor)][1], CAMERA), cam_to_lidar, LIDAR)
             result.u_plus.append(PseudoLabel(pixel, box, _clamp01(score), anchor.name))
         else:
-            result.u_minus.append((pixel, _clamp01(max(scores, default=-math.inf))))
+            result.u_minus.append((pixel, _clamp01(max((s for s in scores if s is not None), default=0.0))))
         result.diagnostics.append(diag)
     return result
 
@@ -575,8 +550,8 @@ def generate_pseudo_labels(
     with a surviving anchor yield a PseudoLabel whose box is the fit of the
     crop itself (step 0) brought back into lidar space; their target
     confidence is the anchor's score clamped to [0, 1]. The rest land in U-
-    with the clamped best score across anchors (empty or degenerate crops
-    score -inf and clamp to 0). Results are ordered by pixel.
+    with the clamped best score across anchors, or 0 when none was scored
+    (an unscored anchor's score is None). Results are ordered by pixel.
     """
     anchors = list(anchors) if anchors is not None else default_anchors()
     scorer_cfg = scorer_cfg or ScorerConfig()

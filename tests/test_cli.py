@@ -151,6 +151,32 @@ class TestCliRoundTrip:
             assert u_minus == result.u_minus
         assert any(result.u_plus for result in results)
 
+    @pytest.mark.parametrize(
+        "weights", [{"moving_weight": 1e308}, {"inconsistency_weight": 1e308},
+                    {"moving_weight": 1e308, "inconsistency_weight": 1e308}], ids=["moving", "inconsistency", "both"],
+    )
+    def test_overflowing_weights_leave_anchors_unscored(self, workspace, tmp_path, weights):
+        """Weights that overflow a confidence pass the config checks. Such an anchor goes unscored:
+        the diagnostics hold no NaN or Infinity, each anchor's three scores are null together, and
+        every label's confidence reaches the threshold."""
+        def reject(constant):
+            raise ValueError(f"non-finite number {constant}")
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "scorer": weights}))
+        out = tmp_path / "pgt"
+        assert main(["generate", str(workspace / "seq"), "--out", str(out), "--config", str(cfg), "--jobs", "1"]) == 0
+        threshold = json.loads((out / "run.json").read_text())["config"]["scorer"]["score_threshold"]
+        paths = sorted((out / "diagnostics").glob("*.json"))
+        assert len(paths) == 2
+        for path in paths:
+            for entry in json.loads(path.read_text(), parse_constant=reject)["pixels"]:
+                for anchor in entry["anchors"].values():
+                    nulls = {anchor[key] is None for key in ("moving", "inconsistency", "confidence")}
+                    assert len(nulls) == 1, (path.name, entry["pixel"], anchor)
+        labels = [record for path in sorted((out / "label_pgt").glob("*.txt")) for record in read_labels(path)]
+        assert all(record.score >= threshold for record in labels), [record.score for record in labels]
+
     def test_evaluate_runs(self, workspace, capsys):
         code = main(
             [
@@ -1424,7 +1450,7 @@ def test_cli_imports_in_a_fresh_interpreter(workspace, tmp_path, script):
 
 
 def _diagnostics_close(a, b, rel_tol, where="diagnostics"):
-    """Two parsed diagnostics files hold the same keys, lists, nulls (a -inf confidence) and
+    """Two parsed diagnostics files hold the same keys, lists, nulls (an unscored anchor) and
     integers, and floats equal within rel_tol."""
     if isinstance(a, dict) and isinstance(b, dict):
         assert a.keys() == b.keys(), where

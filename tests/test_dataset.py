@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from lidarpgt.bev import BoxGrid, GridSpec
 from lidarpgt.dataset import (
     FRAME_FILES,
+    AnchorScore,
     Calibration,
     LabelRecord,
+    PgtResult,
+    PixelDiagnostics,
     PseudoLabel,
     committed,
     load_sequence,
@@ -46,7 +49,6 @@ from lidarpgt.geometry import (
     kitti_lidar_to_camera,
     transform_obb,
 )
-from lidarpgt.pipeline import AnchorScore, PgtResult, PixelDiagnostics
 
 # KITTI's lidar-to-camera extrinsics of its 2011-09-26 drives, |R[1,2]| = 0.9998902
 KITTI_LIDAR_TO_CAM = (
@@ -565,7 +567,7 @@ UNIT = st.floats(0.0, 1.0)
 @st.composite
 def pgt_results(draw):
     """A PgtResult of distinct in-grid pixels, U+ and U- both, whose anchor scores are
-    measured or not measured (None, None, -inf)."""
+    measured or not measured (None, None, None)."""
     spec = GridSpec()
     pixel = st.tuples(st.integers(0, spec.out_rows - 1), st.integers(0, spec.out_cols - 1))
     pixels = draw(st.lists(pixel, min_size=2, max_size=8, unique=True))
@@ -574,7 +576,7 @@ def pgt_results(draw):
     alive = st.lists(st.integers(0, 999), min_size=4, max_size=4).map(sorted).map(lambda a: a[::-1])
     score = st.one_of(
         st.builds(AnchorScore, FINITE, FINITE, FINITE, alive),
-        st.builds(AnchorScore, st.none(), st.none(), st.just(-math.inf), alive),
+        st.builds(AnchorScore, st.none(), st.none(), st.none(), alive),
     )
     result = PgtResult([], [], [])
     for at, has_box in zip(pixels, boxed):
@@ -602,14 +604,9 @@ def test_diagnostics_round_trip(tmp_path_factory, result):
 
     assert [fields(label) for label in u_plus] == [fields(label) for label in result.u_plus]
     assert u_minus == result.u_minus
-    # an unmeasured score is written as three nulls
+    # each anchor is written as its record's fields, an unmeasured score as three nulls
     written = [entry["anchors"] for entry in json.loads(path.read_text())["pixels"]]
-    assert written == [
-        {name: {"moving": s.moving, "inconsistency": s.inconsistency,
-                "confidence": None if s.moving is None else s.confidence, "alive": s.alive}
-         for name, s in diag.anchor_scores.items()}
-        for diag in result.diagnostics
-    ]
+    assert written == [{name: vars(s) for name, s in diag.anchor_scores.items()} for diag in result.diagnostics]
 
 
 class TestSequenceIndex:

@@ -800,6 +800,11 @@ class TestSelectAnchor:
         chosen = select_anchor([0.08, -1.0, -1.0], anchors, 0.08)
         assert chosen[0].name == "pedestrian"
 
+    def test_unscored_anchors_are_skipped(self):
+        anchors = default_anchors()
+        assert select_anchor([0.5, None, None], anchors, 0.08)[0].name == "pedestrian"
+        assert select_anchor([None, None, None], anchors, 0.08) is None
+
     def test_exact_volume_tie_prefers_earlier(self):
         a = Anchor("first", (1.0, 1.0, 1.0))
         b = Anchor("second", (1.0, 1.0, 1.0))
@@ -983,21 +988,33 @@ class TestGeneratePseudoLabels:
             dying += not alone.alive[3].all()
         assert dying > 0  # some crops lose tracks, so a set without dead rows differs
 
-    def test_fit_score_counts_each_steps_live_rows(self):
-        """`alive` is a crop's row count, then its rows alive at each step. A crop of < 3 rows is
-        never tracked (zeros after step 0), and neither it nor one whose tracks drop below 3 rows
-        is scored."""
+    @staticmethod
+    def _hand_made_tracks():
+        """Crops of 2, 4 and 8 rows of 8 tracked rows, some of which die along the way."""
         positions = np.random.default_rng(0).normal(size=(4, 8, 3)) + [0.0, 0.0, 10.0]
         alive = np.ones((4, 8), dtype=bool)
         alive[1:, 7] = alive[2:, 6] = False  # row 7 dies at step 1, row 6 at step 2
         alive[3:, :2] = False  # rows 0 and 1 at step 3
         crops = [[np.array([0, 1], np.int32), np.array([4, 5, 6, 7], np.int32), np.arange(8, dtype=np.int32)]]
-        (few, _), (dying, _), (whole, first) = _fit_score(crops, TrackedPointSets(positions, alive), ScorerConfig())[0]
+        return crops, TrackedPointSets(positions, alive)
+
+    def test_fit_score_counts_each_steps_live_rows(self):
+        """`alive` is a crop's row count, then its rows alive at each step. A crop of < 3 rows is
+        never tracked (zeros after step 0), and neither it nor one whose tracks drop below 3 rows
+        is scored."""
+        (few, _), (dying, _), (whole, first) = _fit_score(*self._hand_made_tracks(), ScorerConfig())[0]
         assert (few.alive, dying.alive, whole.alive) == ([2, 0, 0, 0], [4, 3, 2, 2], [8, 7, 6, 4])
         for score in (few, dying):
-            assert (score.moving, score.inconsistency, score.confidence) == (None, None, -math.inf)
+            assert (score.moving, score.inconsistency, score.confidence) == (None, None, None)
         assert min(whole.moving, whole.inconsistency) > 0 and math.isfinite(whole.confidence)
         assert first is not None
+
+    def test_fit_score_leaves_an_overflowing_confidence_unscored(self):
+        """Weights that pass the config checks but overflow the confidence leave the crop
+        unscored, with no fit kept, like a crop that was never fitted."""
+        huge = ScorerConfig(moving_weight=1e308, inconsistency_weight=1e308)
+        for score, first in _fit_score(*self._hand_made_tracks(), huge)[0]:
+            assert (score.moving, score.inconsistency, score.confidence, first) == (None, None, None, None)
 
     @pytest.mark.parametrize(
         "pts",
